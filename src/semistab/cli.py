@@ -8,8 +8,8 @@ failure, 4 inconclusive classification.
 
 All numbers in reports are rounded to 12 significant digits and +/-inf is
 encoded as the strings "inf"/"-inf", so identical runs produce byte-identical
-output.  The power-iteration seed honors the ENTRYTIME_SEED environment
-variable.
+output.  The power-iteration seed of ``fractional-integration`` models honors
+the ENTRYTIME_SEED environment variable; no other model kind uses a seed.
 """
 
 from __future__ import annotations

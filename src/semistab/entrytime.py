@@ -6,12 +6,15 @@ time u_r = t_{r+1} - t_r measures how long the curve needs to gain one more
 factor of 1/e.  The u_r sequence is nonincreasing, and its limit behaviour
 determines the stability class (see :mod:`semistab.classify`).
 
-For contraction trajectories (norm nonincreasing) t_r is found by monotone
-bisection against the threshold: the last time the curve sits at or above
-exp(-r).  For general trajectories a forward grid scan records the last
-downward crossing and keeps doubling the horizon until a sustained
-below-threshold window is observed; trajectories that never settle below the
-threshold before the horizon cap are reported as +inf.
+Equivalently, t_r is where the envelope M(t) = sup_{s>=t} ||T(s)|| drops
+through exp(-r).  For contraction trajectories (norm nonincreasing) M is the
+norm itself, and t_r is found by monotone bisection against the threshold.
+For general trajectories one pass serves every r: the grid_step lattice is
+evaluated once per horizon extension, its reverse cumulative maximum is a
+discrete M, and the last lattice point at or above exp(-r) brackets t_r for
+bisection.  A bracket is final once a sustained below-threshold window
+follows it; otherwise the horizon doubles.  Trajectories that never settle
+below the threshold before the horizon cap are reported as +inf.
 """
 
 from __future__ import annotations
@@ -77,15 +80,14 @@ def final_entry_time(traj, r, cfg=None):
     """Entry time of the whole trajectory into the exp(-r) ball."""
     cfg = cfg or SearchConfig()
     _check_r(r, cfg)
-    return _entry_time_from(traj, int(r), 0.0, cfg)
+    return _entry_times(traj, [int(r)], cfg)[0]
 
 
 def vector_entry_time(model, x, r, cfg=None):
     """Entry time of a single unit-vector orbit of a matrix semigroup."""
     cfg = cfg or SearchConfig()
     _check_r(r, cfg)
-    traj = model.vector_trajectory(x)
-    return _entry_time_from(traj, int(r), 0.0, cfg)
+    return _entry_times(model.vector_trajectory(x), [int(r)], cfg)[0]
 
 
 def _check_r(r, cfg):
@@ -95,19 +97,41 @@ def _check_r(r, cfg):
         raise InvalidArgument(f"threshold exp(-{r}) is below the norm floor")
 
 
-def _entry_time_from(traj, r, left, cfg):
+def _entry_times(traj, rs, cfg):
+    """Entry times for the increasing r values ``rs``.
+
+    Each search starts from the previous entry time (the t_r sequence is
+    nondecreasing); once a search hits the horizon cap, all later entries
+    are +inf as well.  General trajectories share one envelope scan.
+    """
+    scan = None if traj.is_contraction else _EnvelopeScan(traj, cfg)
+    entries = []
+    left = 0.0
+    for r in rs:
+        if entries and not entries[-1].is_finite:
+            entries.append(EntryTime(math.inf, STATUS_HORIZON, math.inf))
+            continue
+        et = _entry_time_from(traj, r, left, cfg, scan)
+        entries.append(et)
+        if et.is_finite:
+            left = et.time
+    return entries
+
+
+def _entry_time_from(traj, r, left, cfg, scan):
     threshold = math.exp(-r)
-    if traj.evaluate(left) <= cfg.norm_floor:
+    f_left = traj.evaluate(left)
+    if f_left <= cfg.norm_floor:
         # exact-zero plateau: the norm vanished at or before the left bound,
         # so every later entry time collapses onto the same boundary
         return EntryTime(left, STATUS_EXACT, 0.0)
-    if traj.is_contraction:
-        if r == 0 and left == 0.0 and traj.evaluate(0.0) <= 1.0 + 1e-12:
-            # a contraction never exceeds its initial value, so the curve is
-            # at or below exp(0) from the start
-            return EntryTime(0.0, STATUS_EXACT, 0.0)
-        return _bisect_monotone(traj.evaluate, threshold, left, cfg)
-    return _scan_last_crossing(traj, threshold, left, cfg)
+    if scan is not None:
+        return scan.entry_time(threshold, left, f_left)
+    if r == 0 and left == 0.0 and f_left <= 1.0 + 1e-12:
+        # a contraction never exceeds its initial value, so the curve is
+        # at or below exp(0) from the start
+        return EntryTime(0.0, STATUS_EXACT, 0.0)
+    return _bisect_monotone(traj.evaluate, threshold, left, cfg)
 
 
 def _bisect_monotone(f, threshold, left, cfg):
@@ -126,75 +150,86 @@ def _bisect_monotone(f, threshold, left, cfg):
         if f(hi) < threshold:
             break
         span *= 2.0
-    lo = left
-    while hi - lo > cfg.time_tol:
+    return EntryTime(_bisect(f, threshold, left, hi, cfg.time_tol), STATUS_BISECTED, cfg.time_tol)
+
+
+def _bisect(f, threshold, lo, hi, time_tol):
+    """Midpoint of a bracket [lo, hi] with f(lo) >= threshold > f(hi), narrowed to time_tol."""
+    while hi - lo > time_tol:
         mid = 0.5 * (lo + hi)
         if f(mid) >= threshold:
             lo = mid
         else:
             hi = mid
-    return EntryTime(0.5 * (lo + hi), STATUS_BISECTED, cfg.time_tol)
+    return 0.5 * (lo + hi)
 
 
-def _scan_last_crossing(traj, threshold, left, cfg):
-    """Last downward threshold crossing of a general trajectory.
+class _EnvelopeScan:
+    """Samples of a general trajectory on the grid_step lattice, shared by all r.
 
-    Scans the lattice of grid_step multiples (so repeated scans at different
-    r share cached evaluations), tracking the last point at or above the
-    threshold.  The crossing is accepted once everything after it stays below
-    through a window of length horizon_start; otherwise the horizon doubles.
-    A quick check at the horizon itself skips the dense scan while the curve
-    is still above threshold out there.
+    The samples are the lattice points k*grid_step up to the current horizon,
+    each evaluated once, plus the horizon points themselves.  Their reverse
+    cumulative maximum is a discrete envelope M(t) = sup_{s>=t} ||T(s)||, so
+    the last sample at or above exp(-r) is where M drops through the
+    threshold.  That anchor is certified final once horizon_start of quiet
+    lattice follows it; otherwise the horizon doubles, up to horizon_cap.
+    Before a window is scanned the horizon point is checked alone: while the
+    curve is still above the pending threshold there, nothing earlier can
+    hold an anchor, so the window is skipped.
     """
-    h = cfg.grid_step
-    f = traj.evaluate
-    last_above = left if f(left) >= threshold else None
-    scanned_to = left
-    span = cfg.horizon_start
-    horizon = min(left + span, cfg.horizon_cap)
-    while True:
-        if f(horizon) >= threshold:
-            last_above = horizon
-            scanned_to = horizon
-            if horizon >= cfg.horizon_cap:
+
+    def __init__(self, traj, cfg):
+        self.traj = traj
+        self.cfg = cfg
+        self.horizon = 0.0
+        self.k_done = -1  # lattice points k <= k_done are sampled or skipped
+        self.ts = np.empty(0)
+        self.vals = np.empty(0)
+        self.envelope = np.empty(0)
+
+    def entry_time(self, threshold, left, f_left):
+        cfg = self.cfg
+        while True:
+            # envelope >= threshold exactly up to the last sample above it
+            i = int(np.searchsorted(-self.envelope, -threshold, side="right")) - 1
+            if i >= 0 and self.ts[i] > left:
+                anchor, above = float(self.ts[i]), True
+            else:
+                anchor, above = left, f_left >= threshold
+            if above and anchor >= cfg.horizon_cap:
                 return EntryTime(math.inf, STATUS_HORIZON, math.inf)
-            span *= 2.0
-            horizon = min(left + span, cfg.horizon_cap)
-            continue
-        k0 = int(math.floor(scanned_to / h)) + 1
+            if self.horizon - anchor >= cfg.horizon_start:
+                status = STATUS_BISECTED
+                break
+            if self.horizon >= cfg.horizon_cap:
+                # below threshold at the cap but the quiet window is short:
+                # report the best bracket with a widened error bar
+                status = STATUS_WIDENED
+                break
+            self._extend(threshold)
+        if not above:
+            # nothing at or above threshold from the left bound on
+            return EntryTime(anchor, status, cfg.time_tol)
+        hi = min(anchor + cfg.grid_step, self.horizon)
+        tol = cfg.time_tol if status == STATUS_BISECTED else max(cfg.time_tol, cfg.grid_step)
+        return EntryTime(_bisect(self.traj.evaluate, threshold, anchor, hi, cfg.time_tol),
+                         status, tol)
+
+    def _extend(self, threshold):
+        cfg = self.cfg
+        h = cfg.grid_step
+        horizon = min(2.0 * self.horizon if self.horizon else cfg.horizon_start, cfg.horizon_cap)
+        at_horizon = self.traj.evaluate(horizon)
         k1 = int(math.floor(horizon / h))
-        if k1 >= k0:
-            ts = np.arange(k0, k1 + 1, dtype=float) * h
-            vals = traj.evaluate_many(ts)
-            above = ts[vals >= threshold]
-            if above.size:
-                last_above = float(above[-1])
-        scanned_to = horizon
-        anchor = last_above if last_above is not None else left
-        if horizon - anchor >= cfg.horizon_start:
-            return _refine_crossing(f, threshold, anchor, h, horizon, cfg, STATUS_BISECTED)
-        if horizon >= cfg.horizon_cap:
-            # below threshold at the cap but the quiet window is short:
-            # report the best bracket with a widened error bar
-            return _refine_crossing(f, threshold, anchor, h, horizon, cfg, STATUS_WIDENED)
-        span *= 2.0
-        horizon = min(left + span, cfg.horizon_cap)
-
-
-def _refine_crossing(f, threshold, anchor, h, horizon, cfg, status):
-    if f(anchor) < threshold:
-        # nothing at or above threshold from the left bound on
-        return EntryTime(anchor, status, cfg.time_tol)
-    lo = anchor
-    hi = min(anchor + h, horizon)
-    while hi - lo > cfg.time_tol:
-        mid = 0.5 * (lo + hi)
-        if f(mid) >= threshold:
-            lo = mid
+        if at_horizon >= threshold:
+            # every pending anchor lies at or beyond this horizon
+            ts, vals = np.array([horizon]), np.array([at_horizon])
         else:
-            hi = mid
-    tol = cfg.time_tol if status == STATUS_BISECTED else max(cfg.time_tol, h)
-    return EntryTime(0.5 * (lo + hi), status, tol)
+            lattice = np.arange(self.k_done + 1, k1 + 1, dtype=float) * h
+            ts = np.concatenate([self.ts, lattice, [horizon]])
+            vals = np.concatenate([self.vals, self.traj.evaluate_many(lattice), [at_horizon]])
+        self.horizon, self.k_done, self.ts, self.vals = horizon, k1, ts, vals
+        self.envelope = np.maximum.accumulate(vals[::-1])[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -252,27 +287,13 @@ def _csv_number(x):
 
 
 def entry_time_table(traj, r_max, cfg=None):
-    """Compute t_0..t_{r_max+1} and the u_r differences.
-
-    Each search starts from the previous entry time (the t_r sequence is
-    nondecreasing); once a search hits the horizon cap, all later entries are
-    +inf as well.
-    """
+    """Compute t_0..t_{r_max+1} and the u_r differences."""
     cfg = cfg or SearchConfig()
     r_max = int(r_max)
     if r_max < 1:
         raise InvalidArgument(f"r_max must be at least 1, got {r_max}")
     _check_r(r_max + 1, cfg)
-    entries = []
-    left = 0.0
-    for r in range(r_max + 2):
-        if entries and not entries[-1].is_finite:
-            entries.append(EntryTime(math.inf, STATUS_HORIZON, math.inf))
-            continue
-        et = _entry_time_from(traj, r, left, cfg)
-        entries.append(et)
-        if et.is_finite:
-            left = et.time
+    entries = _entry_times(traj, range(r_max + 2), cfg)
     t = tuple(e.time for e in entries)
     u = tuple(
         math.inf if math.isinf(t[r + 1]) else t[r + 1] - t[r]

@@ -17,7 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument, InvalidModel, NumericsFailure, SpecError
-from .numerics import (
+# matrix_exponential and operator_norm are unused here but stay importable from
+# this module: perfbench/tracing.py wraps the numerics kernels by these names
+from .numerics import (  # noqa: F401
     gamma_eval,
     matrix_exponential,
     operator_norm,
@@ -28,7 +30,7 @@ from .numerics import (
 
 _MEMO_DIGITS = 12          # trajectory memo keys are times rounded to this many digits
 _STALL_TOL = 1e-4          # accepted relative norm error when singular values cluster
-_RESYNC_STRIDE = 2048      # steps between direct re-evaluations on a uniform lattice
+_CHUNK = 4096              # matrices per stacked exponential, bounding temporaries
 _FLAG_TOL = 1e-10          # slack when sampling for the contraction flag
 
 
@@ -36,9 +38,9 @@ class NormTrajectory:
     """A norm curve t -> ||T(t)|| with capability flags.
 
     ``evaluate`` takes a single nonnegative time; ``evaluate_many`` takes an
-    ndarray (models override it with vectorized or lattice-incremental
-    implementations).  ``extinction_time`` is the time past which the norm is
-    identically zero, or None.  ``eval_error_bound`` is zero for exact closed
+    ndarray (models override it with vectorized implementations).
+    ``extinction_time`` is the time past which the norm is identically zero,
+    or None.  ``eval_error_bound`` is zero for exact closed
     forms and a discretization-error estimate otherwise.
     """
 
@@ -294,118 +296,80 @@ class DampedNilpotent(SemigroupModel):
 class MatrixSemigroup(SemigroupModel):
     """Finite-dimensional semigroup exp(t*A) for a square generator A.
 
-    Norms are the largest singular value of exp(t*A), computed by seeded
-    power iteration warm-started with the singular vector of the previously
-    queried time.  Values are memoized by time rounded to 12 digits, and
-    uniformly spaced batches are filled by incremental multiplication with
-    exp(h*A) (re-anchored every couple thousand steps), which is what makes
-    dense entry-time scans affordable.
-
-    The caches tolerate concurrent readers (dict and array slot writes are
-    atomic under the interpreter lock; a lost race just recomputes the same
-    value), so trajectories may be shared across threads.
+    Norms are the exact largest singular value of exp(t*A).  Every batch of
+    times goes through one stacked kernel (scaling and squaring per time,
+    then a stacked singular value decomposition), and a single time is a
+    batch of one, so each value is a pure function of its own t: the same
+    bits on the batch and the point path, in any query order.  The model
+    keeps no warm start, memo or lattice cache; the only state is the
+    lazily built trajectory, whose flags are a function of A.  So models
+    and trajectories may be shared across threads.
     """
 
     kind = "matrix"
 
-    def __init__(self, a, *, seed=None, norm_tol=1e-10):
+    def __init__(self, a):
         self.a = _require_generator(a)
-        self.seed = seed
-        self.norm_tol = float(norm_tol)
-        self._memo = {}
-        self._lattices = {}  # spacing -> {"step": exp(h*A), "vals": ndarray}
-        self._warm = None
         self._traj = None
 
-    def _norm_of_matrix(self, e):
-        if not np.all(np.isfinite(e)):
-            # the exponential overflowed; the norm is beyond representation
-            return math.inf
-        sigma, vec, _, ok = _power_iteration(
-            e, self.norm_tol, self.seed, self._warm, 10000, stall_tol=_STALL_TOL
-        )
-        if not ok:
-            raise NumericsFailure("operator norm did not converge", best_estimate=sigma)
-        if vec is not None:
-            self._warm = vec
-        return sigma
+    def _map_expm(self, ts, reduce):
+        """reduce() applied to stacks of exp(t*A) over the times ts, in chunks."""
+        ts = np.asarray(ts, dtype=float)
+        flat = ts.ravel()
+        out = np.empty(flat.size)
+        for lo in range(0, flat.size, _CHUNK):
+            chunk = flat[lo:lo + _CHUNK]
+            out[lo:lo + _CHUNK] = reduce(_expm(self.a * chunk[:, None, None]))
+        return out.reshape(ts.shape)
 
     def norm_at(self, t):
-        t = _check_time(t)
-        key = round(t, _MEMO_DIGITS)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        value = self._norm_of_matrix(_expm(self.a * t))
-        self._memo[key] = value
-        return value
+        return float(self.norm_at_many(np.array([_check_time(t)]))[0])
 
     def norm_at_many(self, ts):
-        ts = np.asarray(ts, dtype=float)
-        ks, h = _lattice_indices(ts)
-        if ks is None:
-            return np.array([self.norm_at(t) for t in ts])
-        lat = self._lattices.get(round(h, _MEMO_DIGITS))
-        if lat is None:
-            lat = {"step": matrix_exponential(self.a, h), "vals": np.full(int(ks.max()) + 1, np.nan)}
-            self._lattices[round(h, _MEMO_DIGITS)] = lat
-        vals = lat["vals"]
-        top = int(ks.max())
-        if top >= vals.size:
-            grown = np.full(top + 1, np.nan)
-            grown[: vals.size] = vals
-            vals = lat["vals"] = grown
-        need = np.unique(ks[np.isnan(vals[ks])])
-        if need.size:
-            stack = np.empty((need.size, *self.a.shape))
-            e = None
-            since_sync = 0
-            prev_k = None
-            for j, kk in enumerate(need):
-                gap = None if prev_k is None else int(kk - prev_k)
-                if e is None or gap is None or gap > 8 or since_sync >= _RESYNC_STRIDE:
-                    e = matrix_exponential(self.a, float(kk) * h)
-                    since_sync = 0
-                else:
-                    for _ in range(gap):
-                        e = e @ lat["step"]
-                    since_sync += gap
-                stack[j] = e
-                prev_k = kk
-            vals[need] = operator_norms_batch(stack, self.norm_tol, seed=self.seed)
-        return vals[ks].copy()
+        return self._map_expm(ts, operator_norms_batch)
 
     def log_norm_at(self, t):
-        """log ||exp(t*A)||, stable far beyond the underflow point of the norm.
+        """log ||exp(t*A)||, stable far beyond the underflow point of the norm."""
+        return float(self._log_norms(np.array([_check_time(t)]))[0])
 
-        For times where the norm itself is representable this is just its
-        logarithm; deeper in the tail the norm of exp((t/2^K)*A) is squared
-        up K times with scalar renormalization, accumulating the log.
+    def _log_norms(self, ts):
+        """log ||exp(t*A)|| on an array of times.
+
+        Where the norm itself is representable this is just its logarithm;
+        deeper in the tail the norm of exp((t/2^K)*A) is squared up K times
+        with scalar renormalization, accumulating the log.
         """
-        t = _check_time(t)
-        direct = self.norm_at(t)
-        if direct > 1e-280:
-            return math.log(direct) if direct > 0.0 else -math.inf
-        k = max(1, int(math.ceil(math.log2(max(t, 1.0)))))
-        d = matrix_exponential(self.a, t / 2.0**k)
-        log_scale = 0.0
-        for _ in range(k):
-            n = operator_norm(d, self.norm_tol, seed=self.seed, stall_tol=_STALL_TOL)
-            if n == 0.0:
-                return -math.inf
-            log_scale = 2.0 * (log_scale + math.log(n))
-            d = (d / n) @ (d / n)
-        n = operator_norm(d, self.norm_tol, seed=self.seed, stall_tol=_STALL_TOL)
-        return log_scale + (math.log(n) if n > 0.0 else -math.inf)
+        ts = np.asarray(ts, dtype=float)
+        vals = self.norm_at_many(ts)
+        out = np.empty(ts.shape)
+        deep = vals <= 1e-280
+        out[~deep] = np.log(vals[~deep])
+        if deep.any():
+            out[deep] = self._log_norms_deep(ts[deep])
+        return out
+
+    def _log_norms_deep(self, ts):
+        ks = np.maximum(1, np.ceil(np.log2(np.maximum(ts, 1.0)))).astype(np.int64)
+        d = _expm(self.a * (ts / 2.0**ks)[:, None, None])
+        log_scale = np.zeros(ts.size)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for j in range(int(ks.max())):
+                live = (ks > j) & (log_scale > -math.inf)
+                n = operator_norms_batch(d[live])
+                log_scale[live] = 2.0 * (log_scale[live] + np.log(n))
+                dn = d[live] / n[:, None, None]
+                d[live] = dn @ dn
+            extinct = log_scale == -math.inf
+            out = log_scale + np.log(operator_norms_batch(d))
+        out[extinct] = -math.inf
+        return out
 
     def trajectory(self):
         if self._traj is None:
             flags = _sample_flags(self)
             self._traj = NormTrajectory(
                 self.norm_at, evaluate_many=self.norm_at_many,
-                log_evaluate_many=lambda ts: np.array(
-                    [self.log_norm_at(t) for t in np.asarray(ts, dtype=float)]
-                ),
+                log_evaluate_many=self._log_norms,
                 is_contraction=flags, is_norm_continuous=True, is_exact=False,
                 eval_error_bound=1e-6, label=self.spec_string(),
             )
@@ -420,28 +384,12 @@ class MatrixSemigroup(SemigroupModel):
             raise InvalidArgument("x must be a unit vector (within 1e-12)")
         parent = self.trajectory()
 
-        def single(t):
-            return float(np.linalg.norm(matrix_exponential(self.a, t) @ x))
-
         def many(ts):
-            ts = np.asarray(ts, dtype=float)
-            if ts.size < 8 or not _is_uniform(ts):
-                return np.array([single(t) for t in ts])
-            h = float(ts[1] - ts[0])
-            step = matrix_exponential(self.a, h)
-            stack = np.empty((ts.size, x.size))
-            w = None
-            for i, t in enumerate(ts):
-                if w is None or i % _RESYNC_STRIDE == 0:
-                    w = matrix_exponential(self.a, float(t)) @ x
-                else:
-                    w = step @ w
-                stack[i] = w
-            return np.linalg.norm(stack, axis=1)
+            return self._map_expm(ts, lambda e: np.linalg.norm(e @ x, axis=1))
 
         # a contraction semigroup contracts every orbit norm as well
         return NormTrajectory(
-            single, evaluate_many=many,
+            lambda t: many(np.array([t]))[0], evaluate_many=many,
             is_contraction=parent.is_contraction, is_norm_continuous=True,
             is_exact=False, eval_error_bound=1e-9,
             label=f"{self.spec_string()} |x orbit",
@@ -459,33 +407,6 @@ def _require_generator(a):
     if not np.all(np.isfinite(m)):
         raise InvalidModel("matrix generator entries must be finite")
     return m
-
-
-def _is_uniform(ts):
-    d = np.diff(ts)
-    return d.size > 0 and float(d.min()) > 0 and float(d.max() - d.min()) <= 1e-9 * float(d.max())
-
-
-_MAX_LATTICE = 50_000_000
-
-
-def _lattice_indices(ts, min_size=8):
-    """Indices k with ts == k*h on a uniform lattice anchored at zero.
-
-    Returns (None, None) when the points are too few, non-uniform, not
-    anchored at integer multiples of their spacing, or absurdly far from the
-    origin relative to their spacing (no cache array that size).
-    """
-    if ts.size < min_size or not _is_uniform(ts):
-        return None, None
-    h = float(ts[1] - ts[0])
-    ks = np.rint(ts / h)
-    if float(ks.max()) > _MAX_LATTICE:
-        return None, None
-    ks = ks.astype(np.int64)
-    if float(np.abs(ts - ks * h).max()) > 1e-9 * h:
-        return None, None
-    return ks, h
 
 
 def _sample_flags(model, horizon=16.0):
@@ -628,6 +549,8 @@ def build_model_from_spec(text, *, seed=None):
     bracket = s.find("[")
     head = s if bracket < 0 else s[:bracket]
     tokens = [(m.group(0), offset + m.start()) for m in re.finditer(r"\S+", head)]
+    if not tokens:
+        raise SpecError("model spec must start with a kind, e.g. 'matrix [[...]]'", offset + bracket)
     kind, kind_pos = tokens[0]
     if kind not in _KINDS:
         raise SpecError(f"unknown model kind {kind!r}", kind_pos)
@@ -648,7 +571,7 @@ def build_model_from_spec(text, *, seed=None):
             raise SpecError("matrix literal must be a nested list of numbers", offset + bracket) from None
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise SpecError(f"matrix literal must be square, got shape {a.shape}", offset + bracket)
-        return MatrixSemigroup(a, seed=seed)
+        return MatrixSemigroup(a)
 
     if bracket >= 0:
         raise SpecError("bracketed literal is only valid for the matrix kind", offset + bracket)

@@ -57,30 +57,51 @@ def matrix_exponential(a, t):
 
 
 def _expm(b):
-    norm = float(np.max(np.abs(b).sum(axis=1))) if b.size else 0.0
-    squarings = 0
-    if norm > _SCALED_NORM_TARGET:
-        squarings = int(math.ceil(math.log2(norm / _SCALED_NORM_TARGET)))
-        b = b / (2.0**squarings)
-        norm = norm / (2.0**squarings)
-    n = b.shape[0]
-    acc = np.eye(n)
-    term = acc
+    """exp(b) for one matrix (n, n) or a stack (B, n, n).
+
+    Every matrix in a stack gets its own squaring count and series length,
+    so its exponential depends on that matrix alone: the same bits whether
+    it is evaluated alone or inside any batch.
+    """
+    b = np.asarray(b, dtype=float)
+    if b.ndim == 2:
+        return _expm(b[None])[0]
+    if b.size == 0:
+        return np.broadcast_to(np.eye(b.shape[1]), b.shape).copy()
+    norm = np.abs(b).sum(axis=2).max(axis=1)
+    squarings = np.zeros(b.shape[0], dtype=np.int64)
+    big = norm > _SCALED_NORM_TARGET
+    squarings[big] = np.ceil(np.log2(norm[big] / _SCALED_NORM_TARGET))
+    scale = 2.0 ** squarings
+    b = b / scale[:, None, None]
+    norm = norm / scale
     # ||term_k|| <= ||term_{k-1}||*||B||/k bounds the term without touching
     # the matrices; ||exp(B)|| >= exp(-1/2) here, so an absolute cutoff is
-    # the term-to-sum ratio rule
-    term_bound = 1.0
-    for k in range(1, 64):
+    # the term-to-sum ratio rule.  terms[i] is matrix i's series length.
+    bounds = np.cumprod(norm[:, None] / np.arange(1.0, 64.0), axis=1)
+    terms = np.argmax(bounds <= _SERIES_CUTOFF, axis=1) + 1
+    acc = np.broadcast_to(np.eye(b.shape[1]), b.shape).copy()
+    term = acc
+    # the masked update is needed only once some series has ended
+    shortest = int(terms.min())
+    for k in range(1, int(terms.max()) + 1):
         term = term @ b / k
-        acc = acc + term
-        term_bound *= norm / k
-        if term_bound <= _SERIES_CUTOFF:
-            break
+        if k <= shortest:
+            acc = acc + term
+        else:
+            acc = np.where((terms >= k)[:, None, None], acc + term, acc)
     with np.errstate(over="ignore", invalid="ignore"):
         # growing semigroups overflow at large times; callers treat a
         # non-finite exponential as having infinite norm
-        for _ in range(squarings):
-            acc = acc @ acc
+        # likewise, gather only once some matrix has all its squarings
+        fewest = int(squarings.min())
+        for j in range(1, int(squarings.max()) + 1):
+            if j <= fewest:
+                acc = acc @ acc
+            else:
+                live = squarings >= j
+                sub = acc[live]
+                acc[live] = sub @ sub
     return acc
 
 
@@ -168,73 +189,22 @@ def _power_iteration(m, tol, seed, start, max_iter, stall_tol=None):
     return sigma, v, max_iter, False
 
 
-def operator_norms_batch(mats, tol=1e-10, *, seed=None, max_iter=2000, stall_tol=None):
-    """Spectral norms of a stack of matrices, iterated in lockstep.
+def operator_norms_batch(mats):
+    """Exact spectral norms (largest singular values) of a stack (B, n, n).
 
-    Same Gram-product power iteration as :func:`operator_norm`, vectorized
-    over the leading axis with converged entries retired from the active
-    set as they settle (including via the geometric remainder bound, see
-    :func:`operator_norm`).  Entries that fail to converge within the cap
-    are finished off individually.
+    Each norm depends on its own matrix only.  A matrix with a non-finite
+    entry, such as an overflowed exponential, has norm +inf.
     """
     mats = np.asarray(mats, dtype=float)
     if mats.ndim != 3:
         raise InvalidArgument("expected a stack of matrices (B, n, n)")
-    b, _, cols = mats.shape
-    if b == 0:
-        return np.empty(0)
+    out = np.full(mats.shape[0], math.inf)
     finite = np.isfinite(mats).all(axis=(1, 2))
-    scales = np.abs(np.where(np.isfinite(mats), mats, 0.0)).max(axis=(1, 2))
-    out = np.full(b, math.inf)
-    out[finite] = 0.0
-    live = finite & (scales > 0.0)
-    if not np.any(live):
-        return out
-    m_all = mats[live] / scales[live, None, None]
-    n_live = m_all.shape[0]
-    rng = np.random.default_rng(DEFAULT_SEED if seed is None else seed)
-    v0 = rng.standard_normal(cols)
-    v0 /= np.linalg.norm(v0)
-
-    result = np.zeros(n_live)
-    active = np.arange(n_live)
-    m = m_all
-    mt = np.swapaxes(m, 1, 2)
-    v = np.broadcast_to(v0, (n_live, cols)).copy()
-    prev = np.full(n_live, np.nan)
-    prev_diff = np.full(n_live, np.nan)
-    for it in range(max_iter):
-        w = np.einsum("bij,bj->bi", m, v)
-        g = np.einsum("bij,bj->bi", mt, w)
-        sigma = np.sqrt(np.maximum(np.einsum("bi,bi->b", v, g), 0.0))
-        floor = np.maximum(sigma, 1e-300)
-        diff = np.abs(sigma - prev)
-        done = diff <= tol * floor
-        with np.errstate(invalid="ignore", divide="ignore"):
-            q = diff / prev_diff
-            remainder = diff * q / (1.0 - q)
-            done |= (diff < prev_diff) & (remainder <= tol * floor)
-        gn = np.linalg.norm(g, axis=1)
-        done |= gn == 0.0  # Gram kernel hit: the estimate is final
-        done &= ~np.isnan(prev)
-        if bool(done.any()):
-            result[active[done]] = sigma[done]
-            keep = ~done
-            active = active[keep]
-            if active.size == 0:
-                break
-            m, mt = m[keep], mt[keep]
-            sigma, gn, diff, g = sigma[keep], gn[keep], diff[keep], g[keep]
-        prev = sigma
-        prev_diff = diff
-        v = g / gn[:, None]
-    if active.size:
-        result[active] = sigma
-        for j, i in enumerate(active):
-            result[i] = operator_norm(
-                m[j], tol, seed=seed, start=v[j], max_iter=8000, stall_tol=stall_tol
-            )
-    out[live] = result * scales[live]
+    if finite.any():
+        try:
+            out[finite] = np.linalg.svd(mats[finite], compute_uv=False)[:, 0]
+        except np.linalg.LinAlgError as exc:
+            raise NumericsFailure(f"singular value decomposition failed: {exc}") from None
     return out
 
 

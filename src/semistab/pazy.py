@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .classify import VERDICT_ORDER
 from .errors import InvalidArgument
 from .entrytime import SearchConfig, final_entry_time
 from .numerics import (
@@ -236,7 +237,7 @@ def pazy_criteria(traj, a=0.0, p_grid=DEFAULT_P_TRACE, *, cfg=None, quad=None,
     implied = None
     for crit in fired:
         cls = IMPLIED_CLASS[crit]
-        if implied is None or _class_rank(cls) > _class_rank(implied):
+        if implied is None or VERDICT_ORDER[cls] > VERDICT_ORDER[implied]:
             implied = cls
 
     contradictions = []
@@ -252,10 +253,6 @@ def pazy_criteria(traj, a=0.0, p_grid=DEFAULT_P_TRACE, *, cfg=None, quad=None,
         fired=tuple(fired), implied=implied, k_surrogate=k_surrogate,
         contradictions=tuple(contradictions), overall=overall,
     )
-
-
-def _class_rank(cls):
-    return {"stable": 1, "superstable": 2, "finite-time-extinction": 3}[cls]
 
 
 # ---------------------------------------------------------------------------

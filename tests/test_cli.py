@@ -61,6 +61,11 @@ class TestAnalyze:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_bare_matrix_literal_exits_2(self, tmp_path, capsys):
+        code = run(["analyze", "--model", "[[1]]", "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "error" in capsys.readouterr().err
+
     def test_missing_model_exits_2(self, tmp_path):
         assert run(["analyze", "--out", str(tmp_path / "x")]) == 2
 

@@ -9,8 +9,8 @@ from semistab.entrytime import (
     STATUS_BISECTED,
     STATUS_EXACT,
     STATUS_HORIZON,
+    _EnvelopeScan,
     _bisect_monotone,
-    _scan_last_crossing,
 )
 
 CFG = SearchConfig()
@@ -97,6 +97,41 @@ class TestEntryTimeTable:
         assert ",inf,inf,horizon" in table.to_csv()
 
 
+def _counting(traj):
+    """The same trajectory, counting the points sent through evaluate_many."""
+    points = [0]
+
+    def many(ts):
+        points[0] += np.size(ts)
+        return traj.evaluate_many(ts)
+
+    wrapped = ss.NormTrajectory(
+        traj.evaluate, evaluate_many=many, is_contraction=traj.is_contraction,
+        is_norm_continuous=traj.is_norm_continuous, is_exact=traj.is_exact,
+    )
+    return wrapped, points
+
+
+class TestEnvelopeScan:
+    def test_unstable_table_skips_dense_scans(self, matrix_nilpotent_gen):
+        # the norm of [[0,1],[0,0]] grows like t: the check at each horizon
+        # keeps the scan from walking the 1e7-point lattice up to the cap
+        _, traj, _ = matrix_nilpotent_gen
+        wrapped, points = _counting(traj)
+        table = ss.entry_time_table(wrapped, 20)
+        assert all(s.status == STATUS_HORIZON for s in table.statuses)
+        assert points[0] < 1000
+
+    def test_entries_are_final(self, matrix_j10):
+        # final entry: after t_r the curve never rises above exp(-r) again
+        _, traj, table = matrix_j10
+        assert all(math.isfinite(t) for t in table.t)
+        assert all(b >= a for a, b in zip(table.t, table.t[1:]))
+        for r, t in enumerate(table.t):
+            after = t + 0.01 * np.arange(1, 1601)
+            assert not np.any(traj.evaluate_many(after) > math.exp(-r))
+
+
 class TestVectorEntryTime:
     def test_fast_mode(self):
         m = ss.MatrixSemigroup(np.diag([-1.0, -2.0]))
@@ -152,7 +187,7 @@ class TestInvariants:
             for r in (1, 2, 5):
                 thr = math.exp(-r)
                 b = _bisect_monotone(traj.evaluate, thr, 0.0, CFG)
-                s = _scan_last_crossing(traj, thr, 0.0, CFG)
+                s = _EnvelopeScan(traj, CFG).entry_time(thr, 0.0, traj.evaluate(0.0))
                 assert abs(b.time - s.time) <= 2 * CFG.time_tol
 
     def test_extinction_plateau_statuses(self, nilpotent):

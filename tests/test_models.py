@@ -82,6 +82,7 @@ class TestSpecParsing:
         ("matrix [[1,2,3],[4,5,6]]", 7),
         ("nilpotent-shift L=1 junk", 20),
         ("scalar-decay nu=1 nu=2", 18),
+        ("  [[1]]", 2),
     ])
     def test_errors_carry_position(self, bad, pos):
         with pytest.raises(SpecError) as err:

@@ -123,9 +123,13 @@ class TestOperatorNorm:
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(5)
         mats = rng.uniform(-2.0, 2.0, (12, 4, 4))
-        batch = operator_norms_batch(mats, 1e-11)
+        batch = operator_norms_batch(mats)
         singles = [operator_norm(m, 1e-11) for m in mats]
         np.testing.assert_allclose(batch, singles, rtol=1e-8)
+
+    def test_batch_non_finite_is_inf(self):
+        mats = np.array([[[np.inf, 0.0], [0.0, 1.0]], [[3.0, 0.0], [0.0, -1.0]]])
+        np.testing.assert_array_equal(operator_norms_batch(mats), [math.inf, 3.0])
 
 
 class TestGamma:
