@@ -8,8 +8,9 @@ failure, 4 inconclusive classification.
 
 All numbers in reports are rounded to 12 significant digits and +/-inf is
 encoded as the strings "inf"/"-inf", so identical runs produce byte-identical
-output.  The power-iteration seed of ``fractional-integration`` models honors
-the ENTRYTIME_SEED environment variable; no other model kind uses a seed.
+output.  The pipeline uses no random numbers and takes no seed: the
+fractional-integration power iteration starts from the all-ones vector or
+the previous call's singular vector.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .classify import (
     growth_characteristic,
     stability_and_extinction_indices,
 )
-from .entrytime import SearchConfig, entry_time_table
+from .entrytime import SearchConfig, _csv_number, entry_time_table
 from .errors import InvalidArgument, InvalidModel, NumericsFailure, SpecError
 from .models import build_model_from_spec
 from .numerics import QuadratureSpec, TAIL_DOUBLING
@@ -85,16 +86,6 @@ def _write_atomic(path, text):
         raise
 
 
-def _env_seed():
-    raw = os.environ.get("ENTRYTIME_SEED")
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise SpecError(f"ENTRYTIME_SEED must be an integer, got {raw!r}")
-
-
 def _search_config(args):
     return SearchConfig(
         time_tol=args.time_tol,
@@ -114,7 +105,7 @@ def _thresholds(args):
     )
 
 
-def analyze_model(model, *, rmax, cfg, th, pazy_a, quad_tols, seed):
+def analyze_model(model, *, rmax, cfg, th, pazy_a, quad_tols):
     """Run the full pipeline on one built model; returns the report dict."""
     traj = model.trajectory()
     table = entry_time_table(traj, rmax, cfg)
@@ -145,7 +136,6 @@ def analyze_model(model, *, rmax, cfg, th, pazy_a, quad_tols, seed):
             "pazy_p_trace": list(DEFAULT_P_TRACE),
             "quad_abs_tol": quad_tols[0],
             "quad_rel_tol": quad_tols[1],
-            "seed": seed,
         },
         "entry": {
             "r_max": table.r_max,
@@ -219,9 +209,8 @@ def _read_model_arg(args):
 
 
 def cmd_analyze(args):
-    seed = _env_seed()
     spec_text = _read_model_arg(args)
-    model = build_model_from_spec(spec_text, seed=seed)
+    model = build_model_from_spec(spec_text)
     cfg = _search_config(args)
     th = _thresholds(args)
     if args.rmax < 2 * th.plateau_window:
@@ -230,7 +219,7 @@ def cmd_analyze(args):
         )
     report, table, verdict, pazy = analyze_model(
         model, rmax=args.rmax, cfg=cfg, th=th, pazy_a=args.pazy_a,
-        quad_tols=(args.quad_abs_tol, args.quad_rel_tol), seed=seed,
+        quad_tols=(args.quad_abs_tol, args.quad_rel_tol),
     )
     csv_path = f"{args.out}.entry.csv"
     json_path = f"{args.out}.json"
@@ -268,7 +257,6 @@ def _iter_sweep_specs(models_arg):
 
 
 def cmd_sweep(args):
-    seed = _env_seed()
     cfg = _search_config(args)
     th = _thresholds(args)
     if args.rmax < 2 * th.plateau_window:
@@ -282,10 +270,10 @@ def cmd_sweep(args):
     failures = 0
     for spec_text in specs:
         try:
-            model = build_model_from_spec(spec_text, seed=seed)
+            model = build_model_from_spec(spec_text)
             report, table, verdict, _ = analyze_model(
                 model, rmax=args.rmax, cfg=cfg, th=th, pazy_a=args.pazy_a,
-                quad_tols=(args.quad_abs_tol, args.quad_rel_tol), seed=seed,
+                quad_tols=(args.quad_abs_tol, args.quad_rel_tol),
             )
         except (SpecError, InvalidArgument, InvalidModel, NumericsFailure) as exc:
             failures += 1
@@ -294,28 +282,19 @@ def cmd_sweep(args):
             continue
         name = model.spec_string()
         for r in range(table.r_max + 1):
-            t = _csv_num(table.t[r])
-            u = _csv_num(table.u[r])
+            t = _csv_number(table.t[r])
+            u = _csv_number(table.u[r])
             lines.append(f'"{name}",{r},{t},{u},{table.statuses[r].status},,,,')
         growth = report["growth"]
         lines.append(
             f'"{name}",summary,,,ok,{verdict.verdict},'
-            f"{_csv_num(verdict.nu)},{_csv_num(verdict.k)},{_csv_num(growth['omega_entry'])}"
+            f"{_csv_number(verdict.nu)},{_csv_number(verdict.k)},{_csv_number(growth['omega_entry'])}"
         )
     _write_atomic(args.out, "\n".join(lines) + "\n")
     print(f"wrote {args.out} ({len(specs)} models, {failures} failed)")
     if failures == len(specs):
         return EXIT_SPEC
     return EXIT_OK
-
-
-def _csv_num(x):
-    if x is None:
-        return ""
-    x = float(x)
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return f"{x:.12g}"
 
 
 def _add_shared(parser):

@@ -281,6 +281,10 @@ class EntryTimeTable:
 
 
 def _csv_number(x):
+    """A CSV field: 12 significant digits, +/-inf as literals, None empty."""
+    if x is None:
+        return ""
+    x = float(x)
     if math.isinf(x):
         return "inf" if x > 0 else "-inf"
     return f"{x:.12g}"

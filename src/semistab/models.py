@@ -28,10 +28,17 @@ from .numerics import (  # noqa: F401
     _power_iteration,
 )
 
-_MEMO_DIGITS = 12          # trajectory memo keys are times rounded to this many digits
+_NORM_TOL = 1e-8           # relative convergence tolerance of the fractional power iteration
 _STALL_TOL = 1e-4          # accepted relative norm error when singular values cluster
 _CHUNK = 4096              # matrices per stacked exponential, bounding temporaries
 _FLAG_TOL = 1e-10          # slack when sampling for the contraction flag
+
+
+def _check_time(t):
+    t = float(t)
+    if math.isnan(t) or t < 0.0 or math.isinf(t):
+        raise InvalidArgument(f"time must be finite and nonnegative, got {t}")
+    return t
 
 
 class NormTrajectory:
@@ -58,15 +65,8 @@ class NormTrajectory:
         self.label = label
         self.warnings = tuple(warnings)
 
-    @staticmethod
-    def _check_time(t):
-        t = float(t)
-        if math.isnan(t) or t < 0.0 or math.isinf(t):
-            raise InvalidArgument(f"time must be finite and nonnegative, got {t}")
-        return t
-
     def evaluate(self, t):
-        value = float(self._evaluate(self._check_time(t)))
+        value = float(self._evaluate(_check_time(t)))
         if math.isnan(value):
             raise NumericsFailure(f"norm evaluation returned NaN at t={t}")
         return value
@@ -156,10 +156,6 @@ class SemigroupModel:
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.spec_string()!r}>"
-
-
-def _check_time(t):
-    return NormTrajectory._check_time(t)
 
 
 class ScalarDecay(SemigroupModel):
@@ -371,7 +367,7 @@ class MatrixSemigroup(SemigroupModel):
                 self.norm_at, evaluate_many=self.norm_at_many,
                 log_evaluate_many=self._log_norms,
                 is_contraction=flags, is_norm_continuous=True, is_exact=False,
-                eval_error_bound=1e-6, label=self.spec_string(),
+                eval_error_bound=1e-9, label=self.spec_string(),
             )
         return self._traj
 
@@ -430,30 +426,31 @@ class FractionalIntegration(SemigroupModel):
     T(t) maps f to the order-t fractional integral s -> (1/Gamma(t))
     int_0^s (s-u)^(t-1) f(u) du.  Each matrix entry is the exact integral of
     the kernel over one cell against a piecewise-constant f (the analytic
-    antiderivative absorbs the (s-u)^(t-1) singularity for t < 1), and the
-    operator norm comes from warm-started power iteration.  The reference
-    curve 1/(t*Gamma(t)) is available as :func:`fractional_reference`.
+    antiderivative absorbs the (s-u)^(t-1) singularity for t < 1).  An entry
+    depends only on the lag i - j, so the matrix is lower-triangular
+    Toeplitz, built from one length-n column ((m+1/2)/n)^t and its first
+    differences.  The operator norm comes from power iteration started from
+    the previous call's singular vector, or else from the all-ones vector,
+    which the entrywise nonnegative kernel cannot make orthogonal to its top
+    singular vector.  There is no memo; the warm start makes the last digits
+    of a norm depend on the query order.  The reference curve
+    1/(t*Gamma(t)) is available as :func:`fractional_reference`.
     """
 
     kind = "fractional-integration"
 
-    def __init__(self, n=400, *, seed=None, norm_tol=1e-8):
+    def __init__(self, n=400):
         n = int(n)
         if n < 16:
             raise InvalidModel(f"fractional-integration requires n >= 16, got {n}")
         self.n = n
-        self.seed = seed
-        self.norm_tol = float(norm_tol)
-        edges = np.linspace(0.0, 1.0, n + 1)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        # log-distances from each collocation point to the cell edges; -inf
-        # outside the support makes exp() vanish there without masking
-        d0 = mids[:, None] - edges[None, :-1]
-        d1 = mids[:, None] - edges[None, 1:]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            self._log0 = np.where(d0 > 0, np.log(np.where(d0 > 0, d0, 1.0)), -np.inf)
-            self._log1 = np.where(d1 > 0, np.log(np.where(d1 > 0, d1, 1.0)), -np.inf)
-        self._memo = {}
+        # log distance from a cell midpoint to the left edge of the cell m
+        # cells back; the lag table sends the upper triangle to a zero slot
+        idx = np.arange(n)
+        self._log_col = np.log((idx + 0.5) / n)
+        lag = idx[:, None] - idx[None, :]
+        lag[lag < 0] = n
+        self._lag = lag
         self._warm = None
         self._traj = None
 
@@ -467,30 +464,22 @@ class FractionalIntegration(SemigroupModel):
         denom = gamma_eval(t + 1.0)
         if not math.isfinite(denom) or denom == 0.0:
             return np.zeros((self.n, self.n))
-        return (np.exp(t * self._log0) - np.exp(t * self._log1)) / denom
+        g = np.append(np.diff(np.exp(t * self._log_col), prepend=0.0), 0.0)
+        return (g / denom)[self._lag]
 
     def norm_at(self, t):
         t = _check_time(t)
         if t == 0.0:
             return 1.0
-        key = round(t, _MEMO_DIGITS)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
         k = self.kernel_matrix(t)
         if not k.any():
-            value = 0.0
-        else:
-            sigma, vec, _, ok = _power_iteration(
-                k, self.norm_tol, self.seed, self._warm, 10000, stall_tol=_STALL_TOL
-            )
-            if not ok:
-                raise NumericsFailure("operator norm did not converge", best_estimate=sigma)
-            if vec is not None:
-                self._warm = vec
-            value = sigma
-        self._memo[key] = value
-        return value
+            return 0.0
+        start = np.ones(self.n) if self._warm is None else self._warm
+        sigma, vec, _, ok = _power_iteration(k, _NORM_TOL, None, start, 10000, stall_tol=_STALL_TOL)
+        if not ok:
+            raise NumericsFailure("operator norm did not converge", best_estimate=sigma)
+        self._warm = vec
+        return sigma
 
     def trajectory(self):
         if self._traj is None:
@@ -516,9 +505,9 @@ def fractional_reference(t):
     return 0.0 if math.isinf(g) else 1.0 / g
 
 
-def fractional_integration_norm(t, n=400, *, seed=None):
+def fractional_integration_norm(t, n=400):
     """Discretized fractional-integration operator norm at order t on n cells."""
-    return FractionalIntegration(n, seed=seed).norm_at(t)
+    return FractionalIntegration(n).norm_at(t)
 
 
 def norm_at(model, t):
@@ -533,7 +522,7 @@ _KINDS = ("scalar-decay", "gaussian-shift", "nilpotent-shift",
           "damped-nilpotent", "fractional-integration", "matrix")
 
 
-def build_model_from_spec(text, *, seed=None):
+def build_model_from_spec(text):
     """Parse a one-line model spec: ``<kind> key=value ...``.
 
     Kinds: scalar-decay (nu=), gaussian-shift, nilpotent-shift (L=),
@@ -606,7 +595,7 @@ def build_model_from_spec(text, *, seed=None):
         elif kind == "damped-nilpotent":
             model = DampedNilpotent(take("nu"), take("L"))
         else:
-            model = FractionalIntegration(int(take("n", required=False, default=400)), seed=seed)
+            model = FractionalIntegration(int(take("n", required=False, default=400)))
     except InvalidModel as exc:
         raise SpecError(str(exc), kind_pos) from None
     if params:

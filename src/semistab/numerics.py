@@ -3,7 +3,8 @@
 Matrix exponentials, spectral norms, the gamma function, and adaptive
 quadrature on finite or semi-infinite intervals.  All operations are pure
 functions of their inputs; the only randomness is the seeded start vector of
-the power iteration, so results are reproducible bit for bit.
+a power iteration called without a start vector, so results are reproducible
+bit for bit.  The analysis pipeline always passes a start vector.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ import numpy as np
 
 from .errors import InvalidArgument, InvalidModel, NumericsFailure
 
-#: Default seed for the power-iteration start vector.  The CLI wires the
-#: ENTRYTIME_SEED environment variable through to this value.
+#: Default seed for the power-iteration start vector when none is given.
 DEFAULT_SEED = 1863
 
 #: Partial integrals beyond this magnitude are declared divergent.

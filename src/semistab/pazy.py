@@ -8,11 +8,14 @@ norm curve over [a, inf):
   (iii) |log||T(t)|||^-1    finite                       -> superstable
   (iv)  |log||T(t)|||^-p    bounded as p -> 0            -> extinction
 
-Every criterion integrand has the shape F(-log||T(t)||) for a decreasing
-weight F with F(inf) = 0 (exp(-p*x) for norm powers, x^-p for reciprocal
-log powers), which is what the sandwich bound exploits: between consecutive
-entry times the normalized norm is pinched between e^-r and e^-(r-1), so the
-integral is bracketed by sum(u_r * F(r+1)) and sum(u_r * F(r)).
+Every criterion integrand is F(x(t)) for one curve x(t) = -log||T(t)|| and
+a decreasing weight F with F(inf) = 0 (exp(-p*x) for norm powers, x^-p for
+reciprocal log powers).  Each weight has one vectorized F, and one
+:func:`pazy_criteria` call reads x(t) through a single curve that evaluates
+each quadrature node array once, however many weights integrate over it.
+The same F gives the sandwich bound: between consecutive entry times the
+normalized norm is pinched between e^-r and e^-(r-1), so the integral is
+bracketed by sum(u_r * F(r+1)) and sum(u_r * F(r)).
 """
 
 from __future__ import annotations
@@ -56,13 +59,9 @@ class NormPower:
         if not (self.p > 0 and math.isfinite(self.p)):
             raise InvalidArgument(f"p must be positive and finite, got {self.p}")
 
-    def of_norms(self, vals):
-        return vals**self.p
-
     def F(self, x):
-        if x == math.inf:
-            return 0.0
-        return math.exp(-self.p * x)
+        """exp(-p*x) on an array of x; F(inf) = 0."""
+        return np.exp(-self.p * np.asarray(x, dtype=float))
 
     def label(self):
         return f"norm-power p={self.p:g}"
@@ -78,47 +77,34 @@ class InverseLogPower:
         if not (self.p > 0 and math.isfinite(self.p)):
             raise InvalidArgument(f"p must be positive and finite, got {self.p}")
 
-    def of_norms(self, vals):
-        with np.errstate(divide="ignore"):
-            x = -np.log(vals)
-        out = np.where(x > 0.0, np.where(x > 0.0, x, 1.0) ** (-self.p), math.inf)
-        return out
-
     def F(self, x):
-        if x == math.inf:
-            return 0.0
-        if x <= 0.0:
-            return math.inf
-        return x**(-self.p)
+        """x^-p on an array of x; F(inf) = 0 and F(x <= 0) = +inf."""
+        x = np.asarray(x, dtype=float)
+        with np.errstate(divide="ignore"):
+            return np.where(x > 0.0, np.abs(x) ** (-self.p), math.inf)
 
     def label(self):
         return f"inverse-log-power p={self.p:g}"
 
 
-def _integrand(traj, weight, norm_floor):
-    if isinstance(weight, InverseLogPower):
-        # the log-norm route stays exact long after the norm itself would
-        # underflow, which is what keeps slowly decaying reciprocal-log tails
-        # honest; -inf (extinct) maps to integrand 0
-        def f(ts):
-            x = -traj.log_evaluate_many(np.asarray(ts, dtype=float), floor=norm_floor)
-            out = np.zeros_like(x)
-            live = np.isfinite(x)
-            with np.errstate(divide="ignore"):
-                out[live] = np.where(x[live] > 0.0, np.abs(x[live]) ** (-weight.p), math.inf)
-            return out
+def _curve(traj, norm_floor):
+    """x(ts) = -log||T(ts)||, +inf where extinct, evaluated once per node array.
 
-        return f
+    The log route stays exact long after the norm itself would underflow,
+    which keeps slowly decaying reciprocal-log tails honest.  The criteria
+    integrate many weights over the same quadrature panels, so each distinct
+    array of times is evaluated once; the cache lives as long as the curve.
+    """
+    seen = {}
 
-    def f(ts):
-        vals = traj.evaluate_many(np.asarray(ts, dtype=float))
-        out = np.zeros_like(vals)
-        live = vals > norm_floor
-        if np.any(live):
-            out[live] = weight.of_norms(vals[live])
-        return out
+    def x(ts):
+        ts = np.asarray(ts, dtype=float)
+        key = ts.tobytes()
+        if key not in seen:
+            seen[key] = -traj.log_evaluate_many(ts, floor=norm_floor)
+        return seen[key]
 
-    return f
+    return x
 
 
 def pazy_integral(traj, weight, a, quad=None, *, norm_floor=1e-300, check_applicable=True):
@@ -131,6 +117,11 @@ def pazy_integral(traj, weight, a, quad=None, *, norm_floor=1e-300, check_applic
     the distinct ``inapplicable`` verdict since the integrand would be
     identically infinite there.
     """
+    return _integral(traj, _curve(traj, norm_floor), weight, a, quad, check_applicable)
+
+
+def _integral(traj, x, weight, a, quad, check_applicable):
+    """:func:`pazy_integral` on the curve ``x`` of ``traj``."""
     a = float(a)
     if a < 0 or not math.isfinite(a):
         raise InvalidArgument(f"lower limit must be finite and nonnegative, got {a}")
@@ -146,11 +137,9 @@ def pazy_integral(traj, weight, a, quad=None, *, norm_floor=1e-300, check_applic
                        tail_policy=TAIL_CLOSED if math.isfinite(upper) else TAIL_DOUBLING)
     if check_applicable and isinstance(weight, InverseLogPower):
         probe_end = min(a + 1.0, upper) if math.isfinite(upper) else a + 1.0
-        probes = np.linspace(a, probe_end, 33)
-        vals = traj.evaluate_many(probes)
-        if np.any((vals >= 1.0) & (vals > norm_floor)):
+        if np.any(x(np.linspace(a, probe_end, 33)) <= 0.0):
             return IntegralResult(INAPPLICABLE)
-    return integrate_adaptive(_integrand(traj, weight, norm_floor), quad)
+    return integrate_adaptive(lambda ts: weight.F(x(ts)), quad)
 
 
 # ---------------------------------------------------------------------------
@@ -208,11 +197,12 @@ def pazy_criteria(traj, a=0.0, p_grid=DEFAULT_P_TRACE, *, cfg=None, quad=None,
         )
     a_used = max(float(a), float(t0)) + 1e-6
 
+    x = _curve(traj, norm_floor)
     entries = []
     fired = []
 
     def run(criterion, weight):
-        res = pazy_integral(traj, weight, a_used, quad, norm_floor=norm_floor)
+        res = _integral(traj, x, weight, a_used, quad, check_applicable=True)
         entries.append(CriterionEntry(criterion, weight.label(), weight.p, res.kind, res.value))
         return res
 
@@ -290,8 +280,8 @@ def ftrick_sandwich(table, traj, weight, *, quad=None, norm_floor=1e-300):
         u = table.u[r]
         if u == 0.0:
             continue
-        lower += u * weight.F(r + 1.0)
-        upper += u * weight.F(float(r))
+        lower += u * float(weight.F(r + 1.0))
+        upper += u * float(weight.F(float(r)))
     res = pazy_integral(traj, weight, 0.0, quad, norm_floor=norm_floor, check_applicable=False)
     if res.kind == VALUE:
         integral = res.value

@@ -116,24 +116,16 @@ class TestAnalyze:
 
 class TestDeterminism:
     def test_byte_identical_outputs(self, tmp_path):
-        for name in ("one", "two"):
-            code = run(["analyze", "--model", "matrix [[-1,2],[0,-2]]", "--rmax", "20",
-                        "--out", str(tmp_path / name)])
-            assert code == 0
-        assert (tmp_path / "one.entry.csv").read_bytes() == (tmp_path / "two.entry.csv").read_bytes()
-        ra = json.loads((tmp_path / "one.json").read_text())
-        rb = json.loads((tmp_path / "two.json").read_text())
-        ra["entry"].pop("csv"), rb["entry"].pop("csv")
-        assert ra == rb
-
-    def test_seed_env_changes_nothing_semantically(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("ENTRYTIME_SEED", "777")
-        code = run(["analyze", "--model", "matrix [[-1,2],[0,-2]]", "--rmax", "20",
-                    "--out", str(tmp_path / "seeded")])
-        assert code == 0
-        report = json.loads((tmp_path / "seeded.json").read_text())
-        assert report["config"]["seed"] == 777
-        assert report["classification"]["verdict"] == "stable"
+        for spec in ("matrix [[-1,2],[0,-2]]", "fractional-integration n=64"):
+            for name in ("one", "two"):
+                code = run(["analyze", "--model", spec, "--rmax", "20",
+                            "--out", str(tmp_path / name)])
+                assert code == 0
+            assert (tmp_path / "one.entry.csv").read_bytes() == (tmp_path / "two.entry.csv").read_bytes()
+            ra = json.loads((tmp_path / "one.json").read_text())
+            rb = json.loads((tmp_path / "two.json").read_text())
+            ra["entry"].pop("csv"), rb["entry"].pop("csv")
+            assert ra == rb
 
 
 class TestSweep:

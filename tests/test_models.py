@@ -161,6 +161,20 @@ class TestSubmultiplicativity:
         rep = ss.validate_submultiplicativity(traj, self.GRID)
         assert rep.passed
 
+    def test_matrix_bound_sees_small_violations(self):
+        # a normal generator meets the law with equality, so a 1e-7 relative
+        # bump of ||T(s+t)|| must fail the check at the exact kernel's bound
+        model = ss.MatrixSemigroup(np.diag([-0.5, -1.5]))
+        exact = model.trajectory()
+        sums = {s + t for s, t in self.GRID}
+        bumped = ss.NormTrajectory(
+            lambda t: model.norm_at(t) * (1.0 + 1e-7 if t in sums else 1.0),
+            is_contraction=True, is_norm_continuous=True, is_exact=False,
+            eval_error_bound=exact.eval_error_bound,
+        )
+        assert ss.validate_submultiplicativity(exact, self.GRID).passed
+        assert not ss.validate_submultiplicativity(bumped, self.GRID).passed
+
 
 class TestFractionalIntegration:
     def test_plain_integration_operator(self, fractional_400):
@@ -191,6 +205,22 @@ class TestFractionalIntegration:
         grid = [(s, t) for s in (0.5, 1.0, 2.0, 4.0) for t in (0.5, 1.0, 2.0, 4.0)]
         rep = ss.validate_submultiplicativity(traj, grid)
         assert rep.passed
+
+    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("t", [1e-3, 0.5, 1.0, 2.5, 40.0])
+    def test_kernel_is_toeplitz_cell_integral(self, n, t):
+        k = ss.FractionalIntegration(n).kernel_matrix(t)
+        assert not np.triu(k, 1).any()
+        for d in range(n):
+            diag = np.diagonal(k, -d)
+            assert np.all(diag == diag[0])
+        # direct formula: the kernel integrated over cell j at midpoint i
+        mids = (np.arange(n) + 0.5) / n
+        edges = np.arange(n + 1) / n
+        near = np.maximum(mids[:, None] - edges[None, :-1], 0.0) ** t
+        far = np.maximum(mids[:, None] - edges[None, 1:], 0.0) ** t
+        ref = (near - far) / math.gamma(t + 1.0)
+        assert np.abs(k - ref).max() <= 1e-13 * np.abs(ref).max()
 
     def test_rejects_tiny_grid(self):
         with pytest.raises(InvalidModel):

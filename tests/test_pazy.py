@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import semistab as ss
-from semistab import InvalidArgument, InverseLogPower, NormPower
+from semistab import InvalidArgument, InverseLogPower, NormPower, NormTrajectory
 from semistab.pazy import INAPPLICABLE
 
 
@@ -54,7 +54,43 @@ class TestPazyIntegral:
         assert all(a >= b for a, b in zip(values, values[1:]))
 
 
+class TestWeights:
+    def test_vectorized_edge_cases(self):
+        x = np.array([math.inf, 0.0, -1.0, 1.0])
+        np.testing.assert_array_equal(NormPower(2.0).F(x), [0.0, 1.0, math.exp(2.0), math.exp(-2.0)])
+        np.testing.assert_array_equal(InverseLogPower(2.0).F(x), [0.0, math.inf, math.inf, 1.0])
+
+
 class TestPazyCriteria:
+    @pytest.mark.parametrize("fixture", ["scalar2", "gaussian", "damped", "matrix_j10"])
+    def test_entries_equal_fresh_integrals(self, fixture, request):
+        # sharing one curve across the criteria changes no bit of any integral
+        traj, table = request.getfixturevalue(fixture)[-2:]
+        rep = ss.pazy_criteria(traj, t0=table.t[0])
+        assert rep.entries
+        for e in rep.entries:
+            weight = (NormPower if e.weight.startswith("norm-power") else InverseLogPower)(e.p)
+            res = ss.pazy_integral(traj, weight, rep.a)
+            assert (res.kind, res.value) == (e.kind, e.value), e
+
+    def test_each_node_array_evaluated_once(self):
+        model = ss.GaussianShift()
+        calls = []
+
+        def record(f):
+            def g(ts):
+                calls.append(np.asarray(ts, dtype=float).tobytes())
+                return f(ts)
+            return g
+
+        traj = NormTrajectory(
+            model.norm_at, evaluate_many=record(model.norm_at_many),
+            log_evaluate_many=record(lambda ts: -np.asarray(ts) ** 2 / 4.0),
+            is_contraction=True, is_norm_continuous=True, is_exact=True,
+        )
+        ss.pazy_criteria(traj, t0=0.0)
+        assert calls and len(calls) == len(set(calls))
+
     def test_gaussian_superstability_fires(self, gaussian):
         traj, _ = gaussian
         rep = ss.pazy_criteria(traj)
