@@ -8,9 +8,9 @@ failure, 4 inconclusive classification.
 
 All numbers in reports are rounded to 12 significant digits and +/-inf is
 encoded as the strings "inf"/"-inf", so identical runs produce byte-identical
-output.  The pipeline uses no random numbers and takes no seed: the
-fractional-integration power iteration starts from the all-ones vector or
-the previous call's singular vector.
+output.  The pipeline uses no random numbers and takes no seed, and a norm
+is a pure function of t: the fractional-integration Lanczos kernel starts
+from the all-ones vector every time, with no warm start.
 """
 
 from __future__ import annotations

@@ -17,20 +17,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument, InvalidModel, NumericsFailure, SpecError
-# matrix_exponential and operator_norm are unused here but stay importable from
-# this module: perfbench/tracing.py wraps the numerics kernels by these names
+# matrix_exponential, operator_norm and _power_iteration are unused here but
+# stay importable from this module: the benchmark's tracer wraps the numerics
+# kernels where models looks them up, by these names
 from .numerics import (  # noqa: F401
     gamma_eval,
     matrix_exponential,
     operator_norm,
     operator_norms_batch,
+    operator_norms_lanczos,
     _expm,
     _power_iteration,
 )
 
-_NORM_TOL = 1e-8           # relative convergence tolerance of the fractional power iteration
-_STALL_TOL = 1e-4          # accepted relative norm error when singular values cluster
 _CHUNK = 4096              # matrices per stacked exponential, bounding temporaries
+_STACK_BYTES = 1 << 20     # bytes of fractional kernels per Lanczos stack, sized to stay in cache
 _FLAG_TOL = 1e-10          # slack when sampling for the contraction flag
 
 
@@ -429,12 +430,13 @@ class FractionalIntegration(SemigroupModel):
     antiderivative absorbs the (s-u)^(t-1) singularity for t < 1).  An entry
     depends only on the lag i - j, so the matrix is lower-triangular
     Toeplitz, built from one length-n column ((m+1/2)/n)^t and its first
-    differences.  The operator norm comes from power iteration started from
-    the previous call's singular vector, or else from the all-ones vector,
-    which the entrywise nonnegative kernel cannot make orthogonal to its top
-    singular vector.  There is no memo; the warm start makes the last digits
-    of a norm depend on the query order.  The reference curve
-    1/(t*Gamma(t)) is available as :func:`fractional_reference`.
+    differences.  Norms come from stacked Lanczos on the kernels of a chunk
+    of times, with no warm start (:func:`operator_norms_lanczos`): each is
+    the operator norm of exactly the matrix :meth:`kernel_matrix` returns,
+    to about 1e-14 relative, and a pure function of t, the same bits on the
+    batch and the point path in any query order.  A single time is a batch
+    of one.  The reference curve 1/(t*Gamma(t)) is available as
+    :func:`fractional_reference`.
     """
 
     kind = "fractional-integration"
@@ -445,47 +447,60 @@ class FractionalIntegration(SemigroupModel):
             raise InvalidModel(f"fractional-integration requires n >= 16, got {n}")
         self.n = n
         # log distance from a cell midpoint to the left edge of the cell m
-        # cells back; the lag table sends the upper triangle to a zero slot
-        idx = np.arange(n)
-        self._log_col = np.log((idx + 0.5) / n)
-        lag = idx[:, None] - idx[None, :]
-        lag[lag < 0] = n
-        self._lag = lag
-        self._warm = None
+        # cells back
+        self._log_col = np.log((np.arange(n) + 0.5) / n)
         self._traj = None
+
+    @staticmethod
+    def _gamma(t):
+        """Gamma(t+1), the kernel's denominator; inf where the kernel is zero."""
+        return gamma_eval(t + 1.0) if t + 1.0 <= 171.0 else math.inf
+
+    def _kernels(self, ts, denom):
+        """C-contiguous stack of the operators at the times ts > 0."""
+        n = self.n
+        col = np.exp(ts[:, None] * self._log_col)
+        # g[m] = col[m] - col[m-1] (col[-1] = 0) is the entry at lag m.  p
+        # holds g reversed, then n - 1 zeros, so row i of the matrix is
+        # p[n-1-i : 2n-1-i]: a strided view, copied once into the stack.
+        p = np.zeros((ts.size, 2 * n - 1))
+        p[:, n - 1] = col[:, 0]
+        np.subtract(col[:, :0:-1], col[:, -2::-1], out=p[:, :n - 1])
+        p[:, :n] /= denom[:, None]
+        step, item = p.strides
+        rows = np.lib.stride_tricks.as_strided(p[:, n - 1:], (ts.size, n, n), (step, -item, item))
+        return rows.copy()
 
     def kernel_matrix(self, t):
         """The discretized operator at order t (lower triangular, n x n)."""
         t = _check_time(t)
         if t == 0.0:
             return np.eye(self.n)
-        if t + 1.0 > 171.0:
+        denom = self._gamma(t)
+        if not math.isfinite(denom):
             return np.zeros((self.n, self.n))
-        denom = gamma_eval(t + 1.0)
-        if not math.isfinite(denom) or denom == 0.0:
-            return np.zeros((self.n, self.n))
-        g = np.append(np.diff(np.exp(t * self._log_col), prepend=0.0), 0.0)
-        return (g / denom)[self._lag]
+        return self._kernels(np.array([t]), np.array([denom]))[0]
 
     def norm_at(self, t):
-        t = _check_time(t)
-        if t == 0.0:
-            return 1.0
-        k = self.kernel_matrix(t)
-        if not k.any():
-            return 0.0
-        start = np.ones(self.n) if self._warm is None else self._warm
-        sigma, vec, _, ok = _power_iteration(k, _NORM_TOL, None, start, 10000, stall_tol=_STALL_TOL)
-        if not ok:
-            raise NumericsFailure("operator norm did not converge", best_estimate=sigma)
-        self._warm = vec
-        return sigma
+        return float(self.norm_at_many(np.array([_check_time(t)]))[0])
+
+    def norm_at_many(self, ts):
+        ts = np.asarray(ts, dtype=float)
+        flat = ts.ravel()
+        out = np.where(flat == 0.0, 1.0, 0.0)
+        denom = np.array([self._gamma(t) for t in flat])
+        live = np.flatnonzero((flat > 0.0) & np.isfinite(denom))
+        chunk = max(1, _STACK_BYTES // (8 * self.n * self.n))
+        for lo in range(0, live.size, chunk):
+            idx = live[lo:lo + chunk]
+            out[idx] = operator_norms_lanczos(self._kernels(flat[idx], denom[idx]))
+        return out.reshape(ts.shape)
 
     def trajectory(self):
         if self._traj is None:
             contraction = _sample_flags(self, horizon=8.0)
             self._traj = NormTrajectory(
-                self.norm_at,
+                self.norm_at, evaluate_many=self.norm_at_many,
                 is_contraction=contraction, is_norm_continuous=True, is_exact=False,
                 eval_error_bound=4.0 / self.n, label=self.spec_string(),
                 warnings=("unresolved-kernel",) if self.n < 64 else (),

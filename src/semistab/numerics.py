@@ -2,9 +2,13 @@
 
 Matrix exponentials, spectral norms, the gamma function, and adaptive
 quadrature on finite or semi-infinite intervals.  All operations are pure
-functions of their inputs; the only randomness is the seeded start vector of
-a power iteration called without a start vector, so results are reproducible
-bit for bit.  The analysis pipeline always passes a start vector.
+functions of their inputs.  Stacks of matrices get their spectral norms
+from stacked kernels that keep no state between calls: exact singular
+values (:func:`operator_norms_batch`) or Lanczos from a fixed start vector
+(:func:`operator_norms_lanczos`), and each norm in a stack depends on its
+own matrix only.  The only randomness is the seeded start vector of
+:func:`operator_norm` called without one, so results are reproducible bit
+for bit.
 """
 
 from __future__ import annotations
@@ -109,7 +113,7 @@ def _expm(b):
 # operator (spectral) norm
 
 
-def _power_iteration(m, tol, seed, start, max_iter, stall_tol=None):
+def _power_iteration(m, tol, seed, start, max_iter):
     """Power iteration on the Gram product M^T M.
 
     Returns (sigma, vector, iterations, converged).  Convergence is declared
@@ -118,12 +122,8 @@ def _power_iteration(m, tol, seed, start, max_iter, stall_tol=None):
     (q being the measured ratio of successive differences) falls below
     tol * estimate.  The matrix is pre-scaled by its largest entry so that
     the Gram product cannot underflow for uniformly tiny matrices.
-
     Nearly coincident leading singular values push q toward 1 and the
-    estimate crawls; for exp(t*A) at small times the entire singular
-    spectrum clusters this way.  ``stall_tol``, if given, accepts the
-    estimate at the iteration cap whenever the remainder bound certifies it
-    to stall_tol * estimate, instead of reporting failure.
+    estimate crawls until the iteration cap reports failure.
     """
     cols = m.shape[1]
     scale = float(np.abs(m).max()) if m.size else 0.0
@@ -132,7 +132,7 @@ def _power_iteration(m, tol, seed, start, max_iter, stall_tol=None):
     # the Gram iteration fourth-powers the scale; keep it near 1 so nothing
     # drops into subnormal range
     if scale < 1e-16 or scale > 1e16:
-        sigma, vec, its, ok = _power_iteration(m / scale, tol, seed, start, max_iter, stall_tol)
+        sigma, vec, its, ok = _power_iteration(m / scale, tol, seed, start, max_iter)
         return sigma * scale, vec, its, ok
     if start is not None and float(np.linalg.norm(start)) > 0.0:
         v = np.asarray(start, dtype=float)
@@ -143,16 +143,12 @@ def _power_iteration(m, tol, seed, start, max_iter, stall_tol=None):
         v /= np.linalg.norm(v)
     prev = None
     prev_diff = None
-    remainder = math.inf
     sigma = 0.0
-    sigma_mid = None
     reseeds = 0
     for it in range(1, max_iter + 1):
         w = m @ v
         g = m.T @ w
         sigma = math.sqrt(max(float(v @ g), 0.0))
-        if it == max_iter // 2:
-            sigma_mid = sigma
         if prev is not None:
             diff = abs(sigma - prev)
             if diff <= tol * max(sigma, 1e-300):
@@ -177,15 +173,6 @@ def _power_iteration(m, tol, seed, start, max_iter, stall_tol=None):
             prev_diff = None
             continue
         v = g / gn
-    if stall_tol is not None:
-        scale_ref = max(sigma, 1e-300)
-        if remainder <= stall_tol * scale_ref:
-            return sigma, v, max_iter, True
-        # drift acceptance: if the estimate moved less than half the stall
-        # tolerance over the entire second half of the budget, the cluster
-        # the iteration is stuck in is itself below the stall tolerance
-        if sigma_mid is not None and abs(sigma - sigma_mid) <= 0.5 * stall_tol * scale_ref:
-            return sigma, v, max_iter, True
     return sigma, v, max_iter, False
 
 
@@ -208,14 +195,96 @@ def operator_norms_batch(mats):
     return out
 
 
-def operator_norm(m, tol=1e-10, *, seed=None, start=None, max_iter=10000, stall_tol=None):
+def operator_norms_lanczos(mats):
+    """Spectral norms of a stack (B, n, n) of entrywise nonnegative matrices.
+
+    Lanczos on K^T K, applied as K^T (K v) and never formed, from the unit
+    all-ones vector: the top right singular vector of a nonnegative K is
+    nonnegative, so that start overlaps it.  Unlike power iteration,
+    Lanczos converges as fast on a shifted spectrum, so a cluster of
+    singular values (K near a multiple of the identity) costs it nothing.
+    Each new Lanczos vector is reorthogonalized against all earlier ones by
+    two classical Gram-Schmidt passes; one pass loses orthogonality and the
+    top Ritz value with it.  Every second step the top eigenvalue of each
+    tridiagonal is read, and a matrix's norm is frozen at the first read
+    that rises by at most 1e-12 of itself, so each norm depends on its own
+    matrix only.  After n steps the Krylov space is the whole space, so a
+    matrix still unfrozen then takes that step's read, which is exact.  A
+    matrix with an infinite entry has norm +inf.
+    """
+    mats = np.asarray(mats, dtype=float)
+    if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
+        raise InvalidArgument("expected a stack of square matrices (B, n, n)")
+    out = np.zeros(mats.shape[0])
+    if mats.size == 0:
+        return out
+    flat = mats.reshape(mats.shape[0], -1)
+    if not flat.min() >= 0.0:
+        raise InvalidArgument("matrices must be entrywise nonnegative and not NaN")
+    peak = flat.max(axis=1)
+    out[np.isinf(peak)] = math.inf
+    live = np.flatnonzero((peak > 0.0) & np.isfinite(peak))
+    if live.size:
+        # Lanczos runs on (cK)^T (cK) with c a normal power of two near
+        # 1/peak: exact, and clear of under- and overflow whatever the size
+        # of K.  c scales the vectors, which is cheaper than a pass over K.
+        c = np.ldexp(1.0, np.clip(-np.frexp(peak[live])[1], -1022, 1023))
+        k = mats if live.size == mats.shape[0] else mats[live]
+        out[live] = np.sqrt(_lanczos_top_eigenvalues(k, c[:, None, None])) / c
+    return out
+
+
+def _lanczos_top_eigenvalues(k, c):
+    """Largest eigenvalue of (cK)^T (cK) for each matrix K of the stack k."""
+    b, n, _ = k.shape
+    # the Lanczos vectors as rows; most matrices converge within 16 steps,
+    # so the basis starts small and doubles when full, which for large n is
+    # far cheaper than fresh pages for n + 1 rows on every call
+    basis = np.empty((b, 8, n))
+    basis[:, 0] = 1.0 / math.sqrt(n)
+    diag = np.zeros((b, n))      # the Lanczos tridiagonal
+    sub = np.zeros((b, n))
+    prev = np.zeros(b)
+    frozen = np.zeros(b)
+    done = np.zeros(b, dtype=bool)
+    for j in range(n):
+        if j + 2 > basis.shape[1]:
+            basis = np.concatenate([basis, np.empty_like(basis)], axis=1)
+        # w and h are row vectors (b, 1, .); q holds the Lanczos vectors so far
+        w = ((k @ (basis[:, j, :, None] * c)).transpose(0, 2, 1) * c) @ k
+        q = basis[:, :j + 1]
+        qt = q.transpose(0, 2, 1)
+        h = w @ qt
+        w = w - h @ q
+        h2 = w @ qt
+        w = w - h2 @ q
+        diag[:, j] = (h + h2)[:, 0, j]
+        norm = np.sqrt(w @ w.transpose(0, 2, 1))
+        sub[:, j] = norm[:, 0, 0]
+        # an exhausted Krylov space leaves w = 0 and adds a zero vector
+        np.divide(w, np.maximum(norm, 1e-300), out=basis[:, j + 1:j + 2])
+        if j % 2 == 0 and j < n - 1:
+            continue
+        m = j + 1
+        tri = np.zeros((b, m * m))     # lower half; the flat stride m + 1 walks a diagonal
+        tri[:, ::m + 1] = diag[:, :m]
+        tri[:, m::m + 1] = sub[:, :m - 1]
+        theta = np.linalg.eigvalsh(tri.reshape(b, m, m))[:, -1]
+        # later steps of a frozen matrix are wasted but cannot change its value
+        fresh = ((theta - prev <= 1e-12 * theta) | (j == n - 1)) & ~done
+        np.copyto(frozen, theta, where=fresh)
+        done |= fresh
+        if done.all():
+            return frozen
+        prev = theta
+
+
+def operator_norm(m, tol=1e-10, *, seed=None, start=None, max_iter=10000):
     """Largest singular value of ``m`` via power iteration on the Gram product.
 
     ``start`` optionally warm-starts the iteration (e.g. with the singular
     vector from a nearby matrix).  Raises :class:`NumericsFailure` carrying
-    the best estimate if the iteration cap is reached without convergence;
-    ``stall_tol`` optionally accepts a stalled near-degenerate iteration
-    whose geometric remainder bound certifies that relative accuracy.
+    the best estimate if the iteration cap is reached without convergence.
     """
     mm = np.asarray(m, dtype=float)
     if mm.ndim != 2:
@@ -224,7 +293,7 @@ def operator_norm(m, tol=1e-10, *, seed=None, start=None, max_iter=10000, stall_
         raise InvalidArgument("matrix entries must be finite")
     if not tol > 0.0:
         raise InvalidArgument(f"tol must be positive, got {tol}")
-    sigma, _, _, ok = _power_iteration(mm, tol, seed, start, max_iter, stall_tol)
+    sigma, _, _, ok = _power_iteration(mm, tol, seed, start, max_iter)
     if not ok:
         raise NumericsFailure(
             f"power iteration did not converge within {max_iter} iterations",

@@ -108,8 +108,9 @@ def random_normal_100():
     rng = np.random.default_rng(31337)
     out = []
     for i in range(100):
-        # separation keeps the leading singular values of exp(t*A) from
-        # clustering at small t, where power iteration would stall
+        # the separation once kept power iteration off clustered singular
+        # values; exact SVD norms do not need it, and it stays so that the
+        # seeded generators stay the same
         while True:
             diag = -np.sort(rng.uniform(0.15, 2.0, size=4))[::-1]
             if np.min(np.abs(np.diff(diag))) >= 0.25:

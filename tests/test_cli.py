@@ -5,6 +5,7 @@ import json
 import numpy as np
 
 from semistab.cli import main
+from semistab.models import FractionalIntegration
 from semistab.oracles import spectral_abscissa_triangular
 
 
@@ -65,6 +66,14 @@ class TestAnalyze:
         code = run(["analyze", "--model", "[[1]]", "--out", str(tmp_path / "x")])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    def test_nan_norm_exits_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(FractionalIntegration, "norm_at_many",
+                            lambda self, ts: np.full(np.shape(ts), np.nan))
+        code = run(["analyze", "--model", "fractional-integration n=16",
+                    "--out", str(tmp_path / "nan")])
+        assert code == 3
+        assert "numerics failure" in capsys.readouterr().err
 
     def test_missing_model_exits_2(self, tmp_path):
         assert run(["analyze", "--out", str(tmp_path / "x")]) == 2

@@ -12,7 +12,7 @@ from semistab import (
     matrix_exponential,
     operator_norm,
 )
-from semistab.numerics import operator_norms_batch
+from semistab.numerics import operator_norms_batch, operator_norms_lanczos
 
 
 class TestMatrixExponential:
@@ -130,6 +130,45 @@ class TestOperatorNorm:
     def test_batch_non_finite_is_inf(self):
         mats = np.array([[[np.inf, 0.0], [0.0, 1.0]], [[3.0, 0.0], [0.0, -1.0]]])
         np.testing.assert_array_equal(operator_norms_batch(mats), [math.inf, 3.0])
+
+
+class TestLanczosNorms:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 16])
+    def test_matches_svd(self, n):
+        # every step count, including a Krylov space exhausted at n
+        rng = np.random.default_rng(n)
+        mats = rng.uniform(0.0, 1.0, (9, n, n))
+        mats[::3] = np.tril(mats[::3])
+        mats[1] = np.eye(n)
+        ref = np.linalg.svd(mats, compute_uv=False)[:, 0]
+        np.testing.assert_allclose(operator_norms_lanczos(mats), ref, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("scale", [1e-305, 1e-200, 1e200, 1e300])
+    def test_extreme_scales(self, scale):
+        mats = np.random.default_rng(3).uniform(0.0, 1.0, (4, 6, 6))
+        ref = np.linalg.svd(mats, compute_uv=False)[:, 0] * scale
+        np.testing.assert_allclose(operator_norms_lanczos(mats * scale), ref, rtol=1e-12, atol=0.0)
+
+    def test_each_norm_depends_on_its_own_matrix(self):
+        mats = np.random.default_rng(4).uniform(0.0, 1.0, (12, 20, 20))
+        batch = operator_norms_lanczos(mats)
+        singles = np.array([operator_norms_lanczos(m[None])[0] for m in mats])
+        assert np.array_equal(batch, singles)
+        order = np.random.default_rng(5).permutation(12)
+        assert np.array_equal(operator_norms_lanczos(mats[order]), batch[order])
+
+    def test_zero_and_infinite(self):
+        mats = np.zeros((3, 4, 4))
+        mats[1, 2, 0] = np.inf
+        mats[2] = np.eye(4) * 2.0
+        np.testing.assert_array_equal(operator_norms_lanczos(mats), [0.0, math.inf, 2.0])
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan])
+    def test_rejects_negative_and_nan_entries(self, bad):
+        mats = np.ones((2, 3, 3))
+        mats[1, 0, 2] = bad
+        with pytest.raises(InvalidArgument):
+            operator_norms_lanczos(mats)
 
 
 class TestGamma:

@@ -91,6 +91,25 @@ class TestPazyCriteria:
         ss.pazy_criteria(traj, t0=0.0)
         assert calls and len(calls) == len(set(calls))
 
+    def test_fractional_quadrature_budget(self):
+        # with exact norms the integrand is smooth and the quadrature stops
+        # refining; noisy norms near t = 0 drove it past 20,000 points
+        model = ss.FractionalIntegration(64)
+        base = model.trajectory()
+        points = []
+
+        def many(ts):
+            points.append(np.size(ts))
+            return model.norm_at_many(ts)
+
+        traj = NormTrajectory(
+            model.norm_at, evaluate_many=many, is_contraction=base.is_contraction,
+            is_norm_continuous=True, is_exact=False, eval_error_bound=base.eval_error_bound,
+        )
+        rep = ss.pazy_criteria(traj, t0=0.0)
+        assert "iii" in rep.fired
+        assert 0 < sum(points) < 4000
+
     def test_gaussian_superstability_fires(self, gaussian):
         traj, _ = gaussian
         rep = ss.pazy_criteria(traj)

@@ -1,20 +1,22 @@
-"""Properties of matrix norm evaluation: a pure function of t.
+"""Properties of norm evaluation: a pure function of t.
 
-Every value must be the same bits whichever path computed it (a batch of
-lattice points or a single point), whatever was queried before, and in
-whichever thread.
+Every matrix or fractional-integration norm must be the same bits whichever
+path computed it (a batch of points or a single point), whatever was
+queried before, and in whichever thread.
 """
 
 import sys
 import threading
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import semistab as ss
 
 GRID_STEP = ss.SearchConfig().grid_step
 J10 = np.array([[-1.0, 10.0], [0.0, -1.0]])
+FRACTIONAL_NS = (16, 64)
 
 
 @st.composite
@@ -49,12 +51,48 @@ def test_norm_is_independent_of_query_order(a):
     assert model.norm_at(0.7) == before
 
 
+@pytest.mark.parametrize("n", FRACTIONAL_NS)
+@settings(max_examples=15, deadline=None)
+@given(ts=st.lists(st.one_of(st.just(0.0), st.floats(1e-8, 180.0)), min_size=1, max_size=40))
+def test_fractional_batch_matches_points_bitwise(n, ts):
+    # times past 170 have a zero kernel; 0 is the identity
+    model = ss.FractionalIntegration(n)
+    ts = np.array(ts)
+    points = np.array([model.norm_at(t) for t in ts])
+    assert np.array_equal(model.norm_at_many(ts), points)
+
+
+@pytest.mark.parametrize("n", FRACTIONAL_NS)
+def test_fractional_norm_is_independent_of_query_order(n):
+    model = ss.FractionalIntegration(n)
+    before = model.norm_at(0.7)
+    model.norm_at(30.0)
+    assert model.norm_at(0.7) == before
+    model.norm_at_many(np.arange(100) * 0.31)
+    assert model.norm_at(0.7) == before
+
+
+@pytest.mark.parametrize("n", FRACTIONAL_NS)
+def test_fractional_norm_matches_svd(n):
+    # near t = 0 the kernel is close to a multiple of the identity and its
+    # singular values cluster; t = 150 has entries below 1e-260
+    model = ss.FractionalIntegration(n)
+    for t in (1e-7, 1e-4, 1e-2, 0.5, 1.0, 5.0, 40.0, 150.0):
+        ref = np.linalg.svd(model.kernel_matrix(t), compute_uv=False)[0]
+        assert abs(model.norm_at(t) - ref) <= 1e-12 * ref, t
+
+
 def test_concurrent_readers_get_single_thread_values():
     slices = [np.arange(k0, k0 + 300, dtype=float) * GRID_STEP
               for k0 in (0, 15900, 17000, 39000)]
-    reference = ss.MatrixSemigroup(J10)
+    for make in (lambda: ss.MatrixSemigroup(J10), lambda: ss.FractionalIntegration(16)):
+        _check_concurrent_readers(make, slices)
+
+
+def _check_concurrent_readers(make, slices):
+    reference = make()
     expected = [reference.norm_at_many(ts) for ts in slices]
-    shared = ss.MatrixSemigroup(J10)  # its trajectory is built lazily by the readers
+    shared = make()  # its trajectory is built lazily by the readers
     results = [None] * len(slices)
 
     def read(i):
