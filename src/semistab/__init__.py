@@ -35,9 +35,7 @@ from .models import (
     NormTrajectory,
     ScalarDecay,
     build_model_from_spec,
-    fractional_integration_norm,
     fractional_reference,
-    norm_at,
     validate_submultiplicativity,
 )
 from .entrytime import (
@@ -89,9 +87,9 @@ __all__ = [
     "VERDICT_EXTINCTION", "VERDICT_ORDER", "VERDICT_STABLE", "VERDICT_SUPERSTABLE",
     "VERDICT_UNSTABLE", "build_model_from_spec", "classify",
     "default_growth_grid", "entry_time_table", "final_entry_time",
-    "fractional_integration_norm", "fractional_reference", "ftrick_sandwich",
+    "fractional_reference", "ftrick_sandwich",
     "gamma_eval", "gelfand_spectral_radius", "growth_characteristic",
-    "integrate_adaptive", "matrix_exponential", "norm_at", "operator_norm",
+    "integrate_adaptive", "matrix_exponential", "operator_norm",
     "pazy_criteria", "pazy_integral", "spectral_radius_estimate",
     "stability_and_extinction_indices", "tail_statistics",
     "validate_submultiplicativity", "vector_entry_time",

@@ -46,26 +46,15 @@ EXIT_INCONCLUSIVE = 4
 SWEEP_COLUMNS = "model,r,t_r,u_r,status,verdict,nu,k,omega_entry"
 
 
-def _fmt(x):
-    """12-significant-digit float formatting; inf as a literal string."""
-    if isinstance(x, float):
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        if math.isnan(x):
-            return "nan"
-        return float(f"{x:.12g}")
-    return x
-
-
 def _round_tree(obj):
     if isinstance(obj, dict):
         return {k: _round_tree(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_round_tree(v) for v in obj]
-    if isinstance(obj, float):
-        return _fmt(obj)
-    if isinstance(obj, (np.floating,)):
-        return _fmt(float(obj))
+    if isinstance(obj, (float, np.floating)):
+        # the CSV's 12-digit text; inf, -inf and nan stay strings in JSON
+        text = _csv_number(obj)
+        return float(text) if math.isfinite(obj) else text
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.bool_,)):

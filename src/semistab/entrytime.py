@@ -7,14 +7,17 @@ factor of 1/e.  The u_r sequence is nonincreasing, and its limit behaviour
 determines the stability class (see :mod:`semistab.classify`).
 
 Equivalently, t_r is where the envelope M(t) = sup_{s>=t} ||T(s)|| drops
-through exp(-r).  For contraction trajectories (norm nonincreasing) M is the
-norm itself, and t_r is found by monotone bisection against the threshold.
-For general trajectories one pass serves every r: the grid_step lattice is
-evaluated once per horizon extension, its reverse cumulative maximum is a
-discrete M, and the last lattice point at or above exp(-r) brackets t_r for
-bisection.  A bracket is final once a sustained below-threshold window
-follows it; otherwise the horizon doubles.  Trajectories that never settle
-below the threshold before the horizon cap are reported as +inf.
+through exp(-r).  One search serves every r.  A scan samples the curve at
+t = 0 and at horizon points that double from horizon_start; a general curve
+is also sampled on the grid_step lattice.  The reverse cumulative maximum of
+the samples is a discrete M, and the last sample at or above exp(-r) and the
+sample after it bracket t_r.  A bracket is final once a sustained
+below-threshold window follows it; otherwise the horizon doubles.  A
+contraction (norm nonincreasing) is its own envelope, so its horizon points
+suffice and one sample below a threshold certifies the crossing.  All open
+brackets are then bisected in lockstep, one batched evaluation per round.
+Trajectories that never settle below the threshold before the horizon cap
+are reported as +inf.
 """
 
 from __future__ import annotations
@@ -34,13 +37,14 @@ STATUS_WIDENED = "widened"
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs for the entry-time searches.
+    """Knobs for the entry-time search.
 
     ``time_tol`` is the final bisection width; ``grid_step`` the scan
-    resolution for non-monotone trajectories; ``horizon_start`` both the
-    initial search span and the length of the sustained-below window that
-    certifies a crossing as final; ``horizon_cap`` the absolute give-up
-    point; ``norm_floor`` the value treated as an exact zero.
+    resolution for trajectories that are not contractions;
+    ``horizon_start`` the first search horizon, and for non-contractions
+    also the length of the sustained-below window that certifies a crossing
+    as final; ``horizon_cap`` the absolute give-up point; ``norm_floor`` the
+    value treated as an exact zero.
     """
 
     time_tol: float = 1e-8
@@ -98,107 +102,94 @@ def _check_r(r, cfg):
 
 
 def _entry_times(traj, rs, cfg):
-    """Entry times for the increasing r values ``rs``.
+    """Entry times for the increasing r values ``rs``, from one search.
 
-    Each search starts from the previous entry time (the t_r sequence is
-    nondecreasing); once a search hits the horizon cap, all later entries
-    are +inf as well.  General trajectories share one envelope scan.
+    One envelope scan brackets every threshold, then one lockstep bisection
+    narrows all open brackets together.  A bracket whose upper end has
+    dropped to an exact zero marks an extinction plateau: every later
+    threshold is entered at that same time, exactly.
     """
-    scan = None if traj.is_contraction else _EnvelopeScan(traj, cfg)
-    entries = []
-    left = 0.0
-    for r in rs:
-        if entries and not entries[-1].is_finite:
-            entries.append(EntryTime(math.inf, STATUS_HORIZON, math.inf))
-            continue
-        et = _entry_time_from(traj, r, left, cfg, scan)
-        entries.append(et)
-        if et.is_finite:
-            left = et.time
+    thresholds = np.array([math.exp(-r) for r in rs])
+    scan = _EnvelopeScan(traj, cfg)
+    status, lo, hi, f_hi = zip(*(scan.bracket(thr) for thr in thresholds))
+    lo, hi, f_hi = np.array(lo), np.array(hi), np.array(f_hi)
+    rows = np.flatnonzero([s in (STATUS_BISECTED, STATUS_WIDENED) for s in status])
+    _bisect(traj, thresholds, lo, hi, f_hi, rows, cfg.time_tol)
+    tols = {STATUS_EXACT: 0.0, STATUS_HORIZON: math.inf, STATUS_BISECTED: cfg.time_tol,
+            STATUS_WIDENED: max(cfg.time_tol, cfg.grid_step)}
+    entries = [EntryTime(float(t), s, tols[s]) for t, s in zip(0.5 * (lo + hi), status)]
+    extinct = rows[f_hi[rows] <= cfg.norm_floor]
+    if extinct.size:
+        k = extinct[0]
+        entries[k + 1:] = [EntryTime(entries[k].time, STATUS_EXACT, 0.0)] * (len(entries) - k - 1)
     return entries
 
 
-def _entry_time_from(traj, r, left, cfg, scan):
-    threshold = math.exp(-r)
-    f_left = traj.evaluate(left)
-    if f_left <= cfg.norm_floor:
-        # exact-zero plateau: the norm vanished at or before the left bound,
-        # so every later entry time collapses onto the same boundary
-        return EntryTime(left, STATUS_EXACT, 0.0)
-    if scan is not None:
-        return scan.entry_time(threshold, left, f_left)
-    if r == 0 and left == 0.0 and f_left <= 1.0 + 1e-12:
-        # a contraction never exceeds its initial value, so the curve is
-        # at or below exp(0) from the start
-        return EntryTime(0.0, STATUS_EXACT, 0.0)
-    return _bisect_monotone(traj.evaluate, threshold, left, cfg)
+def _bisect(traj, thresholds, lo, hi, f_hi, rows, time_tol):
+    """Narrow the brackets ``rows`` of lo, hi in place to width time_tol.
 
-
-def _bisect_monotone(f, threshold, left, cfg):
-    """Last time a nonincreasing curve sits at or above the threshold."""
-    if f(left) < threshold:
-        # already below at the left bound and nonincreasing afterwards
-        return EntryTime(left, STATUS_EXACT, 0.0)
-    span = cfg.horizon_start
+    Each bracket has f(lo) >= threshold > f(hi); every round evaluates the
+    midpoints of all brackets still wider than time_tol in one call, and
+    f_hi follows hi.
+    """
+    thr, a, b, fb = thresholds[rows], lo[rows], hi[rows], f_hi[rows]
     while True:
-        hi = left + span
-        if hi >= cfg.horizon_cap:
-            if f(cfg.horizon_cap) >= threshold:
-                return EntryTime(math.inf, STATUS_HORIZON, math.inf)
-            hi = cfg.horizon_cap
-            break
-        if f(hi) < threshold:
-            break
-        span *= 2.0
-    return EntryTime(_bisect(f, threshold, left, hi, cfg.time_tol), STATUS_BISECTED, cfg.time_tol)
-
-
-def _bisect(f, threshold, lo, hi, time_tol):
-    """Midpoint of a bracket [lo, hi] with f(lo) >= threshold > f(hi), narrowed to time_tol."""
-    while hi - lo > time_tol:
-        mid = 0.5 * (lo + hi)
-        if f(mid) >= threshold:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        wide = b - a > time_tol
+        if not wide.all():
+            done = rows[~wide]
+            lo[done], hi[done], f_hi[done] = a[~wide], b[~wide], fb[~wide]
+            rows, thr, a, b, fb = rows[wide], thr[wide], a[wide], b[wide], fb[wide]
+        if not rows.size:
+            return
+        mid = 0.5 * (a + b)
+        vals = traj.evaluate_many(mid)
+        above = vals >= thr
+        a = np.where(above, mid, a)
+        b = np.where(above, b, mid)
+        fb = np.where(above, fb, vals)
 
 
 class _EnvelopeScan:
-    """Samples of a general trajectory on the grid_step lattice, shared by all r.
+    """Samples of a trajectory shared by every threshold, and their envelope.
 
-    The samples are the lattice points k*grid_step up to the current horizon,
-    each evaluated once, plus the horizon points themselves.  Their reverse
-    cumulative maximum is a discrete envelope M(t) = sup_{s>=t} ||T(s)||, so
-    the last sample at or above exp(-r) is where M drops through the
-    threshold.  That anchor is certified final once horizon_start of quiet
-    lattice follows it; otherwise the horizon doubles, up to horizon_cap.
-    Before a window is scanned the horizon point is checked alone: while the
-    curve is still above the pending threshold there, nothing earlier can
-    hold an anchor, so the window is skipped.
+    The samples always include t = 0 and the horizon points, which double
+    from horizon_start up to horizon_cap.  A general curve is also sampled
+    on the grid_step lattice up to the current horizon, each point once.
+    The reverse cumulative maximum of the samples is a discrete envelope
+    M(t) = sup_{s>=t} ||T(s)||, so the last sample at or above exp(-r) is
+    where M drops through the threshold: that anchor and the next sample
+    bracket t_r.  The anchor is final once horizon_start of quiet lattice
+    follows it; otherwise the horizon doubles.  Before a window is scanned
+    the horizon point is checked alone: while the curve is still above the
+    pending threshold there, nothing earlier can hold an anchor, so the
+    window is skipped.  A contraction's norm never rises, so its horizon
+    points alone already form its envelope, and one sample below a
+    threshold proves every later time below it too.
     """
 
     def __init__(self, traj, cfg):
         self.traj = traj
         self.cfg = cfg
+        self.dense = not traj.is_contraction
+        # the span of quiet samples after an anchor that makes it final
+        self.window = cfg.horizon_start if self.dense else 0.0
         self.horizon = 0.0
-        self.k_done = -1  # lattice points k <= k_done are sampled or skipped
-        self.ts = np.empty(0)
-        self.vals = np.empty(0)
-        self.envelope = np.empty(0)
+        self.k_done = 0  # lattice points k <= k_done are sampled or skipped
+        self.ts = np.zeros(1)
+        self.vals = np.array([traj.evaluate(0.0)])
+        self.neg_envelope = -self.vals  # ascending, for searchsorted
 
-    def entry_time(self, threshold, left, f_left):
+    def bracket(self, threshold):
+        """``(status, lo, hi, f(hi))`` for one threshold; lo == hi when already exact."""
         cfg = self.cfg
         while True:
             # envelope >= threshold exactly up to the last sample above it
-            i = int(np.searchsorted(-self.envelope, -threshold, side="right")) - 1
-            if i >= 0 and self.ts[i] > left:
-                anchor, above = float(self.ts[i]), True
-            else:
-                anchor, above = left, f_left >= threshold
-            if above and anchor >= cfg.horizon_cap:
-                return EntryTime(math.inf, STATUS_HORIZON, math.inf)
-            if self.horizon - anchor >= cfg.horizon_start:
+            i = int(self.neg_envelope.searchsorted(-threshold, side="right")) - 1
+            anchor = float(self.ts[i]) if i >= 0 else 0.0
+            if i >= 0 and anchor >= cfg.horizon_cap:
+                return STATUS_HORIZON, math.inf, math.inf, math.inf
+            quiet = self.horizon - anchor
+            if quiet > 0.0 and quiet >= self.window:
                 status = STATUS_BISECTED
                 break
             if self.horizon >= cfg.horizon_cap:
@@ -207,13 +198,11 @@ class _EnvelopeScan:
                 status = STATUS_WIDENED
                 break
             self._extend(threshold)
-        if not above:
-            # nothing at or above threshold from the left bound on
-            return EntryTime(anchor, status, cfg.time_tol)
-        hi = min(anchor + cfg.grid_step, self.horizon)
-        tol = cfg.time_tol if status == STATUS_BISECTED else max(cfg.time_tol, cfg.grid_step)
-        return EntryTime(_bisect(self.traj.evaluate, threshold, anchor, hi, cfg.time_tol),
-                         status, tol)
+        if -self.neg_envelope[0] <= threshold * (1.0 + 1e-12):
+            # the curve never rises above the threshold: inside from t = 0
+            return STATUS_EXACT, 0.0, 0.0, math.inf
+        hi = min(anchor + cfg.grid_step, self.horizon) if self.dense else float(self.ts[i + 1])
+        return status, anchor, hi, float(self.vals[i + 1])
 
     def _extend(self, threshold):
         cfg = self.cfg
@@ -221,15 +210,16 @@ class _EnvelopeScan:
         horizon = min(2.0 * self.horizon if self.horizon else cfg.horizon_start, cfg.horizon_cap)
         at_horizon = self.traj.evaluate(horizon)
         k1 = int(math.floor(horizon / h))
-        if at_horizon >= threshold:
-            # every pending anchor lies at or beyond this horizon
-            ts, vals = np.array([horizon]), np.array([at_horizon])
-        else:
+        ts, vals = [self.ts], [self.vals]
+        if self.dense and at_horizon < threshold:
+            # otherwise every pending anchor lies at or beyond this horizon
             lattice = np.arange(self.k_done + 1, k1 + 1, dtype=float) * h
-            ts = np.concatenate([self.ts, lattice, [horizon]])
-            vals = np.concatenate([self.vals, self.traj.evaluate_many(lattice), [at_horizon]])
-        self.horizon, self.k_done, self.ts, self.vals = horizon, k1, ts, vals
-        self.envelope = np.maximum.accumulate(vals[::-1])[::-1]
+            ts.append(lattice)
+            vals.append(self.traj.evaluate_many(lattice))
+        self.horizon, self.k_done = horizon, k1
+        self.ts = np.concatenate(ts + [[horizon]])
+        self.vals = np.concatenate(vals + [[at_horizon]])
+        self.neg_envelope = -np.maximum.accumulate(self.vals[::-1])[::-1]
 
 
 # ---------------------------------------------------------------------------

@@ -74,13 +74,14 @@ class NormTrajectory:
 
     def evaluate_many(self, ts):
         ts = np.asarray(ts, dtype=float)
-        if ts.size and (np.any(ts < 0) or not np.all(np.isfinite(ts))):
+        # method-form reductions: this runs once per bisection round
+        if ts.size and ((ts < 0).any() or not np.isfinite(ts).all()):
             raise InvalidArgument("times must be finite and nonnegative")
         if self._evaluate_many is not None:
             out = np.asarray(self._evaluate_many(ts), dtype=float)
         else:
             out = np.array([float(self._evaluate(t)) for t in ts], dtype=float)
-        if np.any(np.isnan(out)):
+        if np.isnan(out).any():
             raise NumericsFailure("norm evaluation returned NaN")
         return out
 
@@ -518,16 +519,6 @@ def fractional_reference(t):
         raise InvalidArgument("t must be positive")
     g = gamma_eval(t + 1.0)
     return 0.0 if math.isinf(g) else 1.0 / g
-
-
-def fractional_integration_norm(t, n=400):
-    """Discretized fractional-integration operator norm at order t on n cells."""
-    return FractionalIntegration(n).norm_at(t)
-
-
-def norm_at(model, t):
-    """Evaluate ||T(t)|| for any model."""
-    return model.norm_at(t)
 
 
 # ---------------------------------------------------------------------------

@@ -426,27 +426,10 @@ _G7_WEIGHTS = np.array([
 ])
 
 
-def _ensure_vectorized(f, lower, upper):
-    """Return a callable mapping an ndarray of abscissae to an ndarray."""
-    span = 1.0 if math.isinf(upper) else max(upper - lower, 1e-6)
-    probe = lower + span * np.array([0.2123, 0.6789])
-    try:
-        out = np.asarray(f(probe), dtype=float)
-        if out.shape == probe.shape:
-            return lambda xs: np.asarray(f(xs), dtype=float)
-    except (TypeError, ValueError, AttributeError, IndexError):
-        pass
-    except Exception:
-        # the evaluator itself objects near these points; fall back and let the
-        # real evaluation surface the error where it matters
-        pass
-    return lambda xs: np.array([float(f(x)) for x in np.atleast_1d(xs)], dtype=float)
-
-
 def _gk15(fv, a, b):
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
-    y = fv(c + h * _GK_NODES)
+    y = np.asarray(fv(c + h * _GK_NODES), dtype=float)
     if not np.all(np.isfinite(y)):
         raise NumericsFailure(f"integrand returned a non-finite value on [{a}, {b}]")
     k = h * float(_GK_WEIGHTS @ y)
@@ -527,6 +510,9 @@ _DECAY_SLACK = 0.01
 def integrate_adaptive(f, spec):
     """Integrate ``f`` over ``[spec.lower, spec.upper)`` with verdict semantics.
 
+    ``f`` must be vectorized: it maps an ndarray of abscissae to an array of
+    integrand values of the same shape, one call per quadrature panel.
+
     Returns an :class:`IntegralResult`:
 
     * ``value``   -- the partial integrals converged within tolerance (for
@@ -542,12 +528,11 @@ def integrate_adaptive(f, spec):
         raise InvalidArgument("spec must be a QuadratureSpec")
     if spec.upper == spec.lower:
         return IntegralResult(VALUE, value=0.0, error=0.0)
-    fv = _ensure_vectorized(f, spec.lower, spec.upper)
     tol = lambda total: max(spec.abs_tol, spec.rel_tol * abs(total))
 
     if math.isfinite(spec.upper):
         val, err, _, diverged = _refine_finite(
-            fv, spec.lower, spec.upper, spec.abs_tol, spec.rel_tol, spec.max_subdivisions
+            f, spec.lower, spec.upper, spec.abs_tol, spec.rel_tol, spec.max_subdivisions
         )
         if diverged:
             return IntegralResult(DIVERGENT, value=val, horizon=spec.upper)
@@ -563,7 +548,7 @@ def integrate_adaptive(f, spec):
     seg_abs = spec.abs_tol / 8.0
     horizon = spec.lower + _INITIAL_TAIL_SPAN
     total, toterr, used, diverged = _refine_finite(
-        fv, spec.lower, horizon, seg_abs, spec.rel_tol / 4.0, min(budget, seg_cap)
+        f, spec.lower, horizon, seg_abs, spec.rel_tol / 4.0, min(budget, seg_cap)
     )
     if diverged:
         return IntegralResult(DIVERGENT, value=total, horizon=horizon)
@@ -574,7 +559,7 @@ def integrate_adaptive(f, spec):
             return IntegralResult(INCONCLUSIVE, value=total, error=toterr, horizon=horizon)
         nxt = horizon * 2.0
         inc, inc_err, used, diverged = _refine_finite(
-            fv, horizon, nxt, seg_abs, spec.rel_tol / 4.0, min(budget, seg_cap),
+            f, horizon, nxt, seg_abs, spec.rel_tol / 4.0, min(budget, seg_cap),
             grade_lower=False,
         )
         budget -= used

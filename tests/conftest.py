@@ -125,6 +125,13 @@ def random_normal_100():
 
 
 @pytest.fixture(scope="session")
+def fractional_64():
+    """The smallest fractional-integration model the benchmark runs."""
+    traj = ss.FractionalIntegration(64).trajectory()
+    return traj, ss.entry_time_table(traj, 20)
+
+
+@pytest.fixture(scope="session")
 def fractional_400():
     """Discretized fractional-integration model with its table and build time."""
     start = time.monotonic()

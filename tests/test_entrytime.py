@@ -5,13 +5,7 @@ import pytest
 
 import semistab as ss
 from semistab import InvalidArgument, SearchConfig
-from semistab.entrytime import (
-    STATUS_BISECTED,
-    STATUS_EXACT,
-    STATUS_HORIZON,
-    _EnvelopeScan,
-    _bisect_monotone,
-)
+from semistab.entrytime import STATUS_BISECTED, STATUS_EXACT, STATUS_HORIZON
 
 CFG = SearchConfig()
 
@@ -97,19 +91,22 @@ class TestEntryTimeTable:
         assert ",inf,inf,horizon" in table.to_csv()
 
 
-def _counting(traj):
-    """The same trajectory, counting the points sent through evaluate_many."""
-    points = [0]
+def _counting(traj, **flags):
+    """The same curve, counting its calls; ``flags`` override its capability flags."""
+    calls = {"evaluate": 0, "evaluate_many": 0, "points": 0}
+
+    def one(t):
+        calls["evaluate"] += 1
+        return traj.evaluate(t)
 
     def many(ts):
-        points[0] += np.size(ts)
+        calls["evaluate_many"] += 1
+        calls["points"] += np.size(ts)
         return traj.evaluate_many(ts)
 
-    wrapped = ss.NormTrajectory(
-        traj.evaluate, evaluate_many=many, is_contraction=traj.is_contraction,
-        is_norm_continuous=traj.is_norm_continuous, is_exact=traj.is_exact,
-    )
-    return wrapped, points
+    flags = {"is_contraction": traj.is_contraction, "is_exact": traj.is_exact,
+             "is_norm_continuous": traj.is_norm_continuous, **flags}
+    return ss.NormTrajectory(one, evaluate_many=many, **flags), calls
 
 
 class TestEnvelopeScan:
@@ -117,10 +114,23 @@ class TestEnvelopeScan:
         # the norm of [[0,1],[0,0]] grows like t: the check at each horizon
         # keeps the scan from walking the 1e7-point lattice up to the cap
         _, traj, _ = matrix_nilpotent_gen
-        wrapped, points = _counting(traj)
+        wrapped, calls = _counting(traj)
         table = ss.entry_time_table(wrapped, 20)
         assert all(s.status == STATUS_HORIZON for s in table.statuses)
-        assert points[0] < 1000
+        assert calls["points"] < 1000
+
+    @pytest.mark.parametrize("make", [
+        lambda: ss.FractionalIntegration(64),
+        lambda: ss.MatrixSemigroup(np.array([[-1.0, 10.0], [0.0, -1.0]])),
+    ], ids=["fractional64", "j10"])
+    def test_one_batched_search(self, make):
+        # every r is bracketed by one scan and bisected in lockstep: a handful
+        # of horizon points, then one batched call per scan window or round
+        model = make()
+        wrapped, calls = _counting(model.trajectory())
+        table = ss.entry_time_table(wrapped, 40)
+        assert all(math.isfinite(t) for t in table.t)
+        assert calls["evaluate"] <= 10 and calls["evaluate_many"] <= 40, calls
 
     def test_entries_are_final(self, matrix_j10):
         # final entry: after t_r the curve never rises above exp(-r) again
@@ -181,19 +191,19 @@ class TestInvariants:
                 assert abs(traj.evaluate(table.t[r]) - thr) <= thr * 1e-4
 
     def test_stopping_time_equivalence(self):
-        # for contractions the monotone bisection and the general scan agree
+        # a contraction's search and the general scan of the same curve agree
         for model in (ss.ScalarDecay(1.5), ss.GaussianShift(), ss.DampedNilpotent(2.0, 1.5)):
             traj = model.trajectory()
-            for r in (1, 2, 5):
-                thr = math.exp(-r)
-                b = _bisect_monotone(traj.evaluate, thr, 0.0, CFG)
-                s = _EnvelopeScan(traj, CFG).entry_time(thr, 0.0, traj.evaluate(0.0))
-                assert abs(b.time - s.time) <= 2 * CFG.time_tol
+            general, _ = _counting(traj, is_contraction=False)
+            own = ss.entry_time_table(traj, 5).t
+            scanned = ss.entry_time_table(general, 5).t
+            assert all(abs(a - b) <= 2 * CFG.time_tol for a, b in zip(own, scanned))
 
     def test_extinction_plateau_statuses(self, nilpotent):
         _, table = nilpotent
         # beyond the cutoff every entry collapses onto the boundary
         assert table.statuses[1].status == STATUS_BISECTED
+        assert all(s.status == STATUS_EXACT for s in table.statuses[2:])
         spread = max(table.t[1:]) - min(table.t[1:])
         assert spread <= 2 * CFG.time_tol
 

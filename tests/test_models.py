@@ -227,4 +227,4 @@ class TestFractionalIntegration:
             ss.FractionalIntegration(8)
 
     def test_norm_helper(self):
-        assert ss.fractional_integration_norm(1.0, n=64) == pytest.approx(2.0 / math.pi, abs=0.02)
+        assert ss.FractionalIntegration(64).norm_at(1.0) == pytest.approx(2.0 / math.pi, abs=0.02)

@@ -243,10 +243,6 @@ class TestQuadrature:
         with pytest.raises(NumericsFailure):
             integrate_adaptive(lambda t: np.full_like(t, np.nan), QuadratureSpec(0.0, 1.0))
 
-    def test_scalar_only_integrand_accepted(self):
-        res = integrate_adaptive(lambda t: float(t) ** 2, QuadratureSpec(0.0, 1.0))
-        assert res.is_value and res.value == pytest.approx(1.0 / 3.0, abs=1e-9)
-
     def test_empty_interval(self):
         res = integrate_adaptive(lambda t: t, QuadratureSpec(1.0, 1.0))
         assert res.is_value and res.value == 0.0

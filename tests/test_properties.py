@@ -2,9 +2,13 @@
 
 Every matrix or fractional-integration norm must be the same bits whichever
 path computed it (a batch of points or a single point), whatever was
-queried before, and in whichever thread.
+queried before, and in whichever thread.  The entry-time tables built on
+those norms obey metamorphic relations: scaling the generator divides the
+entry times, t_r never decreases in r, and the integral criteria never claim
+a stronger class than the classifier.
 """
 
+import math
 import sys
 import threading
 
@@ -118,3 +122,65 @@ def _check_concurrent_readers(make, slices):
         assert out is not None
         for j, got in enumerate(out):
             assert np.array_equal(got, expected[i] if j % 2 == 0 else expected[i][::15])
+
+
+# ---------------------------------------------------------------------------
+# metamorphic properties of the entry-time tables
+
+TIME_TOL = ss.SearchConfig().time_tol
+# upper-bidiagonal with diagonal near -6 and superdiagonals near 11, like the
+# benchmark's transient generators: the norm rises far above 1 first
+BIDIAGONAL_4 = np.array([
+    [-6.02, 10.4, 0.0, 0.0],
+    [0.0, -5.93, 11.1, 0.0],
+    [0.0, 0.0, -6.08, 11.7],
+    [0.0, 0.0, 0.0, -5.97],
+])
+
+
+def _assert_scaled(base, scaled, c):
+    # t -> ||T(t)|| of the scaled model is the base curve at c*t, so
+    # t_r(scaled) = t_r(base)/c; each side is off by at most half its final
+    # bracket, time_tol/2 in its own time units
+    assert [math.isinf(t) for t in scaled.t] == [math.isinf(t) for t in base.t]
+    for r, (ts, tb) in enumerate(zip(scaled.t, base.t)):
+        if math.isfinite(tb):
+            assert abs(ts - tb / c) <= TIME_TOL * (1.0 + 1.0 / c), (c, r, ts, tb)
+
+
+@pytest.mark.parametrize("a", [J10, BIDIAGONAL_4], ids=["j10", "bidiagonal4"])
+@pytest.mark.parametrize("c", [0.5, 2.0, 4.0])
+def test_matrix_scaling_divides_entry_times(a, c):
+    base = ss.entry_time_table(ss.MatrixSemigroup(a).trajectory(), 20)
+    scaled = ss.entry_time_table(ss.MatrixSemigroup(c * a).trajectory(), 20)
+    assert all(math.isfinite(t) for t in base.t)
+    _assert_scaled(base, scaled, c)
+
+
+@pytest.mark.parametrize("c", [0.5, 2.0, 4.0])
+def test_scalar_decay_scaling_divides_entry_times(c):
+    nu = 1.5
+    base = ss.entry_time_table(ss.ScalarDecay(nu).trajectory(), 20)
+    scaled = ss.entry_time_table(ss.ScalarDecay(c * nu).trajectory(), 20)
+    _assert_scaled(base, scaled, c)
+
+
+def test_entry_times_ordered(gaussian, scalar2, nilpotent, damped, matrix_j10,
+                             matrix_nilpotent_gen, fractional_64):
+    tables = [gaussian[1], scalar2[1], nilpotent[1], damped[1], matrix_j10[2],
+              matrix_nilpotent_gen[2], fractional_64[1]]
+    for table in tables:
+        assert all(b >= a for a, b in zip(table.t, table.t[1:])), table.label
+        assert all(u >= 0.0 for u in table.u if math.isfinite(u)), table.label
+
+
+def test_pazy_never_outranks_classifier(fractional_64):
+    # the integral criteria are sufficient conditions: whatever class they
+    # certify, the entry-time classifier must concede at least as much
+    jordan = ss.MatrixSemigroup(np.array([[-6.0, 14.0], [0.0, -6.0]])).trajectory()
+    for traj, table in (fractional_64, (jordan, ss.entry_time_table(jordan, 20))):
+        verdict = ss.classify(table, ss.ClassifyThresholds())
+        rep = ss.pazy_criteria(traj, t0=table.t[0])
+        if rep.implied is not None:
+            assert ss.VERDICT_ORDER[rep.implied] <= ss.VERDICT_ORDER[verdict.verdict], (
+                traj.label, rep.implied, verdict.verdict)
