@@ -218,24 +218,30 @@ def default_growth_grid(traj, table, *, n_points=513, floor=1e-300):
     """Sample grid for the growth routes.
 
     Extends past the last finite entry time so the log-slope has settled;
-    for curves that decay beyond the floating-point floor the grid is pushed
-    to the first underflow point, which is what lets superexponential decay
-    register as -inf.
+    for curves that decay beyond the floating-point floor the grid ends at
+    the first of 24 geometric horizon candidates where the norm is at the
+    floor, which is what lets superexponential decay register as -inf.  The
+    candidates are read in one ``evaluate_many`` call.
     """
     finite = [x for x in table.t if math.isfinite(x)]
     t_hi = max(finite) if finite else 32.0
     t_hi = max(t_hi, 1.0)
     cap = 4.0 * t_hi + 100.0
-    t_end = cap
-    for cand in np.geomspace(t_hi + 1.0, cap, 24):
-        if traj.evaluate(float(cand)) <= floor:
-            t_end = float(cand)
-            break
+    cands = np.geomspace(t_hi + 1.0, cap, 24)
+    below = np.flatnonzero(traj.evaluate_many(cands) <= floor)
+    t_end = float(cands[below[0]]) if below.size else cap
     return np.linspace(t_end / n_points, t_end, n_points)
 
 
 def growth_characteristic(traj, table, t_grid, *, th=None, floor=1e-300):
-    """Compute the three growth-rate routes on the given grid."""
+    """Compute the three growth-rate routes on the given grid.
+
+    The last grid point is evaluated first.  When its norm is at the floor
+    and every grid time is positive and finite, log||T(t)||/t is -inf there,
+    so both grid routes are -inf whatever the other points hold, and no
+    other point is evaluated; default grids on curves that underflow end at
+    such a point.  Otherwise the rest of the grid is read in one more call.
+    """
     th = th or ClassifyThresholds()
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size == 0:
@@ -243,11 +249,15 @@ def growth_characteristic(traj, table, t_grid, *, th=None, floor=1e-300):
     finite_t = [x for x in table.t if math.isfinite(x)]
     if finite_t and float(t_grid.max()) < max(finite_t):
         raise InvalidArgument("max grid point must reach the last finite entry time")
-    vals = traj.evaluate_many(t_grid)
-    with np.errstate(divide="ignore"):
-        omega = np.where(vals > floor, np.log(np.maximum(vals, floor)), -np.inf) / t_grid
-    omega_large = float(omega[-1])
-    omega_inf = float(omega.min())
+    last = traj.evaluate_many(t_grid[-1:])
+    if last[0] <= floor and 0.0 < t_grid.min() <= t_grid.max() < math.inf:
+        omega_large = omega_inf = -math.inf
+    else:
+        vals = np.concatenate([traj.evaluate_many(t_grid[:-1]), last])
+        with np.errstate(divide="ignore"):
+            omega = np.where(vals > floor, np.log(np.maximum(vals, floor)), -np.inf) / t_grid
+        omega_large = float(omega[-1])
+        omega_inf = float(omega.min())
     if omega_large <= _OMEGA_FLOOR:
         omega_large = -math.inf
     if omega_inf <= _OMEGA_FLOOR:
@@ -337,7 +347,10 @@ class IndexEstimates:
     ``k_hat_overshoot``: max over the nu grid of log(M_nu)/nu, where M_nu is
     the sampled supremum of ||T(t)||*exp(nu*t); +inf when some supremum is
     still growing at the grid boundary.  For extinct trajectories both k
-    estimates approximate the extinction time.
+    estimates approximate the extinction time.  ``per_nu`` holds
+    (nu, log M_nu, log(M_nu)/nu, boundary) for each nu.  The suprema are
+    those of the whole sample grid, found without evaluating every grid
+    point on a contraction (see :func:`stability_and_extinction_indices`).
     """
 
     nu_hat: float
@@ -348,8 +361,83 @@ class IndexEstimates:
     notes: tuple
 
 
+#: First-pass stride of the overshoot search on a contraction's grid.
+_SEARCH_STRIDE = 32
+#: Rise of log||T(t)|| that a contraction's computed norms may show; bounds
+#: the numerical noise of the norm kernels with a wide margin.
+_LOG_SLACK = 1e-9
+
+
+def _overshoot_maxima(traj, t, nu_grid, floor):
+    """First grid index and value of max log||T(t)|| + nu*t, for each nu.
+
+    The maxima run over the points of the grid ``t`` whose norm exceeds
+    ``floor``; ties go to the first index, as :func:`numpy.argmax` breaks
+    them.  On a contraction sampled on a nondecreasing grid the search is
+    coarse to fine.  It evaluates every 32nd point and the last one, then
+    the midpoint of each cell (i, j) between evaluated points that may
+    still hold a maximum, until none may.  A contraction's norm never
+    rises, so every unevaluated point k of the cell has log||T(t_k)|| at
+    most h = log||T(t_i)|| + 1e-9 (the slack covers kernel noise, and the
+    floats of a sum round monotonically), hence value at most
+    h + nu*t_{j-1}; and it can exceed ``floor`` only if h >= log(floor).
+    A cell may hold a maximum only if that bound reaches, for some nu, the
+    best evaluated value, with equality kept for the tie rule.  So the
+    result is the one the dense grid gives, bit for bit, and points in
+    discarded cells are never evaluated.  Any other curve or grid gets no
+    bound: the first pass then takes every point, in one call.  Raises
+    :class:`InvalidArgument` when no grid point exceeds ``floor``.
+    """
+    bounded = traj.is_contraction and bool((t[1:] >= t[:-1]).all())
+    ks = np.arange(t.size)
+    todo = ks[(ks % (_SEARCH_STRIDE if bounded else 1) == 0) | (ks == t.size - 1)]
+    lo, hi = todo[:-1], todo[1:]          # the cells between first-pass points
+    log_v = np.zeros(t.size)
+    best = [-math.inf] * len(nu_grid)     # for each nu, the best value so far
+    at = [-1] * len(nu_grid)              # and its grid index
+    log_floor = np.log(floor)
+    while todo.size:
+        vals = traj.evaluate_many(t[todo])
+        with np.errstate(divide="ignore"):
+            log_v[todo] = np.log(vals)
+        head = log_v[lo] + _LOG_SLACK
+        cell = (hi - lo > 1) & (head >= log_floor)
+        lo, hi, head = lo[cell], hi[cell], head[cell]
+        # one pass per nu over the new points, then over the open cells
+        m = todo.size
+        base = np.concatenate([np.where(vals > floor, log_v[todo], -math.inf), head])
+        times = np.concatenate([t[todo], t[hi - 1]])
+        reach = np.zeros(lo.size, dtype=bool)
+        for j, nu in enumerate(nu_grid):
+            score = base + nu * times
+            i = int(score[:m].argmax())
+            value = float(score[i])
+            if value > best[j] or (value == best[j] and todo[i] < at[j]):
+                best[j], at[j] = value, int(todo[i])
+            reach |= score[m:] >= best[j]
+        # a cell that fails keeps failing, as the best values only rise;
+        # the two halves of each cell that passes are the next cells.
+        # >> 1 rather than // 2: numpy's integer floor-division loop alone
+        # raised the closed-form benchmark's peak RSS by about 0.3 MiB
+        lo, hi = lo[reach], hi[reach]
+        todo = (lo + hi) >> 1
+        lo, hi = np.stack([lo, todo], 1).ravel(), np.stack([todo, hi], 1).ravel()
+    if at[0] < 0:
+        raise InvalidArgument("trajectory vanishes on the whole sample grid")
+    return list(zip(at, best))
+
+
 def stability_and_extinction_indices(traj, table, nu_grid=None, t_grid=None, *, th=None,
                                      floor=1e-300):
+    """Decay index, extinction-time estimates and the overshoot suprema.
+
+    The default sample grid is 4097 equally spaced times on
+    [0, max(2 t_hi, t_hi + 1)], t_hi the last finite entry time.  On a
+    contraction the overshoot suprema are found by a coarse-to-fine search
+    that evaluates only the grid points that can hold a maximum (about 450
+    of the 4097 on fractional integration) and gives the same bits as
+    evaluating all of them; see :func:`_overshoot_maxima`.
+    """
     th = th or ClassifyThresholds()
     if nu_grid is None:
         nu_grid = [2.0**k for k in range(11)]
@@ -379,20 +467,12 @@ def stability_and_extinction_indices(traj, table, nu_grid=None, t_grid=None, *, 
         t_hi = max(finite) if finite else 32.0
         t_grid = np.linspace(0.0, max(2.0 * t_hi, t_hi + 1.0), 4097)
     t_grid = np.asarray(t_grid, dtype=float)
-    vals = traj.evaluate_many(t_grid)
-    live = vals > floor
+    maxima = _overshoot_maxima(traj, t_grid, nu_grid, floor)
+    last_grid_t = float(t_grid[-1])
     per_nu = []
     k_overshoot = -math.inf
-    if not np.any(live):
-        raise InvalidArgument("trajectory vanishes on the whole sample grid")
-    log_vals = np.log(vals[live])
-    live_ts = t_grid[live]
-    last_grid_t = float(t_grid[-1])
-    for nu in nu_grid:
-        log_m = log_vals + nu * live_ts
-        idx = int(np.argmax(log_m))
-        log_m_nu = float(log_m[idx])
-        boundary = live_ts[idx] == last_grid_t
+    for nu, (i, log_m_nu) in zip(nu_grid, maxima):
+        boundary = t_grid[i] == last_grid_t
         ratio = math.inf if boundary else log_m_nu / nu
         per_nu.append((nu, log_m_nu, ratio, boundary))
         k_overshoot = max(k_overshoot, ratio)

@@ -411,12 +411,14 @@ def _sample_flags(model, horizon=16.0):
     """Contraction flag by sampling on a diagnostic grid.
 
     The grid mixes a linear sweep with a geometric prefix so that fast
-    transient growth near t=0 is not stepped over.
+    transient growth near t=0 is not stepped over.  Duplicates are dropped
+    after a sort rather than by ``np.unique``, which imports ``numpy.ma``.
     """
-    grid = np.unique(np.concatenate([
+    grid = np.sort(np.concatenate([
         np.linspace(0.0, horizon, 161),
         np.geomspace(5e-3, 1.0, 25),
     ]))
+    grid = grid[np.concatenate([[True], grid[1:] != grid[:-1]])]
     vals = model.norm_at_many(grid)
     nonincreasing = bool(np.all(vals[1:] <= vals[:-1] * (1.0 + _FLAG_TOL)))
     return nonincreasing and vals[0] <= 1.0 + _FLAG_TOL

@@ -427,14 +427,30 @@ _G7_WEIGHTS = np.array([
 
 
 def _gk15(fv, a, b):
+    """Kronrod-15 sums and |K15 - G7| error estimates of the panels [a[i], b[i]].
+
+    ``fv`` is called once, on the 15 nodes of every panel in one array.
+    Each panel's sums are taken on its own row, so they do not depend on
+    which panels share the call.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
-    y = np.asarray(fv(c + h * _GK_NODES), dtype=float)
-    if not np.all(np.isfinite(y)):
-        raise NumericsFailure(f"integrand returned a non-finite value on [{a}, {b}]")
-    k = h * float(_GK_WEIGHTS @ y)
-    g = h * float(_G7_WEIGHTS @ y[1::2])
-    return k, abs(k - g)
+    y = np.asarray(fv((c[:, None] + h[:, None] * _GK_NODES).ravel()), dtype=float)
+    y = y.reshape(a.size, _GK_NODES.size)
+    bad = ~np.isfinite(y).all(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NumericsFailure(
+            f"integrand returned a non-finite value on [{float(a[i])}, {float(b[i])}]")
+    ks, errs = [], []
+    for hi, row in zip(h.tolist(), y):
+        k = hi * float(_GK_WEIGHTS @ row)
+        g = hi * float(_G7_WEIGHTS @ row[1::2])
+        ks.append(k)
+        errs.append(abs(k - g))
+    return ks, errs
 
 
 def _graded_edges(a, b, grade_lower):
@@ -470,8 +486,7 @@ def _refine_finite(fv, a, b, abs_budget, rel_tol, max_splits, grade_lower=True):
     counter = 0  # heap tie-breaker
     heap = []
     edges = _graded_edges(a, b, grade_lower)
-    for lo, hi in zip(edges, edges[1:]):
-        k, e = _gk15(fv, lo, hi)
+    for lo, hi, k, e in zip(edges, edges[1:], *_gk15(fv, edges[:-1], edges[1:])):
         total += k
         toterr += e
         counter += 1
@@ -486,8 +501,7 @@ def _refine_finite(fv, a, b, abs_budget, rel_tol, max_splits, grade_lower=True):
             heapq.heappush(heap, (-e0, counter, a0, b0, k0, e0))
             break
         m = 0.5 * (a0 + b0)
-        k1, e1 = _gk15(fv, a0, m)
-        k2, e2 = _gk15(fv, m, b0)
+        (k1, k2), (e1, e2) = _gk15(fv, (a0, m), (m, b0))
         total += k1 + k2 - k0
         toterr += e1 + e2 - e0
         splits += 1
@@ -510,8 +524,10 @@ _DECAY_SLACK = 0.01
 def integrate_adaptive(f, spec):
     """Integrate ``f`` over ``[spec.lower, spec.upper)`` with verdict semantics.
 
-    ``f`` must be vectorized: it maps an ndarray of abscissae to an array of
-    integrand values of the same shape, one call per quadrature panel.
+    ``f`` must be vectorized: it maps a 1-d ndarray of abscissae to an array
+    of integrand values of the same shape.  One call takes the nodes of
+    several panels: all initial panels of a segment, or both halves of a
+    split panel.
 
     Returns an :class:`IntegralResult`:
 

@@ -12,6 +12,24 @@ COARSE_CFG = ss.SearchConfig(grid_step=1e-2)
 TH = ss.ClassifyThresholds()
 
 
+def counting(traj, **flags):
+    """The same curve, counting its calls; ``flags`` override its capability flags."""
+    calls = {"evaluate": 0, "evaluate_many": 0, "points": 0}
+
+    def one(t):
+        calls["evaluate"] += 1
+        return traj.evaluate(t)
+
+    def many(ts):
+        calls["evaluate_many"] += 1
+        calls["points"] += np.size(ts)
+        return traj.evaluate_many(ts)
+
+    flags = {"is_contraction": traj.is_contraction, "is_exact": traj.is_exact,
+             "is_norm_continuous": traj.is_norm_continuous, **flags}
+    return ss.NormTrajectory(one, evaluate_many=many, **flags), calls
+
+
 @pytest.fixture(scope="session")
 def gaussian():
     traj = ss.GaussianShift().trajectory()

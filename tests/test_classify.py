@@ -13,6 +13,8 @@ from semistab import (
 )
 from semistab.oracles import spectral_abscissa_triangular
 
+from conftest import counting
+
 TH = ss.ClassifyThresholds()
 
 
@@ -101,6 +103,31 @@ class TestGrowth:
         growth = ss.growth_characteristic(traj, table, np.linspace(0.5, 32.0, 64))
         assert growth.omega_entry == 0.0
 
+    def test_horizon_candidates_read_in_one_call(self, fractional_64):
+        traj, table = fractional_64
+        wrapped, calls = counting(traj)
+        ss.default_growth_grid(wrapped, table)
+        assert calls == {"evaluate": 0, "evaluate_many": 1, "points": 24}
+
+    @pytest.mark.parametrize("model", ["gaussian", "nilpotent", "damped"])
+    def test_floor_at_last_grid_point_needs_one_norm(self, model, request):
+        # these curves sink to the floor, so the default grid ends there and
+        # both grid routes are -inf whatever the other 512 points are
+        traj, table = request.getfixturevalue(model)
+        grid = ss.default_growth_grid(traj, table)
+        wrapped, calls = counting(traj)
+        g = ss.growth_characteristic(wrapped, table, grid)
+        assert calls == {"evaluate": 0, "evaluate_many": 1, "points": 1}
+        assert g.omega_large_t == g.omega_inf_grid == -math.inf
+
+    def test_routes_read_whole_grid_above_floor(self, scalar2):
+        traj, table = scalar2
+        grid = ss.default_growth_grid(traj, table)
+        wrapped, calls = counting(traj)
+        g = ss.growth_characteristic(wrapped, table, grid)
+        assert calls["points"] == grid.size
+        assert g.omega_large_t == pytest.approx(-2.0) and g.omega_inf_grid == pytest.approx(-2.0)
+
     def test_requires_grid_past_table(self, scalar2):
         traj, table = scalar2
         with pytest.raises(InvalidArgument):
@@ -163,6 +190,15 @@ class TestIndices:
         shorter = ss.entry_time_table(traj, 30)
         idx30 = ss.stability_and_extinction_indices(traj, shorter)
         assert idx30.k_hat_sum < idx.k_hat_sum  # still growing with r_max
+
+    def test_contraction_grid_searched_sparsely(self, fractional_64):
+        # the dense grid is 4097 norms in one call; the coarse-to-fine search
+        # evaluates every 32nd point, then only cells that may hold a maximum
+        traj, table = fractional_64
+        wrapped, calls = counting(traj)
+        ss.stability_and_extinction_indices(wrapped, table)
+        assert calls["evaluate"] == 0
+        assert calls["points"] <= 600 and calls["evaluate_many"] <= 10
 
     def test_unstable(self, matrix_nilpotent_gen):
         _, traj, table = matrix_nilpotent_gen

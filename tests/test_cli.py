@@ -1,9 +1,13 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 
+import semistab
 from semistab.cli import main
 from semistab.models import FractionalIntegration
 from semistab.oracles import spectral_abscissa_triangular
@@ -74,6 +78,27 @@ class TestAnalyze:
                     "--out", str(tmp_path / "nan")])
         assert code == 3
         assert "numerics failure" in capsys.readouterr().err
+
+    def test_numpy_ma_stays_unimported(self, tmp_path):
+        # np.unique imports numpy.ma (1.6 MiB) on first use; an analysis
+        # needs none of it.  A fresh interpreter, since pytest imports it.
+        src = os.path.dirname(os.path.dirname(semistab.__file__))
+        script = (
+            "import sys\n"
+            "from semistab.cli import main\n"
+            "for i, spec in enumerate(sys.argv[2:]):\n"
+            "    assert main(['analyze', '--model', spec, '--out', f'{sys.argv[1]}/m{i}']) == 0\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path), "scalar-decay nu=2",
+             "matrix [[-6,14],[0,-6]]"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
 
     def test_missing_model_exits_2(self, tmp_path):
         assert run(["analyze", "--out", str(tmp_path / "x")]) == 2
@@ -179,6 +204,20 @@ class TestSweep:
         text = out.read_text()
         assert "error:SpecError" in text
         assert "superstable" in text
+
+    def test_numerics_failure_gives_only_its_error_row(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(FractionalIntegration, "norm_at_many",
+                            lambda self, ts: np.full(np.shape(ts), np.nan))
+        out = tmp_path / "nan.csv"
+        code = run(["sweep", "--models", "gaussian-shift;fractional-integration n=16",
+                    "--rmax", "20", "--out", str(out)])
+        assert code == 0
+        lines = out.read_text().splitlines()
+        assert [ln for ln in lines if "fractional" in ln] == [
+            '"fractional-integration n=16",summary,,,error:NumericsFailure,,,,']
+        gaussian = [ln.split(",") for ln in lines if ln.startswith('"gaussian-shift"')]
+        assert [row[1] for row in gaussian] == [str(r) for r in range(21)] + ["summary"]
+        assert gaussian[-1][4:6] == ["ok", "superstable"]
 
     def test_all_fail_exits_2(self, tmp_path):
         code = run(["sweep", "--models", "bogus;also-bogus", "--rmax", "20",

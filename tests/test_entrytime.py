@@ -7,6 +7,8 @@ import semistab as ss
 from semistab import InvalidArgument, SearchConfig
 from semistab.entrytime import STATUS_BISECTED, STATUS_EXACT, STATUS_HORIZON
 
+from conftest import counting
+
 CFG = SearchConfig()
 
 
@@ -91,30 +93,12 @@ class TestEntryTimeTable:
         assert ",inf,inf,horizon" in table.to_csv()
 
 
-def _counting(traj, **flags):
-    """The same curve, counting its calls; ``flags`` override its capability flags."""
-    calls = {"evaluate": 0, "evaluate_many": 0, "points": 0}
-
-    def one(t):
-        calls["evaluate"] += 1
-        return traj.evaluate(t)
-
-    def many(ts):
-        calls["evaluate_many"] += 1
-        calls["points"] += np.size(ts)
-        return traj.evaluate_many(ts)
-
-    flags = {"is_contraction": traj.is_contraction, "is_exact": traj.is_exact,
-             "is_norm_continuous": traj.is_norm_continuous, **flags}
-    return ss.NormTrajectory(one, evaluate_many=many, **flags), calls
-
-
 class TestEnvelopeScan:
     def test_unstable_table_skips_dense_scans(self, matrix_nilpotent_gen):
         # the norm of [[0,1],[0,0]] grows like t: the check at each horizon
         # keeps the scan from walking the 1e7-point lattice up to the cap
         _, traj, _ = matrix_nilpotent_gen
-        wrapped, calls = _counting(traj)
+        wrapped, calls = counting(traj)
         table = ss.entry_time_table(wrapped, 20)
         assert all(s.status == STATUS_HORIZON for s in table.statuses)
         assert calls["points"] < 1000
@@ -127,7 +111,7 @@ class TestEnvelopeScan:
         # every r is bracketed by one scan and bisected in lockstep: a handful
         # of horizon points, then one batched call per scan window or round
         model = make()
-        wrapped, calls = _counting(model.trajectory())
+        wrapped, calls = counting(model.trajectory())
         table = ss.entry_time_table(wrapped, 40)
         assert all(math.isfinite(t) for t in table.t)
         assert calls["evaluate"] <= 10 and calls["evaluate_many"] <= 40, calls
@@ -194,7 +178,7 @@ class TestInvariants:
         # a contraction's search and the general scan of the same curve agree
         for model in (ss.ScalarDecay(1.5), ss.GaussianShift(), ss.DampedNilpotent(2.0, 1.5)):
             traj = model.trajectory()
-            general, _ = _counting(traj, is_contraction=False)
+            general, _ = counting(traj, is_contraction=False)
             own = ss.entry_time_table(traj, 5).t
             scanned = ss.entry_time_table(general, 5).t
             assert all(abs(a - b) <= 2 * CFG.time_tol for a, b in zip(own, scanned))

@@ -7,6 +7,8 @@ import semistab as ss
 from semistab import InvalidArgument, InverseLogPower, NormPower, NormTrajectory
 from semistab.pazy import INAPPLICABLE
 
+from conftest import counting
+
 
 class TestPazyIntegral:
     def test_scalar_decay_norm_power(self, scalar2):
@@ -109,6 +111,15 @@ class TestPazyCriteria:
         rep = ss.pazy_criteria(traj, t0=0.0)
         assert "iii" in rep.fired
         assert 0 < sum(points) < 4000
+
+    def test_fractional_panels_share_calls(self):
+        # the initial panels of a segment, and the two halves of a split,
+        # are read in one call each: 106 calls at one call per panel
+        wrapped, calls = counting(ss.FractionalIntegration(80).trajectory())
+        rep = ss.pazy_criteria(wrapped, t0=0.0)
+        assert "iii" in rep.fired
+        assert calls["points"] == 1608
+        assert calls["evaluate_many"] <= 60
 
     def test_gaussian_superstability_fires(self, gaussian):
         traj, _ = gaussian

@@ -4,10 +4,13 @@ Every matrix or fractional-integration norm must be the same bits whichever
 path computed it (a batch of points or a single point), whatever was
 queried before, and in whichever thread.  The entry-time tables built on
 those norms obey metamorphic relations: scaling the generator divides the
-entry times, t_r never decreases in r, and the integral criteria never claim
-a stronger class than the classifier.
+entry times and multiplies the reported nu, t_r never decreases in r, and
+the integral criteria never claim a stronger class than the classifier.
+The sparse search for the overshoot suprema returns, bit for bit, what
+evaluating every grid point gives.
 """
 
+import itertools
 import math
 import sys
 import threading
@@ -17,6 +20,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import semistab as ss
+
+from conftest import counting
 
 GRID_STEP = ss.SearchConfig().grid_step
 J10 = np.array([[-1.0, 10.0], [0.0, -1.0]])
@@ -148,21 +153,50 @@ def _assert_scaled(base, scaled, c):
             assert abs(ts - tb / c) <= TIME_TOL * (1.0 + 1.0 / c), (c, r, ts, tb)
 
 
+def _assert_nu_scaled(base, scaled, c):
+    """The reported nu of the curve t -> base(c*t) is c times the base's.
+
+    ``base`` and ``scaled`` are (trajectory, table) pairs.  The classifier's
+    nu and the indices' nu_hat are both 1/m, m the mean of the last
+    w = plateau_window gaps u_r, which telescopes to
+    (t_{R+1} - t_{R+1-w})/w.  Each t_r is within time_tol of its exact value
+    in its own time units (the bound of ``_assert_scaled``), so m is within
+    2*time_tol/w of its exact value: relative error at most
+    d1 = 2*time_tol/(w*mu) on the base side, mu the base's tail mean, and
+    d2 = c*d1 on the scaled side, whose exact tail mean is mu/c.  The ratio
+    nu_scaled/(c*nu_base) = (1 + e1)/(1 + e2) with |e1| <= d1, |e2| <= d2
+    then differs from 1 by at most (d1 + d2)/(1 - d2).
+    """
+    w = ss.ClassifyThresholds().plateau_window
+    mu = float(np.mean(base[1].u[-w:]))
+    d1 = 2.0 * TIME_TOL / (w * mu)
+    d2 = c * d1
+    tol = (d1 + d2) / (1.0 - d2)
+    verdicts = [ss.classify(table) for _, table in (base, scaled)]
+    assert [v.verdict for v in verdicts] == [ss.VERDICT_STABLE] * 2
+    nu_hats = [ss.stability_and_extinction_indices(traj, table).nu_hat
+               for traj, table in (base, scaled)]
+    for nu_base, nu_scaled in ((verdicts[0].nu, verdicts[1].nu), tuple(nu_hats)):
+        assert abs(nu_scaled / (c * nu_base) - 1.0) <= tol, (c, nu_base, nu_scaled, tol)
+
+
 @pytest.mark.parametrize("a", [J10, BIDIAGONAL_4], ids=["j10", "bidiagonal4"])
 @pytest.mark.parametrize("c", [0.5, 2.0, 4.0])
 def test_matrix_scaling_divides_entry_times(a, c):
-    base = ss.entry_time_table(ss.MatrixSemigroup(a).trajectory(), 20)
-    scaled = ss.entry_time_table(ss.MatrixSemigroup(c * a).trajectory(), 20)
+    trajs = [ss.MatrixSemigroup(x * a).trajectory() for x in (1.0, c)]
+    base, scaled = (ss.entry_time_table(traj, 20) for traj in trajs)
     assert all(math.isfinite(t) for t in base.t)
     _assert_scaled(base, scaled, c)
+    _assert_nu_scaled((trajs[0], base), (trajs[1], scaled), c)
 
 
 @pytest.mark.parametrize("c", [0.5, 2.0, 4.0])
 def test_scalar_decay_scaling_divides_entry_times(c):
     nu = 1.5
-    base = ss.entry_time_table(ss.ScalarDecay(nu).trajectory(), 20)
-    scaled = ss.entry_time_table(ss.ScalarDecay(c * nu).trajectory(), 20)
+    trajs = [ss.ScalarDecay(x * nu).trajectory() for x in (1.0, c)]
+    base, scaled = (ss.entry_time_table(traj, 20) for traj in trajs)
     _assert_scaled(base, scaled, c)
+    _assert_nu_scaled((trajs[0], base), (trajs[1], scaled), c)
 
 
 def test_entry_times_ordered(gaussian, scalar2, nilpotent, damped, matrix_j10,
@@ -184,3 +218,63 @@ def test_pazy_never_outranks_classifier(fractional_64):
         if rep.implied is not None:
             assert ss.VERDICT_ORDER[rep.implied] <= ss.VERDICT_ORDER[verdict.verdict], (
                 traj.label, rep.implied, verdict.verdict)
+
+
+# ---------------------------------------------------------------------------
+# the overshoot suprema: a sparse search with the dense grid's result
+
+NU_GRIDS = (None, [55.0, 0.3, 9.0, 1.7, 300.0])
+T_GRIDS = {
+    "default": None,
+    "geometric": np.geomspace(1e-3, 12.0, 3001),
+    "decreasing": np.linspace(9.0, 0.0, 1500),
+    "repeated": np.repeat(np.linspace(0.0, 6.0, 700), 2),  # ties on every step
+}
+
+
+@pytest.fixture(scope="module")
+def fractional_16():
+    traj = ss.FractionalIntegration(16).trajectory()
+    return traj, ss.entry_time_table(traj, 20)
+
+
+def _dense_overshoot(traj, table, nu_grid, t_grid, floor=1e-300):
+    """(per_nu, k_hat_overshoot) from every grid point: the reference."""
+    nu_grid = sorted(float(v) for v in (nu_grid or [2.0**k for k in range(11)]))
+    if t_grid is None:
+        finite = [x for x in table.t if math.isfinite(x)]
+        t_hi = max(finite) if finite else 32.0
+        t_grid = np.linspace(0.0, max(2.0 * t_hi, t_hi + 1.0), 4097)
+    vals = traj.evaluate_many(t_grid)
+    live = vals > floor
+    log_vals = np.log(vals[live])
+    live_ts = t_grid[live]
+    per_nu, k = [], -math.inf
+    for nu in nu_grid:
+        log_m = log_vals + nu * live_ts
+        idx = int(np.argmax(log_m))
+        boundary = live_ts[idx] == float(t_grid[-1])
+        ratio = math.inf if boundary else float(log_m[idx]) / nu
+        per_nu.append((nu, float(log_m[idx]), ratio, boundary))
+        k = max(k, ratio)
+    return tuple(per_nu), k
+
+
+@pytest.mark.parametrize("name", [
+    "scalar2", "gaussian", "nilpotent", "damped", "fractional_16", "fractional_64",
+    "matrix_j10", "matrix_nilpotent_gen",
+])
+def test_indices_search_matches_dense_grid(name, request):
+    traj, table = request.getfixturevalue(name)[-2:]
+    assert traj.is_contraction == (not name.startswith("matrix"))
+    for (grid_name, t_grid), nu_grid in itertools.product(T_GRIDS.items(), NU_GRIDS):
+        got = ss.stability_and_extinction_indices(traj, table, nu_grid, t_grid)
+        per_nu, k = _dense_overshoot(traj, table, nu_grid, t_grid)
+        assert repr(got.per_nu) == repr(per_nu), (grid_name, nu_grid)
+        assert repr(got.k_hat_overshoot) == repr(k), (grid_name, nu_grid)
+        # the same call with no contraction bound evaluates every point
+        dense, calls = counting(traj, is_contraction=False)
+        everything = ss.stability_and_extinction_indices(dense, table, nu_grid, t_grid)
+        assert calls["evaluate_many"] == 1
+        assert repr(got.notes) == repr(everything.notes), (grid_name, nu_grid)
+        assert repr(everything.per_nu) == repr(per_nu), (grid_name, nu_grid)
