@@ -18,7 +18,7 @@ stands in for the convergence of sum(u_r).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -78,8 +78,8 @@ class TailStats:
     any_infinite: bool
 
 
-def tail_statistics(u, window):
-    """Window means, decay ratio, and second-half sum of a u_r sequence."""
+def _window_stats(u, window):
+    """:func:`tail_statistics` without the trend fit: ``trend_slope`` is NaN."""
     u = np.asarray(u, dtype=float)
     if np.any(np.isinf(u)):
         return TailStats(math.inf, math.inf, math.nan, math.inf, math.inf, math.nan, True)
@@ -91,37 +91,67 @@ def tail_statistics(u, window):
     tail_mean = float(tail.mean())
     mid_mean = float(mid.mean())
     ratio = tail_mean / mid_mean if mid_mean > 0.0 else (0.0 if tail_mean == 0.0 else math.inf)
-    half = u[(n + 1) // 2:]
-    second_half_sum = float(half.sum())
-    xs = np.arange(n - half.size, n, dtype=float)
-    slope = float(np.polyfit(xs, half, 1)[0]) if half.size >= 2 else 0.0
-    return TailStats(tail_mean, mid_mean, ratio, second_half_sum, float(u[-1]), slope, False)
+    second_half_sum = float(u[(n + 1) // 2:].sum())
+    return TailStats(tail_mean, mid_mean, ratio, second_half_sum, float(u[-1]), math.nan, False)
 
 
-def _superstable_tail(stats, th, ratio_route_ok=True):
-    """Finite-r surrogate for a u tail sinking to zero.
+def tail_statistics(u, window):
+    """Window means, decay ratio, second-half sum and trend of a u_r sequence.
 
-    The absolute test (tail mean below eps_super) always applies but only
-    resolves decay rates up to 1/eps_super.  The decay-ratio test recognizes
-    tails still sinking at r_max (power-law or logarithmic decay of u_r sits
-    far above any absolute threshold at practical table lengths); it
-    compares the trailing window against a mid-table window and is
-    meaningful only once both windows are past initial settling, so it is
-    gated on table length.  A trajectory whose u_r are still settling toward
-    a positive limit inside the gated range reads as plain stable, which is
-    the conservative direction.
+    ``trend_slope`` is the least-squares slope of the second half of the
+    sequence (0.0 for fewer than two terms, NaN when some u_r is infinite).
     """
+    stats = _window_stats(u, window)
     if stats.any_infinite:
-        return False
-    if stats.tail_mean < th.eps_super:
-        return True
-    return ratio_route_ok and stats.decay_ratio <= th.tail_decay_ratio
+        return stats
+    u = np.asarray(u, dtype=float)
+    half = u[(u.size + 1) // 2:]
+    xs = np.arange(u.size - half.size, u.size, dtype=float)
+    slope = float(np.polyfit(xs, half, 1)[0]) if half.size >= 2 else 0.0
+    return replace(stats, trend_slope=slope)
 
 
-def _ratio_route_ok(table, th):
-    # the mid window ends at r_max/2 and the tail window at r_max; the +4
-    # buffer keeps them from overlapping right at the minimum table length
-    return table.r_max >= 2 * th.plateau_window + 4
+@dataclass(frozen=True)
+class _TailReading:
+    """What the u tail says; classify, the growth routes and the indices all read it.
+
+    ``unstable``: some u_r is infinite.  ``rate``: 1/(tail mean), +inf for a
+    zero tail mean and 0.0 when unstable.  ``superstable``: the tail sinks
+    to zero (see :func:`_read_tail`).  ``summable``: the second-half sum is
+    below eps_tailsum (never when unstable).
+    """
+
+    unstable: bool
+    rate: float
+    superstable: bool
+    summable: bool
+
+
+def _read_tail(table, th, stats=None):
+    """The reading of ``table``'s u tail under thresholds ``th``.
+
+    ``stats`` may pass in the table's :func:`tail_statistics`.  The tail is
+    superstable when its mean is below eps_super, which only resolves decay
+    rates up to 1/eps_super, or when the decay-ratio test sees it still
+    sinking at r_max (power-law or logarithmic decay of u_r sits far above
+    any absolute threshold at practical table lengths).  The ratio test
+    compares the trailing window against a mid-table window and is
+    meaningful only once both are past initial settling, so it is gated on
+    table length: the mid window ends at r_max/2 and the tail window at
+    r_max, and a buffer of 4 keeps them from overlapping at the minimum
+    length.  A trajectory whose u_r are still settling toward a positive
+    limit inside the gated range reads as plain stable, which is the
+    conservative direction.
+    """
+    if stats is None:
+        stats = _window_stats(table.u, th.plateau_window)
+    if stats.any_infinite:
+        return _TailReading(True, 0.0, False, False)
+    rate = 1.0 / stats.tail_mean if stats.tail_mean > 0 else math.inf
+    ratio_route_ok = table.r_max >= 2 * th.plateau_window + 4
+    superstable = stats.tail_mean < th.eps_super or (
+        ratio_route_ok and stats.decay_ratio <= th.tail_decay_ratio)
+    return _TailReading(False, rate, superstable, stats.second_half_sum < th.eps_tailsum)
 
 
 @dataclass(frozen=True)
@@ -151,6 +181,7 @@ def classify(table, th=None):
             f"table too short: r_max={table.r_max} < {2 * th.plateau_window}"
         )
     stats = tail_statistics(table.u, th.plateau_window)
+    tail = _read_tail(table, th, stats)
     horizon_limited = any(s.status == STATUS_HORIZON for s in table.statuses)
     # a widened entry anywhere is an under-certified crossing; sums and tail
     # means built on it are not trustworthy at the stated tolerances
@@ -168,20 +199,18 @@ def classify(table, th=None):
         "plateau_window": th.plateau_window,
         "tail_decay_ratio": th.tail_decay_ratio,
     }
-    if stats.any_infinite or horizon_limited:
+    if tail.unstable or horizon_limited:
         diagnostics["omega_entry"] = 0.0
         return Classification(VERDICT_UNSTABLE, confident=confident, diagnostics=diagnostics)
-    superstable = _superstable_tail(stats, th, _ratio_route_ok(table, th))
-    if superstable and stats.second_half_sum < th.eps_tailsum:
+    if tail.superstable and tail.summable:
         k = float(np.sum(table.u_array))
         diagnostics["k_tail_bound"] = stats.second_half_sum
         return Classification(
             VERDICT_EXTINCTION, k=k, confident=confident, diagnostics=diagnostics
         )
-    if superstable:
+    if tail.superstable:
         return Classification(VERDICT_SUPERSTABLE, confident=confident, diagnostics=diagnostics)
-    nu = 1.0 / stats.tail_mean if stats.tail_mean > 0 else math.inf
-    return Classification(VERDICT_STABLE, nu=nu, confident=confident, diagnostics=diagnostics)
+    return Classification(VERDICT_STABLE, nu=tail.rate, confident=confident, diagnostics=diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -263,13 +292,8 @@ def growth_characteristic(traj, table, t_grid, *, th=None, floor=1e-300):
     if omega_inf <= _OMEGA_FLOOR:
         omega_inf = -math.inf
 
-    stats = tail_statistics(table.u, th.plateau_window)
-    if stats.any_infinite:
-        omega_entry = 0.0
-    elif _superstable_tail(stats, th, _ratio_route_ok(table, th)):
-        omega_entry = -math.inf
-    else:
-        omega_entry = -1.0 / stats.tail_mean if stats.tail_mean > 0 else -math.inf
+    tail = _read_tail(table, th)
+    omega_entry = 0.0 if tail.unstable else -math.inf if tail.superstable else -tail.rate
 
     routes = (omega_large, omega_inf, omega_entry)
     if any(r == -math.inf for r in routes):
@@ -444,23 +468,14 @@ def stability_and_extinction_indices(traj, table, nu_grid=None, t_grid=None, *, 
     nu_grid = sorted(float(v) for v in nu_grid)
     if not nu_grid or nu_grid[0] <= 0:
         raise InvalidArgument("nu_grid must be positive and nonempty")
-    stats = tail_statistics(table.u, th.plateau_window)
+    tail = _read_tail(table, th)
     notes = []
-
-    if stats.any_infinite:
-        nu_hat = 0.0
-        k_hat_sum = math.inf
-        converged = False
-    else:
-        nu_hat = 1.0 / stats.tail_mean if stats.tail_mean > 0 else math.inf
-        converged = stats.second_half_sum < th.eps_tailsum
-        if _superstable_tail(stats, th, _ratio_route_ok(table, th)) or converged:
-            k_hat_sum = float(np.sum(table.u_array))
-            if not converged:
-                notes.append("u-sum still growing at r_max; no extinction claim")
-        else:
-            # nonincreasing u_r bounded away from zero: the series diverges
-            k_hat_sum = math.inf
+    # nonincreasing u_r bounded away from zero: the series diverges
+    k_hat_sum = math.inf
+    if tail.superstable or tail.summable:
+        k_hat_sum = float(np.sum(table.u_array))
+        if not tail.summable:
+            notes.append("u-sum still growing at r_max; no extinction claim")
 
     if t_grid is None:
         finite = [x for x in table.t if math.isfinite(x)]
@@ -479,9 +494,9 @@ def stability_and_extinction_indices(traj, table, nu_grid=None, t_grid=None, *, 
     if math.isinf(k_overshoot):
         notes.append("overshoot supremum grid-limited for large nu; no extinction claim")
     return IndexEstimates(
-        nu_hat=nu_hat,
+        nu_hat=tail.rate,
         k_hat_sum=k_hat_sum,
-        sum_converged=converged if not stats.any_infinite else False,
+        sum_converged=tail.summable,
         k_hat_overshoot=k_overshoot,
         per_nu=tuple(per_nu),
         notes=tuple(notes),

@@ -4,7 +4,9 @@
 growth routes -> integral criteria) on one model and writes ``<out>.json``
 plus ``<out>.entry.csv``.  ``semistab sweep`` runs many models into one
 long-format CSV.  Exit codes: 0 success, 2 bad spec/arguments, 3 numerics
-failure, 4 inconclusive classification.
+failure, 4 verdict written but inconclusive (widened entry times, or every
+integral criterion inconclusive).  A horizon-limited table is not
+inconclusive: it reads as unstable and exits 0.
 
 All numbers in reports are rounded to 12 significant digits and +/-inf is
 encoded as the strings "inf"/"-inf", so identical runs produce byte-identical
@@ -35,7 +37,7 @@ from .classify import (
 from .entrytime import SearchConfig, _csv_number, entry_time_table
 from .errors import InvalidArgument, InvalidModel, NumericsFailure, SpecError
 from .models import build_model_from_spec
-from .numerics import QuadratureSpec, TAIL_DOUBLING
+from .numerics import QuadratureSpec
 from .pazy import DEFAULT_P_TRACE, pazy_criteria
 
 EXIT_OK = 0
@@ -102,8 +104,7 @@ def analyze_model(model, *, rmax, cfg, th, pazy_a, quad_tols):
     grid = default_growth_grid(traj, table, floor=cfg.norm_floor)
     growth = growth_characteristic(traj, table, grid, th=th, floor=cfg.norm_floor)
     indices = stability_and_extinction_indices(traj, table, th=th, floor=cfg.norm_floor)
-    quad = QuadratureSpec(lower=0.0, abs_tol=quad_tols[0], rel_tol=quad_tols[1],
-                          tail_policy=TAIL_DOUBLING)
+    quad = QuadratureSpec(lower=0.0, abs_tol=quad_tols[0], rel_tol=quad_tols[1])
     pazy = pazy_criteria(traj, pazy_a, cfg=cfg, quad=quad,
                          norm_floor=cfg.norm_floor, t0=table.t[0])
 
@@ -221,8 +222,13 @@ def cmd_analyze(args):
     if verdict.k is not None:
         summary += f" k={verdict.k:.6g}"
     print(f"{model.spec_string()}: {summary} -> {json_path}")
-    if not verdict.confident or pazy.overall == "inconclusive":
-        print("classification inconclusive (horizon-limited searches)", file=sys.stderr)
+    causes = []
+    if not verdict.confident:
+        causes.append("widened entry-time searches left crossings uncertified")
+    if pazy.overall == "inconclusive":
+        causes.append("every integral criterion was inconclusive")
+    if causes:
+        print(f"inconclusive: {'; '.join(causes)}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
     return EXIT_OK
 

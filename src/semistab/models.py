@@ -1,10 +1,13 @@
 """Semigroup models and the norm trajectories they induce.
 
 A :class:`NormTrajectory` is the single abstraction the analysis consumes: a
-scalar curve t -> ||T(t)|| plus capability flags.  Models produce trajectories
-either from closed forms (scalar decay, Gaussian-weighted shift, shifts with a
-hard cutoff) or numerically (matrix generators, the discretized fractional
-integration operator).
+curve t -> ||T(t)|| evaluated on arrays of times, plus what is known of it
+(contraction, error bound, extinction time).  Every model computes norms
+only through its vectorized ``norm_at_many``; a single time is a batch of
+one, so a norm has the same bits whichever path asked for it.  Models
+produce trajectories either from closed forms (scalar decay,
+Gaussian-weighted shift, shifts with a hard cutoff) or numerically (matrix
+generators, the discretized fractional integration operator).
 """
 
 from __future__ import annotations
@@ -43,44 +46,37 @@ def _check_time(t):
 
 
 class NormTrajectory:
-    """A norm curve t -> ||T(t)|| with capability flags.
+    """A norm curve t -> ||T(t)|| and what is known of it.
 
-    ``evaluate`` takes a single nonnegative time; ``evaluate_many`` takes an
-    ndarray (models override it with vectorized implementations).
+    ``evaluate_many`` maps an ndarray of nonnegative finite times to norms.
+    It is the curve's one evaluation path: ``evaluate(t)`` is a batch of
+    one.  Both raise :class:`InvalidArgument` on a negative or
+    non-finite time and :class:`NumericsFailure` on a NaN norm.
+    ``is_contraction`` says the norm starts at most 1 and never rises.
     ``extinction_time`` is the time past which the norm is identically zero,
-    or None.  ``eval_error_bound`` is zero for exact closed
-    forms and a discretization-error estimate otherwise.
+    or None.  ``eval_error_bound`` is zero for exact closed forms and a
+    discretization-error estimate otherwise.  ``log_evaluate_many``, when
+    given, is an exact route to log ||T(t)||.
     """
 
-    def __init__(self, evaluate, *, is_contraction, is_norm_continuous, is_exact,
-                 eval_error_bound=0.0, extinction_time=None, label="",
-                 evaluate_many=None, log_evaluate_many=None, warnings=()):
-        self._evaluate = evaluate
+    def __init__(self, evaluate_many, *, is_contraction, eval_error_bound=0.0,
+                 extinction_time=None, label="", log_evaluate_many=None):
         self._evaluate_many = evaluate_many
         self._log_evaluate_many = log_evaluate_many
         self.is_contraction = bool(is_contraction)
-        self.is_norm_continuous = bool(is_norm_continuous)
-        self.is_exact = bool(is_exact)
         self.eval_error_bound = float(eval_error_bound)
         self.extinction_time = extinction_time
         self.label = label
-        self.warnings = tuple(warnings)
 
     def evaluate(self, t):
-        value = float(self._evaluate(_check_time(t)))
-        if math.isnan(value):
-            raise NumericsFailure(f"norm evaluation returned NaN at t={t}")
-        return value
+        return float(self.evaluate_many(np.array([float(t)]))[0])
 
     def evaluate_many(self, ts):
         ts = np.asarray(ts, dtype=float)
         # method-form reductions: this runs once per bisection round
         if ts.size and ((ts < 0).any() or not np.isfinite(ts).all()):
             raise InvalidArgument("times must be finite and nonnegative")
-        if self._evaluate_many is not None:
-            out = np.asarray(self._evaluate_many(ts), dtype=float)
-        else:
-            out = np.array([float(self._evaluate(t)) for t in ts], dtype=float)
+        out = np.asarray(self._evaluate_many(ts), dtype=float)
         if np.isnan(out).any():
             raise NumericsFailure("norm evaluation returned NaN")
         return out
@@ -88,10 +84,10 @@ class NormTrajectory:
     def log_evaluate_many(self, ts, floor=1e-300):
         """log ||T(t)|| on an array of times, -inf where extinct.
 
-        Closed-form models supply an exact log route, which stays meaningful
-        long after the norm itself has underflowed; otherwise this falls back
-        to the logarithm of the evaluated norm with values at or below
-        ``floor`` treated as extinct.
+        Closed-form and matrix models supply an exact log route, which stays
+        meaningful long after the norm itself has underflowed; otherwise this
+        falls back to the logarithm of the evaluated norm with values at or
+        below ``floor`` treated as extinct.
         """
         ts = np.asarray(ts, dtype=float)
         if self._log_evaluate_many is not None:
@@ -118,20 +114,16 @@ def validate_submultiplicativity(traj, pairs):
 
     The violation at (s, t) is evaluate(s+t) - evaluate(s)*evaluate(t),
     normalized by the product; pass means every violation stays within
-    1e-8 + 2 * eval_error_bound.
+    1e-8 + 2 * eval_error_bound.  All norms are read in one batch.
     """
     slack = 1e-8 + 2.0 * traj.eval_error_bound
-    worst = 0.0
-    worst_pair = None
-    for s, t in pairs:
-        vs, vt = traj.evaluate(s), traj.evaluate(t)
-        vst = traj.evaluate(s + t)
-        violation = vst - vs * vt * (1.0 + slack)
-        scale = max(vs * vt, 1e-300)
-        rel = violation / scale
-        if rel > worst:
-            worst = rel
-            worst_pair = (s, t)
+    s, t = np.asarray(pairs, dtype=float).reshape(-1, 2).T
+    vs, vt, vst = traj.evaluate_many(np.concatenate([s, t, s + t])).reshape(3, -1)
+    rel = (vst - vs * vt * (1.0 + slack)) / np.maximum(vs * vt, 1e-300)
+    worst, worst_pair = 0.0, None
+    if rel.size and rel.max() > 0.0:
+        i = int(rel.argmax())
+        worst, worst_pair = float(rel[i]), (float(s[i]), float(t[i]))
     return SubmultiplicativityReport(worst, worst_pair, slack, worst <= 0.0)
 
 
@@ -140,18 +132,39 @@ def validate_submultiplicativity(traj, pairs):
 
 
 class SemigroupModel:
-    """Base class: a named model that produces a NormTrajectory."""
+    """Base class: a named model whose norms come from ``norm_at_many``.
+
+    A model states what is known of its curve as attributes:
+    ``extinction_time``, ``eval_error_bound`` and, where an exact log route
+    exists, a ``_log_norms`` method.  :meth:`trajectory` builds the curve
+    from them once.
+    """
 
     kind = ""
+    extinction_time = None
+    eval_error_bound = 0.0
+    _log_norms = None
+    _traj = None
 
     def norm_at(self, t):
-        raise NotImplementedError
+        return float(self.norm_at_many(np.array([_check_time(t)]))[0])
 
     def norm_at_many(self, ts):
-        return np.array([self.norm_at(t) for t in np.asarray(ts, dtype=float)])
+        raise NotImplementedError
+
+    def _is_contraction(self):
+        return True
 
     def trajectory(self):
-        raise NotImplementedError
+        """The model's norm curve, built on first use and then shared."""
+        if self._traj is None:
+            self._traj = NormTrajectory(
+                self.norm_at_many, is_contraction=self._is_contraction(),
+                eval_error_bound=self.eval_error_bound,
+                extinction_time=self.extinction_time, label=self.spec_string(),
+                log_evaluate_many=self._log_norms,
+            )
+        return self._traj
 
     def spec_string(self):
         raise NotImplementedError
@@ -170,19 +183,11 @@ class ScalarDecay(SemigroupModel):
             raise InvalidModel(f"scalar-decay requires nu > 0, got {nu}")
         self.nu = float(nu)
 
-    def norm_at(self, t):
-        return math.exp(-self.nu * _check_time(t))
-
     def norm_at_many(self, ts):
-        return np.exp(-self.nu * np.asarray(ts, dtype=float))
+        return np.exp(self._log_norms(ts))
 
-    def trajectory(self):
-        return NormTrajectory(
-            self.norm_at, evaluate_many=self.norm_at_many,
-            log_evaluate_many=lambda ts: -self.nu * np.asarray(ts, dtype=float),
-            is_contraction=True, is_norm_continuous=True, is_exact=True,
-            label=self.spec_string(),
-        )
+    def _log_norms(self, ts):
+        return -self.nu * np.asarray(ts, dtype=float)
 
     def spec_string(self):
         return f"scalar-decay nu={self.nu:g}"
@@ -197,21 +202,12 @@ class GaussianShift(SemigroupModel):
 
     kind = "gaussian-shift"
 
-    def norm_at(self, t):
-        t = _check_time(t)
-        return math.exp(-t * t / 4.0)
-
     def norm_at_many(self, ts):
-        ts = np.asarray(ts, dtype=float)
-        return np.exp(-ts * ts / 4.0)
+        return np.exp(self._log_norms(ts))
 
-    def trajectory(self):
-        return NormTrajectory(
-            self.norm_at, evaluate_many=self.norm_at_many,
-            log_evaluate_many=lambda ts: -np.asarray(ts, dtype=float) ** 2 / 4.0,
-            is_contraction=True, is_norm_continuous=True, is_exact=True,
-            label=self.spec_string(),
-        )
+    def _log_norms(self, ts):
+        ts = np.asarray(ts, dtype=float)
+        return -ts * ts / 4.0
 
     def spec_string(self):
         return "gaussian-shift"
@@ -220,9 +216,7 @@ class GaussianShift(SemigroupModel):
 class NilpotentShift(SemigroupModel):
     """Shift on L2[0, L] with a hard cutoff: norm 1 before L, 0 after.
 
-    The norm curve jumps at t = L, so this trajectory is *not*
-    norm-continuous; threshold-crossing identities that rely on continuity
-    are gated off for it.
+    The norm curve jumps from 1 to 0 at t = L, the extinction time.
     """
 
     kind = "nilpotent-shift"
@@ -230,22 +224,13 @@ class NilpotentShift(SemigroupModel):
     def __init__(self, L):
         if not (float(L) > 0 and math.isfinite(L)):
             raise InvalidModel(f"nilpotent-shift requires L > 0, got {L}")
-        self.L = float(L)
-
-    def norm_at(self, t):
-        return 1.0 if _check_time(t) < self.L else 0.0
+        self.L = self.extinction_time = float(L)
 
     def norm_at_many(self, ts):
         return np.where(np.asarray(ts, dtype=float) < self.L, 1.0, 0.0)
 
-    def trajectory(self):
-        return NormTrajectory(
-            self.norm_at, evaluate_many=self.norm_at_many,
-            log_evaluate_many=lambda ts: np.where(
-                np.asarray(ts, dtype=float) < self.L, 0.0, -np.inf),
-            is_contraction=True, is_norm_continuous=False, is_exact=True,
-            extinction_time=self.L, label=self.spec_string(),
-        )
+    def _log_norms(self, ts):
+        return np.where(np.asarray(ts, dtype=float) < self.L, 0.0, -np.inf)
 
     def spec_string(self):
         return f"nilpotent-shift L={self.L:g}"
@@ -267,25 +252,15 @@ class DampedNilpotent(SemigroupModel):
         if not (float(L) > 0 and math.isfinite(L)):
             raise InvalidModel(f"damped-nilpotent requires L > 0, got {L}")
         self.nu = float(nu)
-        self.L = float(L)
-
-    def norm_at(self, t):
-        t = _check_time(t)
-        return math.exp(-self.nu * t) if t < self.L else 0.0
+        self.L = self.extinction_time = float(L)
 
     def norm_at_many(self, ts):
         ts = np.asarray(ts, dtype=float)
         return np.where(ts < self.L, np.exp(-self.nu * ts), 0.0)
 
-    def trajectory(self):
-        return NormTrajectory(
-            self.norm_at, evaluate_many=self.norm_at_many,
-            log_evaluate_many=lambda ts: np.where(
-                np.asarray(ts, dtype=float) < self.L,
-                -self.nu * np.asarray(ts, dtype=float), -np.inf),
-            is_contraction=True, is_norm_continuous=False, is_exact=True,
-            extinction_time=self.L, label=self.spec_string(),
-        )
+    def _log_norms(self, ts):
+        ts = np.asarray(ts, dtype=float)
+        return np.where(ts < self.L, -self.nu * ts, -np.inf)
 
     def spec_string(self):
         return f"damped-nilpotent nu={self.nu:g} L={self.L:g}"
@@ -300,15 +275,15 @@ class MatrixSemigroup(SemigroupModel):
     batch of one, so each value is a pure function of its own t: the same
     bits on the batch and the point path, in any query order.  The model
     keeps no warm start, memo or lattice cache; the only state is the
-    lazily built trajectory, whose flags are a function of A.  So models
+    lazily built trajectory, whose contraction flag is a function of A.  So models
     and trajectories may be shared across threads.
     """
 
     kind = "matrix"
+    eval_error_bound = 1e-9
 
     def __init__(self, a):
         self.a = _require_generator(a)
-        self._traj = None
 
     def _map_expm(self, ts, reduce):
         """reduce() applied to stacks of exp(t*A) over the times ts, in chunks."""
@@ -320,18 +295,14 @@ class MatrixSemigroup(SemigroupModel):
             out[lo:lo + _CHUNK] = reduce(_expm(self.a * chunk[:, None, None]))
         return out.reshape(ts.shape)
 
-    def norm_at(self, t):
-        return float(self.norm_at_many(np.array([_check_time(t)]))[0])
-
     def norm_at_many(self, ts):
         return self._map_expm(ts, operator_norms_batch)
 
-    def log_norm_at(self, t):
-        """log ||exp(t*A)||, stable far beyond the underflow point of the norm."""
-        return float(self._log_norms(np.array([_check_time(t)]))[0])
+    def _is_contraction(self):
+        return _sample_flags(self)
 
     def _log_norms(self, ts):
-        """log ||exp(t*A)|| on an array of times.
+        """log ||exp(t*A)|| on an array of times, stable far beyond the norm's underflow.
 
         Where the norm itself is representable this is just its logarithm;
         deeper in the tail the norm of exp((t/2^K)*A) is squared up K times
@@ -362,17 +333,6 @@ class MatrixSemigroup(SemigroupModel):
         out[extinct] = -math.inf
         return out
 
-    def trajectory(self):
-        if self._traj is None:
-            flags = _sample_flags(self)
-            self._traj = NormTrajectory(
-                self.norm_at, evaluate_many=self.norm_at_many,
-                log_evaluate_many=self._log_norms,
-                is_contraction=flags, is_norm_continuous=True, is_exact=False,
-                eval_error_bound=1e-9, label=self.spec_string(),
-            )
-        return self._traj
-
     def vector_trajectory(self, x):
         """Norm curve t -> ||exp(t*A) x|| for a single unit vector x."""
         x = np.asarray(x, dtype=float)
@@ -387,9 +347,8 @@ class MatrixSemigroup(SemigroupModel):
 
         # a contraction semigroup contracts every orbit norm as well
         return NormTrajectory(
-            lambda t: many(np.array([t]))[0], evaluate_many=many,
-            is_contraction=parent.is_contraction, is_norm_continuous=True,
-            is_exact=False, eval_error_bound=1e-9,
+            many, is_contraction=parent.is_contraction,
+            eval_error_bound=self.eval_error_bound,
             label=f"{self.spec_string()} |x orbit",
         )
 
@@ -449,10 +408,10 @@ class FractionalIntegration(SemigroupModel):
         if n < 16:
             raise InvalidModel(f"fractional-integration requires n >= 16, got {n}")
         self.n = n
+        self.eval_error_bound = 4.0 / n
         # log distance from a cell midpoint to the left edge of the cell m
         # cells back
         self._log_col = np.log((np.arange(n) + 0.5) / n)
-        self._traj = None
 
     @staticmethod
     def _gamma(t):
@@ -484,9 +443,6 @@ class FractionalIntegration(SemigroupModel):
             return np.zeros((self.n, self.n))
         return self._kernels(np.array([t]), np.array([denom]))[0]
 
-    def norm_at(self, t):
-        return float(self.norm_at_many(np.array([_check_time(t)]))[0])
-
     def norm_at_many(self, ts):
         ts = np.asarray(ts, dtype=float)
         flat = ts.ravel()
@@ -499,16 +455,8 @@ class FractionalIntegration(SemigroupModel):
             out[idx] = operator_norms_lanczos(self._kernels(flat[idx], denom[idx]))
         return out.reshape(ts.shape)
 
-    def trajectory(self):
-        if self._traj is None:
-            contraction = _sample_flags(self, horizon=8.0)
-            self._traj = NormTrajectory(
-                self.norm_at, evaluate_many=self.norm_at_many,
-                is_contraction=contraction, is_norm_continuous=True, is_exact=False,
-                eval_error_bound=4.0 / self.n, label=self.spec_string(),
-                warnings=("unresolved-kernel",) if self.n < 64 else (),
-            )
-        return self._traj
+    def _is_contraction(self):
+        return _sample_flags(self, horizon=8.0)
 
     def spec_string(self):
         return f"fractional-integration n={self.n}"

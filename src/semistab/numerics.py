@@ -346,9 +346,6 @@ def gamma_eval(x):
 # ---------------------------------------------------------------------------
 # adaptive quadrature
 
-TAIL_DOUBLING = "geometric-horizon-doubling"
-TAIL_CLOSED = "closed-cutoff"
-
 VALUE = "value"
 DIVERGENT = "divergent"
 INCONCLUSIVE = "inconclusive"
@@ -368,7 +365,6 @@ class QuadratureSpec:
     abs_tol: float = 1e-9
     rel_tol: float = 1e-9
     max_subdivisions: int = 4000
-    tail_policy: str = TAIL_DOUBLING
 
     def __post_init__(self):
         if not (self.lower >= 0.0 and math.isfinite(self.lower)):
@@ -379,10 +375,6 @@ class QuadratureSpec:
             raise InvalidArgument("tolerances must be positive")
         if self.max_subdivisions < 1:
             raise InvalidArgument("max_subdivisions must be a positive integer")
-        if self.tail_policy not in (TAIL_DOUBLING, TAIL_CLOSED):
-            raise InvalidArgument(f"unknown tail policy {self.tail_policy!r}")
-        if math.isinf(self.upper) and self.tail_policy == TAIL_CLOSED:
-            raise InvalidArgument("closed-cutoff requires a finite upper limit")
 
 
 @dataclass(frozen=True)

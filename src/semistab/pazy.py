@@ -34,8 +34,6 @@ from .numerics import (
     VALUE,
     IntegralResult,
     QuadratureSpec,
-    TAIL_CLOSED,
-    TAIL_DOUBLING,
     integrate_adaptive,
 )
 
@@ -129,15 +127,11 @@ def _integral(traj, x, weight, a, quad, check_applicable):
     if traj.extinction_time is not None:
         upper = max(float(traj.extinction_time), a)
     if quad is None:
-        quad = QuadratureSpec(lower=a, upper=upper,
-                              tail_policy=TAIL_CLOSED if math.isfinite(upper) else TAIL_DOUBLING)
-    else:
-        upper = min(upper, quad.upper)
-        quad = replace(quad, lower=a, upper=upper,
-                       tail_policy=TAIL_CLOSED if math.isfinite(upper) else TAIL_DOUBLING)
+        quad = QuadratureSpec(lower=a)
+    upper = min(upper, quad.upper)
+    quad = replace(quad, lower=a, upper=upper)
     if check_applicable and isinstance(weight, InverseLogPower):
-        probe_end = min(a + 1.0, upper) if math.isfinite(upper) else a + 1.0
-        if np.any(x(np.linspace(a, probe_end, 33)) <= 0.0):
+        if np.any(x(np.linspace(a, min(a + 1.0, upper), 33)) <= 0.0):
             return IntegralResult(INAPPLICABLE)
     return integrate_adaptive(lambda ts: weight.F(x(ts)), quad)
 

@@ -12,22 +12,34 @@ COARSE_CFG = ss.SearchConfig(grid_step=1e-2)
 TH = ss.ClassifyThresholds()
 
 
-def counting(traj, **flags):
-    """The same curve, counting its calls; ``flags`` override its capability flags."""
+class _Counting(ss.NormTrajectory):
+    """``traj`` read through, with single and batch calls counted apart."""
+
+    def __init__(self, traj, calls, is_contraction):
+        super().__init__(traj.evaluate_many, is_contraction=is_contraction)
+        self._traj = traj
+        self.calls = calls
+
+    def evaluate(self, t):
+        self.calls["evaluate"] += 1
+        return self._traj.evaluate(t)
+
+    def evaluate_many(self, ts):
+        self.calls["evaluate_many"] += 1
+        self.calls["points"] += np.size(ts)
+        return self._traj.evaluate_many(ts)
+
+
+def counting(traj, is_contraction=None):
+    """The same curve, counting its calls; ``is_contraction`` overrides its flag.
+
+    The counting curve has no exact log route, extinction time or error
+    bound, so every norm it gives is one of the counted calls.
+    """
+    if is_contraction is None:
+        is_contraction = traj.is_contraction
     calls = {"evaluate": 0, "evaluate_many": 0, "points": 0}
-
-    def one(t):
-        calls["evaluate"] += 1
-        return traj.evaluate(t)
-
-    def many(ts):
-        calls["evaluate_many"] += 1
-        calls["points"] += np.size(ts)
-        return traj.evaluate_many(ts)
-
-    flags = {"is_contraction": traj.is_contraction, "is_exact": traj.is_exact,
-             "is_norm_continuous": traj.is_norm_continuous, **flags}
-    return ss.NormTrajectory(one, evaluate_many=many, **flags), calls
+    return _Counting(traj, calls, is_contraction), calls
 
 
 @pytest.fixture(scope="session")

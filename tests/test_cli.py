@@ -108,16 +108,41 @@ class TestAnalyze:
                     "--out", str(tmp_path / "x")])
         assert code == 2
 
-    def test_horizon_limited_classification_exits_4(self, tmp_path):
+    def test_horizon_limited_classification_exits_4(self, tmp_path, capsys):
         # a cap too tight to observe the quiet window leaves widened entries,
         # so the verdict is written but flagged inconclusive
         code = run(["analyze", "--model", "matrix [[-0.2,2],[0,-0.25]]",
                     "--rmax", "16", "--horizon-cap", "35", "--grid-step", "0.01",
                     "--out", str(tmp_path / "hz")])
         assert code == 4
+        assert "widened entry-time searches" in capsys.readouterr().err
         report = json.loads((tmp_path / "hz.json").read_text())
         assert report["classification"]["confident"] is False
         assert report["entry"]["statuses"].get("widened", 0) > 0
+
+    def test_horizon_entries_read_unstable_and_exit_0(self, tmp_path, capsys):
+        # a table of horizon entries is a verdict, not an inconclusive one:
+        # the norm of the nilpotent Jordan block grows like t
+        code = run(["analyze", "--model", "matrix [[0,1],[0,0]]", "--out", str(tmp_path / "j")])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        report = json.loads((tmp_path / "j.json").read_text())
+        assert report["classification"]["verdict"] == "unstable"
+        assert report["classification"]["confident"] is True
+        assert set(report["entry"]["statuses"]) == {"horizon"}
+        assert report["pazy"]["overall"] == "inapplicable"
+
+    def test_all_inconclusive_integrals_exit_4(self, tmp_path, capsys, monkeypatch):
+        import semistab.pazy
+        monkeypatch.setattr(semistab.pazy, "integrate_adaptive",
+                            lambda f, spec: semistab.IntegralResult(semistab.INCONCLUSIVE))
+        code = run(["analyze", "--model", "scalar-decay nu=2", "--out", str(tmp_path / "q")])
+        assert code == 4
+        assert "every integral criterion was inconclusive" in capsys.readouterr().err
+        report = json.loads((tmp_path / "q.json").read_text())
+        assert report["classification"]["verdict"] == "stable"
+        assert report["classification"]["confident"] is True
+        assert report["pazy"]["overall"] == "inconclusive"
 
     def test_config_echo_reproduces_run(self, tmp_path):
         out1 = tmp_path / "a"

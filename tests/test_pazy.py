@@ -86,9 +86,9 @@ class TestPazyCriteria:
             return g
 
         traj = NormTrajectory(
-            model.norm_at, evaluate_many=record(model.norm_at_many),
+            record(model.norm_at_many),
             log_evaluate_many=record(lambda ts: -np.asarray(ts) ** 2 / 4.0),
-            is_contraction=True, is_norm_continuous=True, is_exact=True,
+            is_contraction=True,
         )
         ss.pazy_criteria(traj, t0=0.0)
         assert calls and len(calls) == len(set(calls))
@@ -105,8 +105,7 @@ class TestPazyCriteria:
             return model.norm_at_many(ts)
 
         traj = NormTrajectory(
-            model.norm_at, evaluate_many=many, is_contraction=base.is_contraction,
-            is_norm_continuous=True, is_exact=False, eval_error_bound=base.eval_error_bound,
+            many, is_contraction=base.is_contraction, eval_error_bound=base.eval_error_bound,
         )
         rep = ss.pazy_criteria(traj, t0=0.0)
         assert "iii" in rep.fired

@@ -71,6 +71,44 @@ def test_fractional_batch_matches_points_bitwise(n, ts):
     assert np.array_equal(model.norm_at_many(ts), points)
 
 
+CLOSED_FORMS = (ss.ScalarDecay(1.0), ss.ScalarDecay(1.625), ss.GaussianShift(),
+                ss.NilpotentShift(1.3), ss.DampedNilpotent(2.0, 1.5))
+
+
+@pytest.mark.parametrize("model", CLOSED_FORMS, ids=lambda m: m.spec_string())
+@settings(max_examples=30, deadline=None)
+@given(ts=st.lists(st.floats(0.0, 60.0), min_size=1, max_size=40))
+@example(ts=[26.0, 16.0])
+@example(ts=list(np.linspace(0.01, 20.0, 2000)))
+def test_closed_form_batch_matches_points_bitwise(model, ts):
+    # math.exp and np.exp differ in the last bit at t = 26 for nu = 1 and
+    # on dozens of Gaussian points in [0.01, 20]; both paths use the batch
+    traj = model.trajectory()
+    ts = np.array(ts)
+    batch = traj.evaluate_many(ts)
+    assert np.array_equal(model.norm_at_many(ts), batch)
+    assert np.array_equal(np.array([model.norm_at(t) for t in ts]), batch)
+    assert np.array_equal(np.array([traj.evaluate(t) for t in ts]), batch)
+
+
+@pytest.mark.parametrize("bad", [-1.0, -1e-300, math.nan, math.inf])
+def test_single_path_rejects_bad_times_and_nan_norms(bad):
+    for model in CLOSED_FORMS + (ss.MatrixSemigroup(J10), ss.FractionalIntegration(16)):
+        traj = model.trajectory()
+        with pytest.raises(ss.InvalidArgument):
+            traj.evaluate(bad)
+        with pytest.raises(ss.InvalidArgument):
+            traj.evaluate_many(np.array([0.5, bad]))
+        with pytest.raises(ss.InvalidArgument):
+            model.norm_at(bad)
+    nan_past_1 = ss.NormTrajectory(lambda ts: np.where(ts > 1.0, np.nan, 1.0), is_contraction=True)
+    assert nan_past_1.evaluate(0.5) == 1.0
+    with pytest.raises(ss.NumericsFailure):
+        nan_past_1.evaluate(2.0)
+    with pytest.raises(ss.NumericsFailure):
+        nan_past_1.evaluate_many(np.array([0.5, 2.0]))
+
+
 @pytest.mark.parametrize("n", FRACTIONAL_NS)
 def test_fractional_norm_is_independent_of_query_order(n):
     model = ss.FractionalIntegration(n)
