@@ -21,7 +21,6 @@ from .numerics import (
     VALUE,
     IntegralResult,
     QuadratureSpec,
-    gamma_eval,
     integrate_adaptive,
     matrix_exponential,
     operator_norm,
@@ -88,7 +87,7 @@ __all__ = [
     "VERDICT_UNSTABLE", "build_model_from_spec", "classify",
     "default_growth_grid", "entry_time_table", "final_entry_time",
     "fractional_reference", "ftrick_sandwich",
-    "gamma_eval", "gelfand_spectral_radius", "growth_characteristic",
+    "gelfand_spectral_radius", "growth_characteristic",
     "integrate_adaptive", "matrix_exponential", "operator_norm",
     "pazy_criteria", "pazy_integral", "spectral_radius_estimate",
     "stability_and_extinction_indices", "tail_statistics",

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InvalidArgument, NumericsFailure
 from .entrytime import STATUS_HORIZON, STATUS_WIDENED
-from .numerics import matrix_exponential, operator_norm
+from .numerics import NORM_FLOOR, matrix_exponential, operator_norm
 
 VERDICT_UNSTABLE = "unstable"
 VERDICT_STABLE = "stable"
@@ -162,9 +162,6 @@ class Classification:
     confident: bool = True
     diagnostics: dict = field(default_factory=dict)
 
-    def at_least(self, verdict):
-        return VERDICT_ORDER[self.verdict] >= VERDICT_ORDER[verdict]
-
 
 def classify(table, th=None):
     """Map an entry-time table to its stability class.
@@ -236,36 +233,30 @@ class GrowthEstimate:
     agreement_spread: float | None
     spread_is_minus_infinity: bool
 
-    @property
-    def overall(self):
-        if self.omega_entry == -math.inf:
-            return -math.inf
-        return self.omega_entry
 
-
-def default_growth_grid(traj, table, *, n_points=513, floor=1e-300):
+def default_growth_grid(traj, table, *, n_points=513):
     """Sample grid for the growth routes.
 
     Extends past the last finite entry time so the log-slope has settled;
     for curves that decay beyond the floating-point floor the grid ends at
-    the first of 24 geometric horizon candidates where the norm is at the
-    floor, which is what lets superexponential decay register as -inf.  The
-    candidates are read in one ``evaluate_many`` call.
+    the first of 24 geometric horizon candidates where the norm is at
+    NORM_FLOOR, which is what lets superexponential decay register as -inf.
+    The candidates are read in one ``evaluate_many`` call.
     """
     finite = [x for x in table.t if math.isfinite(x)]
     t_hi = max(finite) if finite else 32.0
     t_hi = max(t_hi, 1.0)
     cap = 4.0 * t_hi + 100.0
     cands = np.geomspace(t_hi + 1.0, cap, 24)
-    below = np.flatnonzero(traj.evaluate_many(cands) <= floor)
+    below = np.flatnonzero(traj.evaluate_many(cands) <= NORM_FLOOR)
     t_end = float(cands[below[0]]) if below.size else cap
     return np.linspace(t_end / n_points, t_end, n_points)
 
 
-def growth_characteristic(traj, table, t_grid, *, th=None, floor=1e-300):
+def growth_characteristic(traj, table, t_grid, *, th=None):
     """Compute the three growth-rate routes on the given grid.
 
-    The last grid point is evaluated first.  When its norm is at the floor
+    The last grid point is evaluated first.  When its norm is at NORM_FLOOR
     and every grid time is positive and finite, log||T(t)||/t is -inf there,
     so both grid routes are -inf whatever the other points hold, and no
     other point is evaluated; default grids on curves that underflow end at
@@ -279,12 +270,12 @@ def growth_characteristic(traj, table, t_grid, *, th=None, floor=1e-300):
     if finite_t and float(t_grid.max()) < max(finite_t):
         raise InvalidArgument("max grid point must reach the last finite entry time")
     last = traj.evaluate_many(t_grid[-1:])
-    if last[0] <= floor and 0.0 < t_grid.min() <= t_grid.max() < math.inf:
+    if last[0] <= NORM_FLOOR and 0.0 < t_grid.min() <= t_grid.max() < math.inf:
         omega_large = omega_inf = -math.inf
     else:
         vals = np.concatenate([traj.evaluate_many(t_grid[:-1]), last])
         with np.errstate(divide="ignore"):
-            omega = np.where(vals > floor, np.log(np.maximum(vals, floor)), -np.inf) / t_grid
+            omega = np.log(np.where(vals > NORM_FLOOR, vals, 0.0)) / t_grid
         omega_large = float(omega[-1])
         omega_inf = float(omega.min())
     if omega_large <= _OMEGA_FLOOR:
@@ -392,11 +383,11 @@ _SEARCH_STRIDE = 32
 _LOG_SLACK = 1e-9
 
 
-def _overshoot_maxima(traj, t, nu_grid, floor):
+def _overshoot_maxima(traj, t, nu_grid):
     """First grid index and value of max log||T(t)|| + nu*t, for each nu.
 
     The maxima run over the points of the grid ``t`` whose norm exceeds
-    ``floor``; ties go to the first index, as :func:`numpy.argmax` breaks
+    NORM_FLOOR; ties go to the first index, as :func:`numpy.argmax` breaks
     them.  On a contraction sampled on a nondecreasing grid the search is
     coarse to fine.  It evaluates every 32nd point and the last one, then
     the midpoint of each cell (i, j) between evaluated points that may
@@ -404,13 +395,13 @@ def _overshoot_maxima(traj, t, nu_grid, floor):
     rises, so every unevaluated point k of the cell has log||T(t_k)|| at
     most h = log||T(t_i)|| + 1e-9 (the slack covers kernel noise, and the
     floats of a sum round monotonically), hence value at most
-    h + nu*t_{j-1}; and it can exceed ``floor`` only if h >= log(floor).
+    h + nu*t_{j-1}; and it can exceed the floor only if h >= log(NORM_FLOOR).
     A cell may hold a maximum only if that bound reaches, for some nu, the
     best evaluated value, with equality kept for the tie rule.  So the
     result is the one the dense grid gives, bit for bit, and points in
     discarded cells are never evaluated.  Any other curve or grid gets no
     bound: the first pass then takes every point, in one call.  Raises
-    :class:`InvalidArgument` when no grid point exceeds ``floor``.
+    :class:`InvalidArgument` when no grid point exceeds the floor.
     """
     bounded = traj.is_contraction and bool((t[1:] >= t[:-1]).all())
     ks = np.arange(t.size)
@@ -419,7 +410,7 @@ def _overshoot_maxima(traj, t, nu_grid, floor):
     log_v = np.zeros(t.size)
     best = [-math.inf] * len(nu_grid)     # for each nu, the best value so far
     at = [-1] * len(nu_grid)              # and its grid index
-    log_floor = np.log(floor)
+    log_floor = np.log(NORM_FLOOR)
     while todo.size:
         vals = traj.evaluate_many(t[todo])
         with np.errstate(divide="ignore"):
@@ -429,7 +420,7 @@ def _overshoot_maxima(traj, t, nu_grid, floor):
         lo, hi, head = lo[cell], hi[cell], head[cell]
         # one pass per nu over the new points, then over the open cells
         m = todo.size
-        base = np.concatenate([np.where(vals > floor, log_v[todo], -math.inf), head])
+        base = np.concatenate([np.where(vals > NORM_FLOOR, log_v[todo], -math.inf), head])
         times = np.concatenate([t[todo], t[hi - 1]])
         reach = np.zeros(lo.size, dtype=bool)
         for j, nu in enumerate(nu_grid):
@@ -451,8 +442,7 @@ def _overshoot_maxima(traj, t, nu_grid, floor):
     return list(zip(at, best))
 
 
-def stability_and_extinction_indices(traj, table, nu_grid=None, t_grid=None, *, th=None,
-                                     floor=1e-300):
+def stability_and_extinction_indices(traj, table, nu_grid=None, t_grid=None, *, th=None):
     """Decay index, extinction-time estimates and the overshoot suprema.
 
     The default sample grid is 4097 equally spaced times on
@@ -482,7 +472,7 @@ def stability_and_extinction_indices(traj, table, nu_grid=None, t_grid=None, *, 
         t_hi = max(finite) if finite else 32.0
         t_grid = np.linspace(0.0, max(2.0 * t_hi, t_hi + 1.0), 4097)
     t_grid = np.asarray(t_grid, dtype=float)
-    maxima = _overshoot_maxima(traj, t_grid, nu_grid, floor)
+    maxima = _overshoot_maxima(traj, t_grid, nu_grid)
     last_grid_t = float(t_grid[-1])
     per_nu = []
     k_overshoot = -math.inf

@@ -13,6 +13,10 @@ encoded as the strings "inf"/"-inf", so identical runs produce byte-identical
 output.  The pipeline uses no random numbers and takes no seed, and a norm
 is a pure function of t: the fractional-integration Lanczos kernel starts
 from the all-ones vector every time, with no warm start.
+
+Which norm counts as an exact zero is not an option: every stage reads the
+one constant ``numerics.NORM_FLOOR`` (1e-300), and the report's ``config``
+block echoes it, as it echoes the fixed p grid of criterion (iv).
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from .classify import (
 from .entrytime import SearchConfig, _csv_number, entry_time_table
 from .errors import InvalidArgument, InvalidModel, NumericsFailure, SpecError
 from .models import build_model_from_spec
-from .numerics import QuadratureSpec
+from .numerics import NORM_FLOOR, QuadratureSpec
 from .pazy import DEFAULT_P_TRACE, pazy_criteria
 
 EXIT_OK = 0
@@ -83,7 +87,6 @@ def _search_config(args):
         grid_step=args.grid_step,
         horizon_start=args.horizon_start,
         horizon_cap=args.horizon_cap,
-        norm_floor=args.norm_floor,
     )
 
 
@@ -101,12 +104,11 @@ def analyze_model(model, *, rmax, cfg, th, pazy_a, quad_tols):
     traj = model.trajectory()
     table = entry_time_table(traj, rmax, cfg)
     verdict = classify(table, th)
-    grid = default_growth_grid(traj, table, floor=cfg.norm_floor)
-    growth = growth_characteristic(traj, table, grid, th=th, floor=cfg.norm_floor)
-    indices = stability_and_extinction_indices(traj, table, th=th, floor=cfg.norm_floor)
+    grid = default_growth_grid(traj, table)
+    growth = growth_characteristic(traj, table, grid, th=th)
+    indices = stability_and_extinction_indices(traj, table, th=th)
     quad = QuadratureSpec(lower=0.0, abs_tol=quad_tols[0], rel_tol=quad_tols[1])
-    pazy = pazy_criteria(traj, pazy_a, cfg=cfg, quad=quad,
-                         norm_floor=cfg.norm_floor, t0=table.t[0])
+    pazy = pazy_criteria(traj, pazy_a, cfg=cfg, quad=quad, t0=table.t[0])
 
     report = {
         "tool": {"name": "semistab", "version": __version__},
@@ -117,7 +119,7 @@ def analyze_model(model, *, rmax, cfg, th, pazy_a, quad_tols):
             "grid_step": cfg.grid_step,
             "horizon_start": cfg.horizon_start,
             "horizon_cap": cfg.horizon_cap,
-            "norm_floor": cfg.norm_floor,
+            "norm_floor": NORM_FLOOR,
             "eps_super": th.eps_super,
             "eps_tailsum": th.eps_tailsum,
             "plateau_window": th.plateau_window,
@@ -302,8 +304,6 @@ def _add_shared(parser):
                         help="initial search span and sustained-below window length")
     parser.add_argument("--horizon-cap", dest="horizon_cap", type=float, default=1e4,
                         help="absolute search horizon; beyond it entry times report inf")
-    parser.add_argument("--norm-floor", dest="norm_floor", type=float, default=1e-300,
-                        help="norm values at or below this count as exact zero")
     parser.add_argument("--eps-super", dest="eps_super", type=float, default=1e-2,
                         help="u tail mean below this is superstable")
     parser.add_argument("--eps-tailsum", dest="eps_tailsum", type=float, default=1e-3,

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument
+from .numerics import NORM_FLOOR
 
 STATUS_EXACT = "exact"
 STATUS_BISECTED = "bisected"
@@ -43,23 +44,20 @@ class SearchConfig:
     resolution for trajectories that are not contractions;
     ``horizon_start`` the first search horizon, and for non-contractions
     also the length of the sustained-below window that certifies a crossing
-    as final; ``horizon_cap`` the absolute give-up point; ``norm_floor`` the
-    value treated as an exact zero.
+    as final; ``horizon_cap`` the absolute give-up point.  The value treated
+    as an exact zero is not a knob: it is :data:`semistab.numerics.NORM_FLOOR`.
     """
 
     time_tol: float = 1e-8
     grid_step: float = 1e-3
     horizon_start: float = 16.0
     horizon_cap: float = 1e4
-    norm_floor: float = 1e-300
 
     def __post_init__(self):
         if not (0.0 < self.time_tol < self.grid_step < self.horizon_start <= self.horizon_cap):
             raise InvalidArgument(
                 "require 0 < time_tol < grid_step < horizon_start <= horizon_cap"
             )
-        if self.norm_floor < 0.0:
-            raise InvalidArgument("norm_floor must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -75,29 +73,25 @@ class EntryTime:
     status: str
     tol: float
 
-    @property
-    def is_finite(self):
-        return math.isfinite(self.time)
-
 
 def final_entry_time(traj, r, cfg=None):
     """Entry time of the whole trajectory into the exp(-r) ball."""
     cfg = cfg or SearchConfig()
-    _check_r(r, cfg)
+    _check_r(r)
     return _entry_times(traj, [int(r)], cfg)[0]
 
 
 def vector_entry_time(model, x, r, cfg=None):
     """Entry time of a single unit-vector orbit of a matrix semigroup."""
     cfg = cfg or SearchConfig()
-    _check_r(r, cfg)
+    _check_r(r)
     return _entry_times(model.vector_trajectory(x), [int(r)], cfg)[0]
 
 
-def _check_r(r, cfg):
+def _check_r(r):
     if r < 0 or int(r) != r:
         raise InvalidArgument(f"r must be a nonnegative integer, got {r}")
-    if math.exp(-float(r)) <= cfg.norm_floor:
+    if math.exp(-float(r)) <= NORM_FLOOR:
         raise InvalidArgument(f"threshold exp(-{r}) is below the norm floor")
 
 
@@ -118,7 +112,7 @@ def _entry_times(traj, rs, cfg):
     tols = {STATUS_EXACT: 0.0, STATUS_HORIZON: math.inf, STATUS_BISECTED: cfg.time_tol,
             STATUS_WIDENED: max(cfg.time_tol, cfg.grid_step)}
     entries = [EntryTime(float(t), s, tols[s]) for t, s in zip(0.5 * (lo + hi), status)]
-    extinct = rows[f_hi[rows] <= cfg.norm_floor]
+    extinct = rows[f_hi[rows] <= NORM_FLOOR]
     if extinct.size:
         k = extinct[0]
         entries[k + 1:] = [EntryTime(entries[k].time, STATUS_EXACT, 0.0)] * (len(entries) - k - 1)
@@ -242,7 +236,6 @@ class EntryTimeTable:
     statuses: tuple
     time_tol: float
     label: str = ""
-    contraction: bool = False
 
     @property
     def u_array(self):
@@ -286,7 +279,7 @@ def entry_time_table(traj, r_max, cfg=None):
     r_max = int(r_max)
     if r_max < 1:
         raise InvalidArgument(f"r_max must be at least 1, got {r_max}")
-    _check_r(r_max + 1, cfg)
+    _check_r(r_max + 1)
     entries = _entry_times(traj, range(r_max + 2), cfg)
     t = tuple(e.time for e in entries)
     u = tuple(
@@ -296,5 +289,4 @@ def entry_time_table(traj, r_max, cfg=None):
     return EntryTimeTable(
         r_max=r_max, t=t, u=u, statuses=tuple(entries),
         time_tol=cfg.time_tol, label=getattr(traj, "label", ""),
-        contraction=traj.is_contraction,
     )

@@ -6,8 +6,10 @@ curve t -> ||T(t)|| evaluated on arrays of times, plus what is known of it
 only through its vectorized ``norm_at_many``; a single time is a batch of
 one, so a norm has the same bits whichever path asked for it.  Models
 produce trajectories either from closed forms (scalar decay,
-Gaussian-weighted shift, shifts with a hard cutoff) or numerically (matrix
-generators, the discretized fractional integration operator).
+Gaussian-weighted shift, shifts with a hard cutoff), which state only their
+log curve, or numerically (matrix generators, the discretized fractional
+integration operator).  A norm at or below :data:`~.numerics.NORM_FLOOR`
+counts as exact zero.
 """
 
 from __future__ import annotations
@@ -24,11 +26,12 @@ from .errors import InvalidArgument, InvalidModel, NumericsFailure, SpecError
 # stay importable from this module: the benchmark's tracer wraps the numerics
 # kernels where models looks them up, by these names
 from .numerics import (  # noqa: F401
-    gamma_eval,
+    NORM_FLOOR,
     matrix_exponential,
     operator_norm,
     operator_norms_batch,
     operator_norms_lanczos,
+    _as_square_matrix,
     _expm,
     _power_iteration,
 )
@@ -36,6 +39,7 @@ from .numerics import (  # noqa: F401
 _CHUNK = 4096              # matrices per stacked exponential, bounding temporaries
 _STACK_BYTES = 1 << 20     # bytes of fractional kernels per Lanczos stack, sized to stay in cache
 _FLAG_TOL = 1e-10          # slack when sampling for the contraction flag
+_LUMER_PHILLIPS_TOL = 1e-12  # relative slack on the top eigenvalue of A + A^T
 
 
 def _check_time(t):
@@ -81,20 +85,20 @@ class NormTrajectory:
             raise NumericsFailure("norm evaluation returned NaN")
         return out
 
-    def log_evaluate_many(self, ts, floor=1e-300):
+    def log_evaluate_many(self, ts):
         """log ||T(t)|| on an array of times, -inf where extinct.
 
         Closed-form and matrix models supply an exact log route, which stays
         meaningful long after the norm itself has underflowed; otherwise this
         falls back to the logarithm of the evaluated norm with values at or
-        below ``floor`` treated as extinct.
+        below NORM_FLOOR treated as extinct.
         """
         ts = np.asarray(ts, dtype=float)
         if self._log_evaluate_many is not None:
             return np.asarray(self._log_evaluate_many(ts), dtype=float)
         vals = self.evaluate_many(ts)
         out = np.full(vals.shape, -math.inf)
-        live = vals > floor
+        live = vals > NORM_FLOOR
         out[live] = np.log(vals[live])
         return out
 
@@ -136,8 +140,10 @@ class SemigroupModel:
 
     A model states what is known of its curve as attributes:
     ``extinction_time``, ``eval_error_bound`` and, where an exact log route
-    exists, a ``_log_norms`` method.  :meth:`trajectory` builds the curve
-    from them once.
+    exists, a ``_log_norms`` method.  A closed form states its curve only
+    there: its norms are ``exp`` of its log norms, and ``np.exp`` maps 0
+    to 1 and -inf to 0 exactly.  :meth:`trajectory` builds the curve from
+    these facts once.
     """
 
     kind = ""
@@ -150,7 +156,7 @@ class SemigroupModel:
         return float(self.norm_at_many(np.array([_check_time(t)]))[0])
 
     def norm_at_many(self, ts):
-        raise NotImplementedError
+        return np.exp(self._log_norms(ts))
 
     def _is_contraction(self):
         return True
@@ -183,9 +189,6 @@ class ScalarDecay(SemigroupModel):
             raise InvalidModel(f"scalar-decay requires nu > 0, got {nu}")
         self.nu = float(nu)
 
-    def norm_at_many(self, ts):
-        return np.exp(self._log_norms(ts))
-
     def _log_norms(self, ts):
         return -self.nu * np.asarray(ts, dtype=float)
 
@@ -201,9 +204,6 @@ class GaussianShift(SemigroupModel):
     """
 
     kind = "gaussian-shift"
-
-    def norm_at_many(self, ts):
-        return np.exp(self._log_norms(ts))
 
     def _log_norms(self, ts):
         ts = np.asarray(ts, dtype=float)
@@ -225,9 +225,6 @@ class NilpotentShift(SemigroupModel):
         if not (float(L) > 0 and math.isfinite(L)):
             raise InvalidModel(f"nilpotent-shift requires L > 0, got {L}")
         self.L = self.extinction_time = float(L)
-
-    def norm_at_many(self, ts):
-        return np.where(np.asarray(ts, dtype=float) < self.L, 1.0, 0.0)
 
     def _log_norms(self, ts):
         return np.where(np.asarray(ts, dtype=float) < self.L, 0.0, -np.inf)
@@ -254,10 +251,6 @@ class DampedNilpotent(SemigroupModel):
         self.nu = float(nu)
         self.L = self.extinction_time = float(L)
 
-    def norm_at_many(self, ts):
-        ts = np.asarray(ts, dtype=float)
-        return np.where(ts < self.L, np.exp(-self.nu * ts), 0.0)
-
     def _log_norms(self, ts):
         ts = np.asarray(ts, dtype=float)
         return np.where(ts < self.L, -self.nu * ts, -np.inf)
@@ -275,15 +268,18 @@ class MatrixSemigroup(SemigroupModel):
     batch of one, so each value is a pure function of its own t: the same
     bits on the batch and the point path, in any query order.  The model
     keeps no warm start, memo or lattice cache; the only state is the
-    lazily built trajectory, whose contraction flag is a function of A.  So models
-    and trajectories may be shared across threads.
+    lazily built trajectory.  So models and trajectories may be shared
+    across threads.  The contraction flag evaluates no norm: by the
+    Lumer-Phillips theorem (Pazy, *Semigroups of Linear Operators*, 1983,
+    section 1.4) ||exp(t*A)|| <= 1 for all t >= 0 exactly when A + A^T is
+    negative semidefinite, and then the norm never rises.
     """
 
     kind = "matrix"
     eval_error_bound = 1e-9
 
     def __init__(self, a):
-        self.a = _require_generator(a)
+        self.a = _as_square_matrix(a)
 
     def _map_expm(self, ts, reduce):
         """reduce() applied to stacks of exp(t*A) over the times ts, in chunks."""
@@ -299,7 +295,9 @@ class MatrixSemigroup(SemigroupModel):
         return self._map_expm(ts, operator_norms_batch)
 
     def _is_contraction(self):
-        return _sample_flags(self)
+        """Top eigenvalue of A + A^T at most 0, within 1e-12 * max(1, max |a_ij|)."""
+        tol = _LUMER_PHILLIPS_TOL * max(1.0, float(np.abs(self.a).max()))
+        return bool(np.linalg.eigvalsh(self.a + self.a.T)[-1] <= tol)
 
     def _log_norms(self, ts):
         """log ||exp(t*A)|| on an array of times, stable far beyond the norm's underflow.
@@ -357,32 +355,6 @@ class MatrixSemigroup(SemigroupModel):
         return f"matrix [{rows}]"
 
 
-def _require_generator(a):
-    m = np.asarray(a, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InvalidModel(f"matrix generator must be square, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise InvalidModel("matrix generator entries must be finite")
-    return m
-
-
-def _sample_flags(model, horizon=16.0):
-    """Contraction flag by sampling on a diagnostic grid.
-
-    The grid mixes a linear sweep with a geometric prefix so that fast
-    transient growth near t=0 is not stepped over.  Duplicates are dropped
-    after a sort rather than by ``np.unique``, which imports ``numpy.ma``.
-    """
-    grid = np.sort(np.concatenate([
-        np.linspace(0.0, horizon, 161),
-        np.geomspace(5e-3, 1.0, 25),
-    ]))
-    grid = grid[np.concatenate([[True], grid[1:] != grid[:-1]])]
-    vals = model.norm_at_many(grid)
-    nonincreasing = bool(np.all(vals[1:] <= vals[:-1] * (1.0 + _FLAG_TOL)))
-    return nonincreasing and vals[0] <= 1.0 + _FLAG_TOL
-
-
 class FractionalIntegration(SemigroupModel):
     """Fractional-integration semigroup on L2[0,1], discretized on n cells.
 
@@ -416,7 +388,7 @@ class FractionalIntegration(SemigroupModel):
     @staticmethod
     def _gamma(t):
         """Gamma(t+1), the kernel's denominator; inf where the kernel is zero."""
-        return gamma_eval(t + 1.0) if t + 1.0 <= 171.0 else math.inf
+        return math.gamma(t + 1.0) if t + 1.0 <= 171.0 else math.inf
 
     def _kernels(self, ts, denom):
         """C-contiguous stack of the operators at the times ts > 0."""
@@ -456,7 +428,18 @@ class FractionalIntegration(SemigroupModel):
         return out.reshape(ts.shape)
 
     def _is_contraction(self):
-        return _sample_flags(self, horizon=8.0)
+        """Contraction flag by sampling the norm on a diagnostic grid up to t = 8.
+
+        The grid mixes a linear sweep with a geometric prefix so that fast
+        transient growth near t=0 is not stepped over.  Duplicates are
+        dropped after a sort rather than by ``np.unique``, which imports
+        ``numpy.ma``.
+        """
+        grid = np.sort(np.concatenate([np.linspace(0.0, 8.0, 161), np.geomspace(5e-3, 1.0, 25)]))
+        grid = grid[np.concatenate([[True], grid[1:] != grid[:-1]])]
+        vals = self.norm_at_many(grid)
+        nonincreasing = bool(np.all(vals[1:] <= vals[:-1] * (1.0 + _FLAG_TOL)))
+        return nonincreasing and vals[0] <= 1.0 + _FLAG_TOL
 
     def spec_string(self):
         return f"fractional-integration n={self.n}"
@@ -467,8 +450,10 @@ def fractional_reference(t):
     t = float(t)
     if t <= 0:
         raise InvalidArgument("t must be positive")
-    g = gamma_eval(t + 1.0)
-    return 0.0 if math.isinf(g) else 1.0 / g
+    try:
+        return 1.0 / math.gamma(t + 1.0)
+    except OverflowError:
+        return 0.0
 
 
 # ---------------------------------------------------------------------------

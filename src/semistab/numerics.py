@@ -1,12 +1,12 @@
 """Self-contained numerical kernels.
 
-Matrix exponentials, spectral norms, the gamma function, and adaptive
-quadrature on finite or semi-infinite intervals.  All operations are pure
-functions of their inputs.  Stacks of matrices get their spectral norms
-from stacked kernels that keep no state between calls: exact singular
-values (:func:`operator_norms_batch`) or Lanczos from a fixed start vector
-(:func:`operator_norms_lanczos`), and each norm in a stack depends on its
-own matrix only.  The only randomness is the seeded start vector of
+Matrix exponentials, spectral norms and adaptive quadrature on finite or
+semi-infinite intervals, and the one norm value that counts as exact zero.
+All operations are pure functions of their inputs.  Stacks of matrices
+get their spectral norms from stacked kernels that keep no state between
+calls: exact singular values (:func:`operator_norms_batch`) or Lanczos from
+a fixed start vector (:func:`operator_norms_lanczos`), and each norm in a
+stack depends on its own matrix only.  The only randomness is the seeded start vector of
 :func:`operator_norm` called without one, so results are reproducible bit
 for bit.
 """
@@ -20,6 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument, InvalidModel, NumericsFailure
+
+#: A norm at or below this is an exact zero: the curve is extinct there.
+#: Finite time extinction (norm identically zero from some time on) and
+#: superstability (faster than every exponential, yet positive) part here.
+NORM_FLOOR = 1e-300
 
 #: Default seed for the power-iteration start vector when none is given.
 DEFAULT_SEED = 1863
@@ -300,47 +305,6 @@ def operator_norm(m, tol=1e-10, *, seed=None, start=None, max_iter=10000):
             best_estimate=sigma,
         )
     return sigma
-
-
-# ---------------------------------------------------------------------------
-# gamma function
-
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def gamma_eval(x):
-    """Gamma function for positive real arguments (Lanczos, g=7, 9 terms).
-
-    Relative error is well below 1e-10 on [0.1, 50].  Arguments beyond the
-    double-precision range (~171.6) return +inf.
-    """
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise InvalidArgument(f"gamma requires a positive finite argument, got {x}")
-    if x > 171.62:
-        return math.inf
-    if x < 0.5:
-        return gamma_eval(x + 1.0) / x
-    z = x - 1.0
-    s = _LANCZOS[0]
-    for i in range(1, len(_LANCZOS)):
-        s += _LANCZOS[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    if z > 130.0:
-        # avoid overflow in t**(z+0.5) for large arguments
-        return math.exp((z + 0.5) * math.log(t) - t + math.log(math.sqrt(2.0 * math.pi) * s))
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * s
 
 
 # ---------------------------------------------------------------------------

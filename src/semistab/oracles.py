@@ -47,7 +47,7 @@ def closed_form_entry_times(model, r_max):
     u = [t[r + 1] - t[r] for r in range(r_max + 1)]
     statuses = tuple(EntryTime(x, STATUS_EXACT, 0.0) for x in t)
     return EntryTimeTable(r_max=r_max, t=tuple(t), u=tuple(u), statuses=statuses,
-                          time_tol=0.0, label=f"closed-form {kind}", contraction=True)
+                          time_tol=0.0, label=f"closed-form {kind}")
 
 
 def dense_grid_entry_time(traj, r, step, horizon=64.0):

@@ -85,7 +85,7 @@ class InverseLogPower:
         return f"inverse-log-power p={self.p:g}"
 
 
-def _curve(traj, norm_floor):
+def _curve(traj):
     """x(ts) = -log||T(ts)||, +inf where extinct, evaluated once per node array.
 
     The log route stays exact long after the norm itself would underflow,
@@ -99,23 +99,23 @@ def _curve(traj, norm_floor):
         ts = np.asarray(ts, dtype=float)
         key = ts.tobytes()
         if key not in seen:
-            seen[key] = -traj.log_evaluate_many(ts, floor=norm_floor)
+            seen[key] = -traj.log_evaluate_many(ts)
         return seen[key]
 
     return x
 
 
-def pazy_integral(traj, weight, a, quad=None, *, norm_floor=1e-300, check_applicable=True):
+def pazy_integral(traj, weight, a, quad=None, *, check_applicable=True):
     """Integrate the weighted norm curve from ``a`` to infinity.
 
-    The integrand is zero wherever the norm has sunk to the floor (an extinct
-    trajectory contributes nothing past its extinction time, where the
-    integration is cut off exactly).  For reciprocal-log weights the norm
+    The integrand is zero wherever the norm has sunk to NORM_FLOOR (an
+    extinct trajectory contributes nothing past its extinction time, where
+    the integration is cut off exactly).  For reciprocal-log weights the norm
     must sit strictly below 1 just past ``a``; a sampled plateau at 1 returns
     the distinct ``inapplicable`` verdict since the integrand would be
     identically infinite there.
     """
-    return _integral(traj, _curve(traj, norm_floor), weight, a, quad, check_applicable)
+    return _integral(traj, _curve(traj), weight, a, quad, check_applicable)
 
 
 def _integral(traj, x, weight, a, quad, check_applicable):
@@ -171,8 +171,7 @@ class PazyReport:
     overall: str
 
 
-def pazy_criteria(traj, a=0.0, p_grid=DEFAULT_P_TRACE, *, cfg=None, quad=None,
-                  norm_floor=1e-300, t0=None):
+def pazy_criteria(traj, a=0.0, p_grid=DEFAULT_P_TRACE, *, cfg=None, quad=None, t0=None):
     """Evaluate criteria (i)-(iv) with lower limit max(a, t_0) + 1e-6.
 
     The shift past t_0 keeps the norm at or below 1 on the integration range
@@ -191,7 +190,7 @@ def pazy_criteria(traj, a=0.0, p_grid=DEFAULT_P_TRACE, *, cfg=None, quad=None,
         )
     a_used = max(float(a), float(t0)) + 1e-6
 
-    x = _curve(traj, norm_floor)
+    x = _curve(traj)
     entries = []
     fired = []
 
@@ -254,7 +253,7 @@ class SandwichResult:
     passed: bool
 
 
-def ftrick_sandwich(table, traj, weight, *, quad=None, norm_floor=1e-300):
+def ftrick_sandwich(table, traj, weight, *, quad=None):
     """Bracket the integral of F(-log||T(t)||) between entry-time sums.
 
     Requires a contraction trajectory entering the unit ball at time zero
@@ -276,7 +275,7 @@ def ftrick_sandwich(table, traj, weight, *, quad=None, norm_floor=1e-300):
             continue
         lower += u * float(weight.F(r + 1.0))
         upper += u * float(weight.F(float(r)))
-    res = pazy_integral(traj, weight, 0.0, quad, norm_floor=norm_floor, check_applicable=False)
+    res = pazy_integral(traj, weight, 0.0, quad, check_applicable=False)
     if res.kind == VALUE:
         integral = res.value
     elif res.kind == DIVERGENT:

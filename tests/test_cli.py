@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import semistab
 from semistab.cli import main
@@ -60,6 +61,16 @@ class TestAnalyze:
         code = run(["analyze", "--model-file", str(spec), "--rmax", "20",
                     "--out", str(tmp_path / "mf")])
         assert code == 0
+
+    def test_norm_floor_is_fixed_and_echoed(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["analyze", "--model", "scalar-decay nu=2", "--norm-floor", "1e-300",
+                 "--out", str(tmp_path / "nf")])
+        assert exc.value.code == 2
+        assert "--norm-floor" in capsys.readouterr().err
+        assert not (tmp_path / "nf.json").exists()
+        run(["analyze", "--model", "scalar-decay nu=2", "--rmax", "20", "--out", str(tmp_path / "ok")])
+        assert json.loads((tmp_path / "ok.json").read_text())["config"]["norm_floor"] == 1e-300
 
     def test_bad_spec_exits_2(self, tmp_path, capsys):
         code = run(["analyze", "--model", "bogus nu=2", "--out", str(tmp_path / "x")])

@@ -108,9 +108,48 @@ class TestFlags:
         assert not ss.MatrixSemigroup([[-1.0, 10.0], [0.0, -1.0]]).trajectory().is_contraction
         assert not ss.MatrixSemigroup([[0.0, 1.0], [0.0, 0.0]]).trajectory().is_contraction
 
+    @pytest.mark.parametrize("a, flag", [
+        (np.zeros((3, 3)), True),
+        (np.eye(2), False),
+        ([[0.0, 1.0], [-1.0, 0.0]], True),     # rotations: A + A^T = 0
+        ([[-0.5, 1.0], [0.0, -0.5]], True),    # A + A^T singular, top eigenvalue 0
+        ([[-0.5, 1.01], [0.0, -0.5]], False),  # just past it: the norm rises first
+        ([[-1.0, 2.0], [0.0, -2.0]], True),
+    ])
+    def test_matrix_flag_on_the_lumer_phillips_boundary(self, a, flag):
+        assert ss.MatrixSemigroup(a).trajectory().is_contraction is flag
+        assert _sampled_flag(ss.MatrixSemigroup(a)) is flag
+
+    def test_matrix_flag_agrees_with_sampling(self):
+        rng = np.random.default_rng(11)
+        flags = []
+        for _ in range(120):
+            n = int(rng.integers(2, 5))
+            a = rng.standard_normal((n, n)) - rng.uniform(0.0, 3.0) * np.eye(n)
+            model = ss.MatrixSemigroup(a)
+            flags.append(model.trajectory().is_contraction)
+            assert flags[-1] is _sampled_flag(model)
+        assert 10 <= sum(flags) <= 110
+
+    def test_matrix_trajectory_evaluates_no_norm(self, monkeypatch):
+        calls = []
+        many = ss.MatrixSemigroup.norm_at_many
+        monkeypatch.setattr(ss.MatrixSemigroup, "norm_at_many",
+                            lambda self, ts: calls.append(ts) or many(self, ts))
+        for a in ([[-1.0, 10.0], [0.0, -1.0]], np.diag([-1.0, -2.0])):
+            ss.MatrixSemigroup(a).trajectory()
+        assert calls == []
+
     def test_rejects_non_square_generator(self):
         with pytest.raises(InvalidModel):
             ss.MatrixSemigroup(np.ones((2, 3)))
+
+
+def _sampled_flag(model):
+    """The norm starts at most 1 and never rises on a 186-point grid in [0, 16]."""
+    grid = np.union1d(np.linspace(0.0, 16.0, 161), np.geomspace(5e-3, 1.0, 25))
+    vals = model.norm_at_many(grid)
+    return bool(vals[0] <= 1.0 + 1e-10 and np.all(vals[1:] <= vals[:-1] * (1.0 + 1e-10)))
 
 
 class TestMatrixNorms:
@@ -232,6 +271,16 @@ class TestFractionalIntegration:
         far = np.maximum(mids[:, None] - edges[None, 1:], 0.0) ** t
         ref = (near - far) / math.gamma(t + 1.0)
         assert np.abs(k - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("t", [0.5, 1.0, 20.0, 169.5])
+    def test_kernel_denominator_is_gamma(self, t):
+        model = ss.FractionalIntegration(16)
+        undivided = model._kernels(np.array([t]), np.array([1.0]))[0]
+        np.testing.assert_array_equal(model.kernel_matrix(t), undivided / math.gamma(t + 1.0))
+
+    def test_gamma_overflow_is_extinction(self):
+        assert ss.fractional_reference(175.0) == 0.0
+        assert ss.FractionalIntegration(16).norm_at(175.0) == 0.0
 
     def test_rejects_tiny_grid(self):
         with pytest.raises(InvalidModel):

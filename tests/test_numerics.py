@@ -7,7 +7,6 @@ from semistab import (
     InvalidArgument,
     InvalidModel,
     QuadratureSpec,
-    gamma_eval,
     integrate_adaptive,
     matrix_exponential,
     operator_norm,
@@ -169,32 +168,6 @@ class TestLanczosNorms:
         mats[1, 0, 2] = bad
         with pytest.raises(InvalidArgument):
             operator_norms_lanczos(mats)
-
-
-class TestGamma:
-    def test_one(self):
-        assert gamma_eval(1.0) == pytest.approx(1.0, rel=1e-12)
-
-    def test_factorial(self):
-        assert gamma_eval(5.0) == pytest.approx(24.0, rel=1e-12)
-
-    def test_half(self):
-        assert gamma_eval(0.5) == pytest.approx(math.sqrt(math.pi), abs=1e-6)
-
-    def test_against_stdlib_on_range(self):
-        # independent reference: the C library implementation
-        for x in np.linspace(0.1, 50.0, 997):
-            assert gamma_eval(float(x)) == pytest.approx(math.gamma(x), rel=1e-10)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(InvalidArgument):
-            gamma_eval(0.0)
-        with pytest.raises(InvalidArgument):
-            gamma_eval(-1.5)
-
-    def test_beyond_double_range(self):
-        assert gamma_eval(180.0) == math.inf
-        assert math.isfinite(gamma_eval(170.0))
 
 
 class TestQuadrature:
