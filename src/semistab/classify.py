@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InvalidArgument, NumericsFailure
 from .entrytime import STATUS_HORIZON, STATUS_WIDENED
-from .numerics import NORM_FLOOR, matrix_exponential, operator_norm
+from .numerics import LOG_SLACK, NORM_FLOOR, SEARCH_STRIDE, matrix_exponential, operator_norm
 
 VERDICT_UNSTABLE = "unstable"
 VERDICT_STABLE = "stable"
@@ -376,36 +376,33 @@ class IndexEstimates:
     notes: tuple
 
 
-#: First-pass stride of the overshoot search on a contraction's grid.
-_SEARCH_STRIDE = 32
-#: Rise of log||T(t)|| that a contraction's computed norms may show; bounds
-#: the numerical noise of the norm kernels with a wide margin.
-_LOG_SLACK = 1e-9
-
-
 def _overshoot_maxima(traj, t, nu_grid):
     """First grid index and value of max log||T(t)|| + nu*t, for each nu.
 
     The maxima run over the points of the grid ``t`` whose norm exceeds
     NORM_FLOOR; ties go to the first index, as :func:`numpy.argmax` breaks
-    them.  On a contraction sampled on a nondecreasing grid the search is
-    coarse to fine.  It evaluates every 32nd point and the last one, then
-    the midpoint of each cell (i, j) between evaluated points that may
-    still hold a maximum, until none may.  A contraction's norm never
-    rises, so every unevaluated point k of the cell has log||T(t_k)|| at
-    most h = log||T(t_i)|| + 1e-9 (the slack covers kernel noise, and the
+    them.  On a curve with a growth bound sampled on a nondecreasing grid
+    the search is coarse to fine.  It evaluates every 32nd point and the
+    last one, then the midpoint of each cell (i, j) between evaluated
+    points that may still hold a maximum, until none may.  The norm rises
+    at most like exp(omega+ * s), omega+ = 0 for a contraction and
+    max(growth_rate, 0) otherwise, so every unevaluated point k of the
+    cell has log||T(t_k)|| at most h = log||T(t_i)|| + 1e-9 +
+    omega+ * (t_{j-1} - t_i) (the slack covers kernel noise, and the
     floats of a sum round monotonically), hence value at most
     h + nu*t_{j-1}; and it can exceed the floor only if h >= log(NORM_FLOOR).
     A cell may hold a maximum only if that bound reaches, for some nu, the
     best evaluated value, with equality kept for the tie rule.  So the
     result is the one the dense grid gives, bit for bit, and points in
-    discarded cells are never evaluated.  Any other curve or grid gets no
-    bound: the first pass then takes every point, in one call.  Raises
-    :class:`InvalidArgument` when no grid point exceeds the floor.
+    discarded cells are never evaluated.  A curve with no known growth
+    rate, or a grid that ever decreases, gets no bound: the first pass
+    then takes every point, in one call.  Raises :class:`InvalidArgument`
+    when no grid point exceeds the floor.
     """
-    bounded = traj.is_contraction and bool((t[1:] >= t[:-1]).all())
+    rate = 0.0 if traj.is_contraction else max(traj.growth_rate, 0.0)
+    bounded = math.isfinite(rate) and bool((t[1:] >= t[:-1]).all())
     ks = np.arange(t.size)
-    todo = ks[(ks % (_SEARCH_STRIDE if bounded else 1) == 0) | (ks == t.size - 1)]
+    todo = ks[(ks % (SEARCH_STRIDE if bounded else 1) == 0) | (ks == t.size - 1)]
     lo, hi = todo[:-1], todo[1:]          # the cells between first-pass points
     log_v = np.zeros(t.size)
     best = [-math.inf] * len(nu_grid)     # for each nu, the best value so far
@@ -415,8 +412,11 @@ def _overshoot_maxima(traj, t, nu_grid):
         vals = traj.evaluate_many(t[todo])
         with np.errstate(divide="ignore"):
             log_v[todo] = np.log(vals)
-        head = log_v[lo] + _LOG_SLACK
-        cell = (hi - lo > 1) & (head >= log_floor)
+        # an unbounded search has no cell wider than one step, and its
+        # infinite rate is never read
+        lo, hi = lo[hi - lo > 1], hi[hi - lo > 1]
+        head = log_v[lo] + LOG_SLACK + rate * (t[hi - 1] - t[lo])
+        cell = head >= log_floor
         lo, hi, head = lo[cell], hi[cell], head[cell]
         # one pass per nu over the new points, then over the open cells
         m = todo.size
@@ -447,10 +447,11 @@ def stability_and_extinction_indices(traj, table, nu_grid=None, t_grid=None, *, 
 
     The default sample grid is 4097 equally spaced times on
     [0, max(2 t_hi, t_hi + 1)], t_hi the last finite entry time.  On a
-    contraction the overshoot suprema are found by a coarse-to-fine search
-    that evaluates only the grid points that can hold a maximum (about 450
-    of the 4097 on fractional integration) and gives the same bits as
-    evaluating all of them; see :func:`_overshoot_maxima`.
+    contraction, or a curve with a known growth rate, the overshoot suprema
+    are found by a coarse-to-fine search that evaluates only the grid
+    points that can hold a maximum (about 450 of the 4097 on fractional
+    integration) and gives the same bits as evaluating all of them; see
+    :func:`_overshoot_maxima`.
     """
     th = th or ClassifyThresholds()
     if nu_grid is None:

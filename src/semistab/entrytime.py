@@ -14,10 +14,14 @@ the samples is a discrete M, and the last sample at or above exp(-r) and the
 sample after it bracket t_r.  A bracket is final once a sustained
 below-threshold window follows it; otherwise the horizon doubles.  A
 contraction (norm nonincreasing) is its own envelope, so its horizon points
-suffice and one sample below a threshold certifies the crossing.  All open
-brackets are then bisected in lockstep, one batched evaluation per round.
-Trajectories that never settle below the threshold before the horizon cap
-are reported as +inf.
+suffice and one sample below a threshold certifies the crossing.  A curve
+with a known growth rate omega (||T(t+s)|| <= exp(omega*s) ||T(t)||, as a
+matrix semigroup states) has its lattice scanned coarse to fine: only the
+lattice cells that may hold an anchor are refined, and the brackets are
+those of the full lattice, bit for bit.  All open brackets are then
+bisected in lockstep, one batched evaluation per round.  Trajectories that
+never settle below the threshold before the horizon cap are reported as
++inf.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument
-from .numerics import NORM_FLOOR
+from .numerics import LOG_SLACK, NORM_FLOOR, SEARCH_STRIDE
 
 STATUS_EXACT = "exact"
 STATUS_BISECTED = "bisected"
@@ -41,7 +45,9 @@ class SearchConfig:
     """Knobs for the entry-time search.
 
     ``time_tol`` is the final bisection width; ``grid_step`` the scan
-    resolution for trajectories that are not contractions;
+    resolution for trajectories that are not contractions (with a known
+    growth rate only the lattice points that can move a bracket are
+    evaluated, see :class:`_EnvelopeScan`);
     ``horizon_start`` the first search horizon, and for non-contractions
     also the length of the sustained-below window that certifies a crossing
     as final; ``horizon_cap`` the absolute give-up point.  The value treated
@@ -104,7 +110,7 @@ def _entry_times(traj, rs, cfg):
     threshold is entered at that same time, exactly.
     """
     thresholds = np.array([math.exp(-r) for r in rs])
-    scan = _EnvelopeScan(traj, cfg)
+    scan = _EnvelopeScan(traj, cfg, thresholds)
     status, lo, hi, f_hi = zip(*(scan.bracket(thr) for thr in thresholds))
     lo, hi, f_hi = np.array(lo), np.array(hi), np.array(f_hi)
     rows = np.flatnonzero([s in (STATUS_BISECTED, STATUS_WIDENED) for s in status])
@@ -159,14 +165,20 @@ class _EnvelopeScan:
     window is skipped.  A contraction's norm never rises, so its horizon
     points alone already form its envelope, and one sample below a
     threshold proves every later time below it too.
+
+    With a known growth rate the lattice of a window is scanned coarse to
+    fine, and only points that an anchor can depend on are evaluated (see
+    :meth:`_lattice`); every bracket, and the sampled maximum that the
+    exact-from-zero test reads, is the one the full lattice gives.
     """
 
-    def __init__(self, traj, cfg):
+    def __init__(self, traj, cfg, thresholds):
         self.traj = traj
         self.cfg = cfg
-        self.dense = not traj.is_contraction
+        self.thresholds = np.asarray(thresholds, dtype=float)
+        self.on_lattice = not traj.is_contraction
         # the span of quiet samples after an anchor that makes it final
-        self.window = cfg.horizon_start if self.dense else 0.0
+        self.window = cfg.horizon_start if self.on_lattice else 0.0
         self.horizon = 0.0
         self.k_done = 0  # lattice points k <= k_done are sampled or skipped
         self.ts = np.zeros(1)
@@ -174,7 +186,10 @@ class _EnvelopeScan:
         self.neg_envelope = -self.vals  # ascending, for searchsorted
 
     def bracket(self, threshold):
-        """``(status, lo, hi, f(hi))`` for one threshold; lo == hi when already exact."""
+        """``(status, lo, hi, f(hi))`` for one threshold; lo == hi when already exact.
+
+        Thresholds are bracketed in decreasing order, as they were given.
+        """
         cfg = self.cfg
         while True:
             # envelope >= threshold exactly up to the last sample above it
@@ -195,25 +210,73 @@ class _EnvelopeScan:
         if -self.neg_envelope[0] <= threshold * (1.0 + 1e-12):
             # the curve never rises above the threshold: inside from t = 0
             return STATUS_EXACT, 0.0, 0.0, math.inf
-        hi = min(anchor + cfg.grid_step, self.horizon) if self.dense else float(self.ts[i + 1])
+        hi = min(anchor + cfg.grid_step, self.horizon) if self.on_lattice else float(self.ts[i + 1])
         return status, anchor, hi, float(self.vals[i + 1])
 
     def _extend(self, threshold):
         cfg = self.cfg
-        h = cfg.grid_step
         horizon = min(2.0 * self.horizon if self.horizon else cfg.horizon_start, cfg.horizon_cap)
         at_horizon = self.traj.evaluate(horizon)
-        k1 = int(math.floor(horizon / h))
+        k1 = int(math.floor(horizon / cfg.grid_step))
         ts, vals = [self.ts], [self.vals]
-        if self.dense and at_horizon < threshold:
+        if self.on_lattice and at_horizon < threshold:
             # otherwise every pending anchor lies at or beyond this horizon
-            lattice = np.arange(self.k_done + 1, k1 + 1, dtype=float) * h
+            pending = self.thresholds[self.thresholds <= threshold]
+            lattice, lattice_vals = self._lattice(self.k_done + 1, k1, at_horizon, pending)
             ts.append(lattice)
-            vals.append(self.traj.evaluate_many(lattice))
+            vals.append(lattice_vals)
         self.horizon, self.k_done = horizon, k1
         self.ts = np.concatenate(ts + [[horizon]])
         self.vals = np.concatenate(vals + [[at_horizon]])
         self.neg_envelope = -np.maximum.accumulate(self.vals[::-1])[::-1]
+
+    def _lattice(self, k0, k1, at_horizon, pending):
+        """Times and norms of the lattice points k0..k1 that a bracket can read.
+
+        With no growth bound that is every point, in one call.  Otherwise
+        the first pass takes k0, k1 and every SEARCH_STRIDE-th point
+        between, and each round evaluates, in one call, the midpoint of
+        every gap (a, b) between evaluated points that holds a candidate c
+        with S < c <= U.  Here S is the largest sample at or after b, the
+        horizon's included, and U = f(a) * exp(max(omega, 0) * (t_b - t_a)
+        + slack) bounds the norm inside the gap.  A gap outside that test
+        cannot hold the last point with f >= c: that point lies at or after
+        b when S >= c, and nothing inside reaches c when U < c.  As S only
+        grows, a gap that fails once fails for good.  When the rounds end,
+        the last lattice point with f >= c is evaluated for every candidate
+        c, and so is the point after it: the gap right of it has S < c <=
+        f(a) <= U.  The candidates are the pending thresholds, which fixes
+        every anchor and bracket, and the least float above each threshold
+        * (1 + 1e-12), so the sampled maximum fails the exact-from-zero test
+        in :meth:`bracket` exactly when the full lattice's does.  The slack,
+        LOG_SLACK + 2 * eval_error_bound, covers kernel noise; a norm at or
+        below NORM_FLOOR (zero or subnormal) has no relative accuracy, so
+        there the bound starts from NORM_FLOOR.
+        """
+        h = self.cfg.grid_step
+        rate = max(self.traj.growth_rate, 0.0)
+        if math.isinf(rate) or k1 <= k0:
+            lattice = np.arange(k0, k1 + 1, dtype=float) * h
+            return lattice, self.traj.evaluate_many(lattice)
+        cands = np.sort(np.concatenate([pending, np.nextafter(pending * (1.0 + 1e-12), math.inf)]))
+        log_cands = np.log(cands)
+        slack = LOG_SLACK + 2.0 * self.traj.eval_error_bound
+        ks, vals = np.zeros(0, dtype=np.int64), np.zeros(0)
+        todo = np.concatenate([[k0], np.arange((k0 // SEARCH_STRIDE + 1) * SEARCH_STRIDE, k1,
+                                               SEARCH_STRIDE), [k1]])
+        while todo.size:
+            ks = np.concatenate([ks, todo])
+            vals = np.concatenate([vals, self.traj.evaluate_many(todo * h)])
+            order = ks.argsort()
+            ks, vals = ks[order], vals[order]
+            after = np.maximum(np.maximum.accumulate(vals[::-1])[::-1], at_horizon)
+            width = np.diff(ks)
+            log_u = np.log(np.maximum(vals[:-1], NORM_FLOOR)) + rate * (width * h) + slack
+            # the largest candidate at or below U must lie above S
+            n_under = log_cands.searchsorted(log_u, side="right")
+            split = (width > 1) & (n_under > 0) & (cands[n_under - 1] > after[1:])
+            todo = (ks[:-1][split] + ks[1:][split]) >> 1
+        return ks * h, vals
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,13 @@
 
 A :class:`NormTrajectory` is the single abstraction the analysis consumes: a
 curve t -> ||T(t)|| evaluated on arrays of times, plus what is known of it
-(contraction, error bound, extinction time).  Every model computes norms
-only through its vectorized ``norm_at_many``; a single time is a batch of
-one, so a norm has the same bits whichever path asked for it.  Models
-produce trajectories either from closed forms (scalar decay,
-Gaussian-weighted shift, shifts with a hard cutoff), which state only their
-log curve, or numerically (matrix generators, the discretized fractional
-integration operator).  A norm at or below :data:`~.numerics.NORM_FLOOR`
+(contraction, growth rate, error bound, extinction time).  Every model
+computes norms only through its vectorized ``norm_at_many``; a single time
+is a batch of one, so a norm has the same bits whichever path asked for
+it.  Models produce trajectories either from closed forms (scalar decay,
+Gaussian-weighted shift, shifts with a hard cutoff), which state only
+their log curve, or numerically (matrix generators, the discretized
+fractional integration operator).  A norm at or below :data:`~.numerics.NORM_FLOOR`
 counts as exact zero.
 """
 
@@ -57,17 +57,24 @@ class NormTrajectory:
     one.  Both raise :class:`InvalidArgument` on a negative or
     non-finite time and :class:`NumericsFailure` on a NaN norm.
     ``is_contraction`` says the norm starts at most 1 and never rises.
+    ``growth_rate`` is an omega with ||T(t+s)|| <= exp(omega*s) ||T(t)||
+    for all t, s >= 0, or +inf when none is known; it lets the searches
+    skip stretches of a rising curve where no sample can matter.
     ``extinction_time`` is the time past which the norm is identically zero,
     or None.  ``eval_error_bound`` is zero for exact closed forms and a
     discretization-error estimate otherwise.  ``log_evaluate_many``, when
     given, is an exact route to log ||T(t)||.
     """
 
-    def __init__(self, evaluate_many, *, is_contraction, eval_error_bound=0.0,
-                 extinction_time=None, label="", log_evaluate_many=None):
+    def __init__(self, evaluate_many, *, is_contraction, growth_rate=math.inf,
+                 eval_error_bound=0.0, extinction_time=None, label="",
+                 log_evaluate_many=None):
         self._evaluate_many = evaluate_many
         self._log_evaluate_many = log_evaluate_many
         self.is_contraction = bool(is_contraction)
+        self.growth_rate = float(growth_rate)
+        if math.isnan(self.growth_rate):
+            raise InvalidArgument("growth_rate must be a number or +inf, got NaN")
         self.eval_error_bound = float(eval_error_bound)
         self.extinction_time = extinction_time
         self.label = label
@@ -139,15 +146,16 @@ class SemigroupModel:
     """Base class: a named model whose norms come from ``norm_at_many``.
 
     A model states what is known of its curve as attributes:
-    ``extinction_time``, ``eval_error_bound`` and, where an exact log route
-    exists, a ``_log_norms`` method.  A closed form states its curve only
-    there: its norms are ``exp`` of its log norms, and ``np.exp`` maps 0
-    to 1 and -inf to 0 exactly.  :meth:`trajectory` builds the curve from
+    ``extinction_time``, ``growth_rate``, ``eval_error_bound`` and, where an
+    exact log route exists, a ``_log_norms`` method.  A closed form states
+    its curve only there: its norms are ``exp`` of its log norms, and
+    ``np.exp`` maps 0 to 1 and -inf to 0 exactly.  :meth:`trajectory` builds the curve from
     these facts once.
     """
 
     kind = ""
     extinction_time = None
+    growth_rate = math.inf
     eval_error_bound = 0.0
     _log_norms = None
     _traj = None
@@ -166,7 +174,7 @@ class SemigroupModel:
         if self._traj is None:
             self._traj = NormTrajectory(
                 self.norm_at_many, is_contraction=self._is_contraction(),
-                eval_error_bound=self.eval_error_bound,
+                growth_rate=self.growth_rate, eval_error_bound=self.eval_error_bound,
                 extinction_time=self.extinction_time, label=self.spec_string(),
                 log_evaluate_many=self._log_norms,
             )
@@ -269,10 +277,12 @@ class MatrixSemigroup(SemigroupModel):
     bits on the batch and the point path, in any query order.  The model
     keeps no warm start, memo or lattice cache; the only state is the
     lazily built trajectory.  So models and trajectories may be shared
-    across threads.  The contraction flag evaluates no norm: by the
-    Lumer-Phillips theorem (Pazy, *Semigroups of Linear Operators*, 1983,
-    section 1.4) ||exp(t*A)|| <= 1 for all t >= 0 exactly when A + A^T is
-    negative semidefinite, and then the norm never rises.
+    across threads.  The growth rate and the contraction flag evaluate no
+    norm: by the Lumer-Phillips theorem (Pazy, *Semigroups of Linear
+    Operators*, 1983, section 1.4) ||exp(s*A)|| <= exp(omega*s) with omega
+    the top eigenvalue of (A + A^T)/2, so ||T(t+s)|| <= exp(omega*s)
+    ||T(t)||; the semigroup is a contraction, its norm never rising,
+    exactly when omega <= 0.  One symmetric eigensolve gives both.
     """
 
     kind = "matrix"
@@ -280,6 +290,7 @@ class MatrixSemigroup(SemigroupModel):
 
     def __init__(self, a):
         self.a = _as_square_matrix(a)
+        self.growth_rate = 0.5 * float(np.linalg.eigvalsh(self.a + self.a.T)[-1])
 
     def _map_expm(self, ts, reduce):
         """reduce() applied to stacks of exp(t*A) over the times ts, in chunks."""
@@ -297,7 +308,7 @@ class MatrixSemigroup(SemigroupModel):
     def _is_contraction(self):
         """Top eigenvalue of A + A^T at most 0, within 1e-12 * max(1, max |a_ij|)."""
         tol = _LUMER_PHILLIPS_TOL * max(1.0, float(np.abs(self.a).max()))
-        return bool(np.linalg.eigvalsh(self.a + self.a.T)[-1] <= tol)
+        return 2.0 * self.growth_rate <= tol
 
     def _log_norms(self, ts):
         """log ||exp(t*A)|| on an array of times, stable far beyond the norm's underflow.
@@ -343,9 +354,10 @@ class MatrixSemigroup(SemigroupModel):
         def many(ts):
             return self._map_expm(ts, lambda e: np.linalg.norm(e @ x, axis=1))
 
-        # a contraction semigroup contracts every orbit norm as well
+        # a contraction semigroup contracts every orbit norm as well, and
+        # ||T(t+s)x|| <= ||T(s)|| ||T(t)x|| bounds every orbit's growth
         return NormTrajectory(
-            many, is_contraction=parent.is_contraction,
+            many, is_contraction=parent.is_contraction, growth_rate=self.growth_rate,
             eval_error_bound=self.eval_error_bound,
             label=f"{self.spec_string()} |x orbit",
         )

@@ -26,6 +26,13 @@ from .errors import InvalidArgument, InvalidModel, NumericsFailure
 #: superstability (faster than every exponential, yet positive) part here.
 NORM_FLOOR = 1e-300
 
+#: First-pass stride of the coarse-to-fine searches over a sample grid
+#: (the entry-time lattice scan and the overshoot suprema).
+SEARCH_STRIDE = 32
+#: Rise of log||T(t)|| beyond its stated growth bound that computed norms
+#: may show; bounds the numerical noise of the norm kernels with a wide margin.
+LOG_SLACK = 1e-9
+
 #: Default seed for the power-iteration start vector when none is given.
 DEFAULT_SEED = 1863
 
@@ -42,8 +49,8 @@ _SCALED_NORM_TARGET = 0.5  # squarings bring the scaled norm at or below this
 
 def _as_square_matrix(a):
     m = np.asarray(a, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InvalidModel(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise InvalidModel(f"expected a nonempty square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise InvalidModel("matrix entries must be finite")
     return m

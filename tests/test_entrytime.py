@@ -116,6 +116,25 @@ class TestEnvelopeScan:
         assert all(math.isfinite(t) for t in table.t)
         assert calls["evaluate"] <= 10 and calls["evaluate_many"] <= 40, calls
 
+    @pytest.mark.parametrize("base, peak", [(1.0, 1e-6), (0.999, 2e-3)],
+                             ids=["above-tolerance", "narrow-rise"])
+    def test_growth_bounded_scan_finds_a_one_point_peak(self, base, peak):
+        # the curve peaks on one lattice point, t = 0.005, between the
+        # first-pass points, and the sparse scan must still evaluate it.
+        # above-tolerance: the curve is 1 elsewhere up to t = 0.008, so only
+        # the peak makes t_0 bisected rather than exact.  narrow-rise: the
+        # curve starts below 1, so the peak is the t_0 anchor.
+        def many(ts):
+            tent = np.maximum(0.0, 1.0 - np.abs(ts - 0.005) / 5e-4)
+            return np.where(ts <= 0.008, base + peak * tent, base * np.exp(0.008 - ts))
+
+        sparse, calls = counting(ss.NormTrajectory(many, is_contraction=False, growth_rate=8.0))
+        dense = ss.NormTrajectory(many, is_contraction=False)
+        got, want = ss.entry_time_table(sparse, 3), ss.entry_time_table(dense, 3)
+        assert repr((got.t, got.statuses)) == repr((want.t, want.statuses))
+        assert want.statuses[0].status == STATUS_BISECTED
+        assert calls["points"] < 5000
+
     def test_entries_are_final(self, matrix_j10):
         # final entry: after t_r the curve never rises above exp(-r) again
         _, traj, table = matrix_j10

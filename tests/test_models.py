@@ -144,6 +144,31 @@ class TestFlags:
         with pytest.raises(InvalidModel):
             ss.MatrixSemigroup(np.ones((2, 3)))
 
+    def test_rejects_empty_generator(self):
+        # a 0x0 generator has no top eigenvalue, so no growth rate or flag
+        with pytest.raises(InvalidModel):
+            ss.MatrixSemigroup(np.zeros((0, 0)))
+        with pytest.raises(InvalidModel):
+            ss.matrix_exponential(np.zeros((0, 0)), 1.0)
+
+    def test_growth_rate_from_one_eigensolve(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or eigvalsh(m))
+        model = ss.MatrixSemigroup([[-1.0, 10.0], [0.0, -1.0]])
+        traj = model.trajectory()
+        orbit = model.vector_trajectory(np.array([0.0, 1.0]))
+        assert len(calls) == 1
+        # the top eigenvalue of (A + A^T)/2 = [[-1, 5], [5, -1]]
+        assert traj.growth_rate == orbit.growth_rate == pytest.approx(4.0, rel=1e-14)
+        assert not traj.is_contraction
+        for m in (ss.ScalarDecay(1.0), ss.GaussianShift(), ss.FractionalIntegration(16)):
+            assert m.trajectory().growth_rate == math.inf
+
+    def test_rejects_nan_growth_rate(self):
+        with pytest.raises(InvalidArgument):
+            ss.NormTrajectory(np.exp, is_contraction=False, growth_rate=math.nan)
+
 
 def _sampled_flag(model):
     """The norm starts at most 1 and never rises on a 186-point grid in [0, 16]."""

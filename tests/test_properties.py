@@ -6,8 +6,10 @@ queried before, and in whichever thread.  The entry-time tables built on
 those norms obey metamorphic relations: scaling the generator divides the
 entry times and multiplies the reported nu, t_r never decreases in r, and
 the integral criteria never claim a stronger class than the classifier.
-The sparse search for the overshoot suprema returns, bit for bit, what
-evaluating every grid point gives.
+The sparse search for the overshoot suprema, and the growth-bounded
+entry-time lattice scan of a matrix curve, return bit for bit what
+evaluating every grid or lattice point gives; the growth rate they rely on
+bounds the computed norms.
 """
 
 import itertools
@@ -21,7 +23,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import semistab as ss
 
-from conftest import counting
+from conftest import COARSE_CFG, counting
 
 GRID_STEP = ss.SearchConfig().grid_step
 J10 = np.array([[-1.0, 10.0], [0.0, -1.0]])
@@ -310,9 +312,87 @@ def test_indices_search_matches_dense_grid(name, request):
         per_nu, k = _dense_overshoot(traj, table, nu_grid, t_grid)
         assert repr(got.per_nu) == repr(per_nu), (grid_name, nu_grid)
         assert repr(got.k_hat_overshoot) == repr(k), (grid_name, nu_grid)
-        # the same call with no contraction bound evaluates every point
-        dense, calls = counting(traj, is_contraction=False)
+        # the same call with no bound on the norm's rise evaluates every point
+        dense, calls = counting(traj, is_contraction=False, growth_rate=math.inf)
         everything = ss.stability_and_extinction_indices(dense, table, nu_grid, t_grid)
         assert calls["evaluate_many"] == 1
         assert repr(got.notes) == repr(everything.notes), (grid_name, nu_grid)
         assert repr(everything.per_nu) == repr(per_nu), (grid_name, nu_grid)
+
+
+# ---------------------------------------------------------------------------
+# the entry-time lattice scan: a growth-bounded sparse scan with the dense result
+
+
+@st.composite
+def generators(draw):
+    """Dense 2x2-4x4 generators of either stability."""
+    n = draw(st.integers(2, 4))
+    return np.reshape(draw(st.lists(st.floats(-3.0, 3.0), min_size=n * n, max_size=n * n)), (n, n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=generators(), t=st.floats(0.0, 4.0), s=st.floats(0.0, 4.0))
+@example(a=J10, t=0.0, s=0.2)
+@example(a=np.array([[-0.5, 1.01], [0.0, -0.5]]), t=0.0, s=1e-3)
+def test_growth_rate_bounds_the_norm(a, t, s):
+    # ||T(t+s)|| <= exp(omega*s) ||T(t)||, for the operator and for an orbit
+    model = ss.MatrixSemigroup(a)
+    x = np.ones(a.shape[0]) / math.sqrt(a.shape[0])
+    for traj in (model.trajectory(), model.vector_trajectory(x)):
+        f_t, f_ts = traj.evaluate_many(np.array([t, t + s]))
+        assert f_ts <= f_t * math.exp(traj.growth_rate * s) * (1.0 + 1e-9)
+
+
+def _scan_cases(name, request):
+    """(trajectory, r_max, search config) for each general curve of one case.
+
+    The generators of random_stable_20 are all contractions; they are
+    scanned as general curves, under the bound omega+ = 0.
+    """
+    if name == "random_mixed_100":
+        for a, table in request.getfixturevalue(name):
+            traj = ss.MatrixSemigroup(a).trajectory()
+            if not traj.is_contraction:
+                yield traj, table.r_max, COARSE_CFG
+    elif name == "random_stable_20":
+        for _, traj, table in request.getfixturevalue(name):
+            yield counting(traj, is_contraction=False)[0], table.r_max, COARSE_CFG
+    elif name == "matrix_j10":
+        _, traj, table = request.getfixturevalue(name)
+        yield traj, table.r_max, ss.SearchConfig()
+    elif name == "lumer_phillips_edge":
+        yield ss.MatrixSemigroup([[-0.5, 1.01], [0.0, -0.5]]).trajectory(), 40, ss.SearchConfig()
+    else:
+        orbit = ss.MatrixSemigroup(J10).vector_trajectory(np.array([0.0, 1.0]))
+        yield orbit, 40, ss.SearchConfig()
+
+
+def _entries(table):
+    return repr((table.r_max, table.t, table.u, table.statuses))
+
+
+@pytest.mark.parametrize("name", [
+    "random_mixed_100", "random_stable_20", "matrix_j10", "lumer_phillips_edge", "j10_orbit",
+])
+def test_entry_scan_matches_dense_lattice(name, request):
+    # [[-0.5,1.01],[0,-0.5]]: A + A^T is just indefinite, so the norm rises
+    # to about 1 + 9e-4 near t = 0.28, and t_0 is bisected, not exact
+    for traj, r_max, cfg in _scan_cases(name, request):
+        assert math.isfinite(traj.growth_rate) and not traj.is_contraction
+        # the reference has no bound: every lattice point, in one call per window
+        dense, _ = counting(traj, growth_rate=math.inf)
+        table = ss.entry_time_table(traj, r_max, cfg)
+        assert _entries(table) == _entries(ss.entry_time_table(dense, r_max, cfg)), traj.label
+        got = ss.stability_and_extinction_indices(traj, table)
+        per_nu, k = _dense_overshoot(traj, table, None, None)
+        assert repr((got.per_nu, got.k_hat_overshoot)) == repr((per_nu, k)), traj.label
+
+
+def test_transient_entry_scan_is_sparse():
+    traj = ss.MatrixSemigroup(J10).trajectory()
+    sparse, calls = counting(traj)
+    dense, dense_calls = counting(traj, growth_rate=math.inf)
+    table = ss.entry_time_table(sparse, 40)
+    assert _entries(table) == _entries(ss.entry_time_table(dense, 40))
+    assert calls["points"] <= dense_calls["points"] / 8, (calls, dense_calls)
