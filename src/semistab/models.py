@@ -282,7 +282,11 @@ class MatrixSemigroup(SemigroupModel):
     Operators*, 1983, section 1.4) ||exp(s*A)|| <= exp(omega*s) with omega
     the top eigenvalue of (A + A^T)/2, so ||T(t+s)|| <= exp(omega*s)
     ||T(t)||; the semigroup is a contraction, its norm never rising,
-    exactly when omega <= 0.  One symmetric eigensolve gives both.
+    exactly when omega <= 0.  One symmetric eigensolve gives both.  Past
+    the norm's underflow the log route shifts by the spectral abscissa s:
+    exp(t*A) = exp(s*t) exp(t*(A - s*I)) (Moler and Van Loan, "Nineteen
+    Dubious Ways to Compute the Exponential of a Matrix, Twenty-Five Years
+    Later", SIAM Rev. 45, 2003).
     """
 
     kind = "matrix"
@@ -291,15 +295,17 @@ class MatrixSemigroup(SemigroupModel):
     def __init__(self, a):
         self.a = _as_square_matrix(a)
         self.growth_rate = 0.5 * float(np.linalg.eigvalsh(self.a + self.a.T)[-1])
+        self._abscissa = float(np.linalg.eigvals(self.a).real.max())
 
-    def _map_expm(self, ts, reduce):
-        """reduce() applied to stacks of exp(t*A) over the times ts, in chunks."""
+    def _map_expm(self, ts, reduce, shift=0.0):
+        """reduce() applied to stacks of exp(t*(A - shift*I)) over the times ts, in chunks."""
+        gen = self.a - shift * np.eye(len(self.a))
         ts = np.asarray(ts, dtype=float)
         flat = ts.ravel()
         out = np.empty(flat.size)
         for lo in range(0, flat.size, _CHUNK):
             chunk = flat[lo:lo + _CHUNK]
-            out[lo:lo + _CHUNK] = reduce(_expm(self.a * chunk[:, None, None]))
+            out[lo:lo + _CHUNK] = reduce(_expm(gen * chunk[:, None, None]))
         return out.reshape(ts.shape)
 
     def norm_at_many(self, ts):
@@ -313,9 +319,12 @@ class MatrixSemigroup(SemigroupModel):
     def _log_norms(self, ts):
         """log ||exp(t*A)|| on an array of times, stable far beyond the norm's underflow.
 
-        Where the norm itself is representable this is just its logarithm;
-        deeper in the tail the norm of exp((t/2^K)*A) is squared up K times
-        with scalar renormalization, accumulating the log.
+        Where the norm is above 1e-280 this is its logarithm.  Deeper it is
+        s*t + log ||exp(t*(A - s*I))|| with s = max Re eig(A) (Moler and Van
+        Loan), one stacked exponential and SVD for all deep times; near the
+        norm's peak the two terms would cancel.  A non-finite shifted log, as
+        when t amplifies the error of s on a defective generator, raises
+        :class:`NumericsFailure` naming the time.
         """
         ts = np.asarray(ts, dtype=float)
         vals = self.norm_at_many(ts)
@@ -323,23 +332,13 @@ class MatrixSemigroup(SemigroupModel):
         deep = vals <= 1e-280
         out[~deep] = np.log(vals[~deep])
         if deep.any():
-            out[deep] = self._log_norms_deep(ts[deep])
-        return out
-
-    def _log_norms_deep(self, ts):
-        ks = np.maximum(1, np.ceil(np.log2(np.maximum(ts, 1.0)))).astype(np.int64)
-        d = _expm(self.a * (ts / 2.0**ks)[:, None, None])
-        log_scale = np.zeros(ts.size)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for j in range(int(ks.max())):
-                live = (ks > j) & (log_scale > -math.inf)
-                n = operator_norms_batch(d[live])
-                log_scale[live] = 2.0 * (log_scale[live] + np.log(n))
-                dn = d[live] / n[:, None, None]
-                d[live] = dn @ dn
-            extinct = log_scale == -math.inf
-            out = log_scale + np.log(operator_norms_batch(d))
-        out[extinct] = -math.inf
+            s, td = self._abscissa, ts[deep]
+            with np.errstate(divide="ignore"):
+                shifted = np.log(self._map_expm(td, operator_norms_batch, s))
+            if not np.isfinite(shifted).all():
+                t = td[~np.isfinite(shifted)][0]
+                raise NumericsFailure(f"log ||exp(t*A)|| is not finite at t = {t:g}, shift s = {s!r}")
+            out[deep] = s * td + shifted
         return out
 
     def vector_trajectory(self, x):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import semistab as ss
-from semistab import InvalidArgument, SearchConfig
+from semistab import InvalidArgument, SearchConfig, entrytime
 from semistab.entrytime import STATUS_BISECTED, STATUS_EXACT, STATUS_HORIZON
 
 from conftest import counting
@@ -177,6 +177,23 @@ class TestVectorEntryTime:
             assert vt.time <= op.time + CFG.time_tol
 
 
+def _bisect_every_row(traj, thresholds, lo, hi, f_hi, rows, time_tol):
+    """Reference lockstep bisection: every row evaluates its own midpoint."""
+    thr, a, b, fb = thresholds[rows], lo[rows], hi[rows], f_hi[rows]
+    while True:
+        wide = b - a > time_tol
+        if not wide.all():
+            done = rows[~wide]
+            lo[done], hi[done], f_hi[done] = a[~wide], b[~wide], fb[~wide]
+            rows, thr, a, b, fb = rows[wide], thr[wide], a[wide], b[wide], fb[wide]
+        if not rows.size:
+            return
+        mid = 0.5 * (a + b)
+        vals = traj.evaluate_many(mid)
+        above = vals >= thr
+        a, b, fb = np.where(above, mid, a), np.where(above, b, mid), np.where(above, fb, vals)
+
+
 class TestInvariants:
     def test_monotone_gaps_analytic(self, gaussian, scalar2, nilpotent, damped):
         slack = 1e-7 + 4 * CFG.time_tol
@@ -208,6 +225,22 @@ class TestInvariants:
         assert all(s.status == STATUS_EXACT for s in table.statuses[2:])
         spread = max(table.t[1:]) - min(table.t[1:])
         assert spread <= 2 * CFG.time_tol
+
+    @pytest.mark.parametrize("model, most", [
+        (ss.NilpotentShift(1.0), 33), (ss.DampedNilpotent(1.0, 1.0), 33),
+        (ss.DampedNilpotent(0.5, 3.0), 80), (ss.DampedNilpotent(4.0, 4.0), 500),
+    ], ids=["nilpotent L=1", "damped nu=1 L=1", "damped nu=0.5 L=3", "damped nu=4 L=4"])
+    def test_plateau_rows_ride_on_the_crossing(self, model, most, monkeypatch):
+        # past an extinction plateau's crossing every later threshold shares
+        # one bracket, whose midpoint takes one norm per round, where
+        # bisecting every row on its own takes 1,273 norms; the table is the
+        # same.  Under damped-nilpotent the earlier rows leave the shared
+        # bracket one by one as their crossings part.
+        wrapped, calls = counting(model.trajectory())
+        table = ss.entry_time_table(wrapped, 40)
+        assert calls["points"] <= most, calls
+        monkeypatch.setattr(entrytime, "_bisect", _bisect_every_row)
+        assert repr(table) == repr(ss.entry_time_table(wrapped, 40))
 
     def test_search_config_validation(self):
         with pytest.raises(InvalidArgument):

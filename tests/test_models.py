@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import semistab as ss
-from semistab import InvalidArgument, InvalidModel, SpecError
+from semistab import InvalidArgument, InvalidModel, NumericsFailure, SpecError, models
 
 
 ANALYTIC_MODELS = [
@@ -208,6 +208,45 @@ class TestMatrixNorms:
         traj = ss.MatrixSemigroup(np.diag([-1.0, -2.0])).trajectory()
         assert traj.evaluate(900.0) == 0.0
         assert traj.log_evaluate_many(np.array([900.0]))[0] == pytest.approx(-900.0, rel=1e-6)
+
+    def test_log_norm_deep_tail_strongly_damped(self):
+        # exp(-2000 t) underflows even at t = 0.5, yet its log is exact
+        ts = np.array([1.0, 10.0])
+        logs = ss.MatrixSemigroup([[-2000.0]]).trajectory().log_evaluate_many(ts)
+        assert (logs == -2000.0 * ts).all()
+
+    @pytest.mark.parametrize("a, b", [(-1.0, 10.0), (-6.026, 14.86)], ids=["j10", "gallery"])
+    def test_log_norm_deep_tail_jordan_closed_form(self, a, b):
+        # ||exp(t [[a,b],[0,a]])|| = exp(a t) (b t/2 + sqrt(1 + (b t/2)^2))
+        traj = ss.MatrixSemigroup([[a, b], [0.0, a]]).trajectory()
+        ts = np.array([900.0, 5e3, 2e4])
+        assert (traj.evaluate_many(ts) == 0.0).all()
+        np.testing.assert_allclose(traj.log_evaluate_many(ts), a * ts + np.arcsinh(b * ts / 2.0),
+                                   rtol=1e-12, atol=0.0)
+
+    def test_log_norm_deep_batch_is_one_exponential(self, monkeypatch):
+        # one stacked exponential for the norms and one for the deep tail,
+        # however deep the times: no squaring ladder per level
+        calls = []
+        for name in ("_expm", "operator_norms_batch"):
+            kernel = getattr(models, name)
+            monkeypatch.setattr(models, name, lambda m, name=name, kernel=kernel:
+                                calls.append(name) or kernel(m))
+        traj = ss.MatrixSemigroup([[-1.0, 10.0], [0.0, -1.0]]).trajectory()
+        out = traj.log_evaluate_many(np.geomspace(900.0, 3e4, 15))
+        assert np.isfinite(out).all()
+        assert calls.count("_expm") <= 2 and calls.count("operator_norms_batch") <= 2, calls
+
+    def test_log_norm_fails_where_the_shift_breaks_down(self):
+        # P J P^-1 with J the 3x3 Jordan block at -2: its computed spectral
+        # abscissa is off by about 1.6e-5, which t = 1e6 amplifies past the
+        # float range; the log route must say so rather than return inf
+        jordan = np.array([[-2.0, 5.0, 0.0], [0.0, -2.0, 5.0], [0.0, 0.0, -2.0]])
+        p = np.random.default_rng(1).uniform(-1.0, 1.0, (3, 3)) + 2.0 * np.eye(3)
+        traj = ss.MatrixSemigroup(p @ jordan @ np.linalg.inv(p)).trajectory()
+        assert np.isfinite(traj.log_evaluate_many(np.array([900.0]))).all()
+        with pytest.raises(NumericsFailure, match=r"t = 1e\+06"):
+            traj.log_evaluate_many(np.array([900.0, 1e6]))
 
 
 class TestSubmultiplicativity:

