@@ -40,6 +40,16 @@ _CHUNK = 4096              # matrices per stacked exponential, bounding temporar
 _STACK_BYTES = 1 << 20     # bytes of fractional kernels per Lanczos stack, sized to stay in cache
 _FLAG_TOL = 1e-10          # slack when sampling for the contraction flag
 _LUMER_PHILLIPS_TOL = 1e-12  # relative slack on the top eigenvalue of A + A^T
+_DEEP_NORM = 1e-280        # matrix norms at or below this take the shifted log route
+_DEEP_LOG = math.log(_DEEP_NORM)
+# nats below _DEEP_LOG that certify a time deep from its shifted log alone.
+# Near _DEEP_LOG the plain and shifted logs differ by at most 1.5e-10 nats on
+# 3,000 random stable generators, but by up to 36 nats on 400 defective dense
+# ones (P J P^-1, Jordan blocks of order 2 to 4), where both routes are that
+# far from the exact value.  The margin must exceed the difference, or a time
+# certified by one route could lie above _DEEP_NORM by the other; the band it
+# leaves to the plain route is a few quadrature points per analysis.
+_DEEP_MARGIN = 64.0
 
 
 def _check_time(t):
@@ -49,13 +59,22 @@ def _check_time(t):
     return t
 
 
+def _check_times(ts):
+    ts = np.asarray(ts, dtype=float)
+    # method-form reductions: this runs once per bisection round
+    if ts.size and ((ts < 0).any() or not np.isfinite(ts).all()):
+        raise InvalidArgument("times must be finite and nonnegative")
+    return ts
+
+
 class NormTrajectory:
     """A norm curve t -> ||T(t)|| and what is known of it.
 
     ``evaluate_many`` maps an ndarray of nonnegative finite times to norms.
     It is the curve's one evaluation path: ``evaluate(t)`` is a batch of
-    one.  Both raise :class:`InvalidArgument` on a negative or
-    non-finite time and :class:`NumericsFailure` on a NaN norm.
+    one.  Both, and ``log_evaluate_many``, raise :class:`InvalidArgument`
+    on a negative or non-finite time and :class:`NumericsFailure` on a NaN
+    norm or log norm.
     ``is_contraction`` says the norm starts at most 1 and never rises.
     ``growth_rate`` is an omega with ||T(t+s)|| <= exp(omega*s) ||T(t)||
     for all t, s >= 0, or +inf when none is known; it lets the searches
@@ -83,11 +102,7 @@ class NormTrajectory:
         return float(self.evaluate_many(np.array([float(t)]))[0])
 
     def evaluate_many(self, ts):
-        ts = np.asarray(ts, dtype=float)
-        # method-form reductions: this runs once per bisection round
-        if ts.size and ((ts < 0).any() or not np.isfinite(ts).all()):
-            raise InvalidArgument("times must be finite and nonnegative")
-        out = np.asarray(self._evaluate_many(ts), dtype=float)
+        out = np.asarray(self._evaluate_many(_check_times(ts)), dtype=float)
         if np.isnan(out).any():
             raise NumericsFailure("norm evaluation returned NaN")
         return out
@@ -98,15 +113,18 @@ class NormTrajectory:
         Closed-form and matrix models supply an exact log route, which stays
         meaningful long after the norm itself has underflowed; otherwise this
         falls back to the logarithm of the evaluated norm with values at or
-        below NORM_FLOOR treated as extinct.
+        below NORM_FLOOR treated as extinct.  Times are checked as by
+        ``evaluate_many``, and a NaN log raises :class:`NumericsFailure`.
         """
-        ts = np.asarray(ts, dtype=float)
-        if self._log_evaluate_many is not None:
-            return np.asarray(self._log_evaluate_many(ts), dtype=float)
-        vals = self.evaluate_many(ts)
-        out = np.full(vals.shape, -math.inf)
-        live = vals > NORM_FLOOR
-        out[live] = np.log(vals[live])
+        if self._log_evaluate_many is None:
+            vals = self.evaluate_many(ts)
+            out = np.full(vals.shape, -math.inf)
+            live = vals > NORM_FLOOR
+            out[live] = np.log(vals[live])
+            return out
+        out = np.asarray(self._log_evaluate_many(_check_times(ts)), dtype=float)
+        if np.isnan(out).any():
+            raise NumericsFailure("log norm evaluation returned NaN")
         return out
 
 
@@ -286,7 +304,10 @@ class MatrixSemigroup(SemigroupModel):
     the norm's underflow the log route shifts by the spectral abscissa s:
     exp(t*A) = exp(s*t) exp(t*(A - s*I)) (Moler and Van Loan, "Nineteen
     Dubious Ways to Compute the Exponential of a Matrix, Twenty-Five Years
-    Later", SIAM Rev. 45, 2003).
+    Later", SIAM Rev. 45, 2003).  The shifted generator is built once.  As
+    ||exp(t*A)|| >= exp(s*t), the log route knows which times may lie past
+    the underflow before it exponentiates, and a time that its shifted log
+    shows to be deep is exponentiated only once.
     """
 
     kind = "matrix"
@@ -296,10 +317,12 @@ class MatrixSemigroup(SemigroupModel):
         self.a = _as_square_matrix(a)
         self.growth_rate = 0.5 * float(np.linalg.eigvalsh(self.a + self.a.T)[-1])
         self._abscissa = float(np.linalg.eigvals(self.a).real.max())
+        self._shifted = self.a - self._abscissa * np.eye(len(self.a))
+        # ||exp(t*A)|| >= exp(s*t), so no earlier time has its norm at or below _DEEP_NORM
+        self._deep_from = _DEEP_LOG / self._abscissa if self._abscissa < 0.0 else math.inf
 
-    def _map_expm(self, ts, reduce, shift=0.0):
-        """reduce() applied to stacks of exp(t*(A - shift*I)) over the times ts, in chunks."""
-        gen = self.a - shift * np.eye(len(self.a))
+    def _map_expm(self, gen, ts, reduce):
+        """reduce() applied to stacks of exp(t*gen) over the times ts, in chunks."""
         ts = np.asarray(ts, dtype=float)
         flat = ts.ravel()
         out = np.empty(flat.size)
@@ -309,7 +332,7 @@ class MatrixSemigroup(SemigroupModel):
         return out.reshape(ts.shape)
 
     def norm_at_many(self, ts):
-        return self._map_expm(ts, operator_norms_batch)
+        return self._map_expm(self.a, ts, operator_norms_batch)
 
     def _is_contraction(self):
         """Top eigenvalue of A + A^T at most 0, within 1e-12 * max(1, max |a_ij|)."""
@@ -321,25 +344,41 @@ class MatrixSemigroup(SemigroupModel):
 
         Where the norm is above 1e-280 this is its logarithm.  Deeper it is
         s*t + log ||exp(t*(A - s*I))|| with s = max Re eig(A) (Moler and Van
-        Loan), one stacked exponential and SVD for all deep times; near the
-        norm's peak the two terms would cancel.  A non-finite shifted log, as
-        when t amplifies the error of s on a defective generator, raises
-        :class:`NumericsFailure` naming the time.
+        Loan); near the norm's peak the two terms would cancel.  Depth is
+        decided before the plain exponential: ||exp(t*A)|| >= exp(s*t), so
+        only a time with s*t <= log(1e-280) can be deep, and those times get
+        the shifted log first.  A finite shifted log more than ``_DEEP_MARGIN``
+        below log(1e-280) certifies the time deep and is its value: one
+        stacked exponential and SVD for all such times.  Every other time
+        takes the plain norm and, if that is at or below 1e-280, the shifted
+        log (the one in hand, or computed now).  A non-finite shifted log at
+        a deep time, as when t amplifies the error of s on a defective
+        generator, raises :class:`NumericsFailure` naming the time.
         """
         ts = np.asarray(ts, dtype=float)
-        vals = self.norm_at_many(ts)
-        out = np.empty(ts.shape)
-        deep = vals <= 1e-280
-        out[~deep] = np.log(vals[~deep])
-        if deep.any():
-            s, td = self._abscissa, ts[deep]
-            with np.errstate(divide="ignore"):
-                shifted = np.log(self._map_expm(td, operator_norms_batch, s))
-            if not np.isfinite(shifted).all():
-                t = td[~np.isfinite(shifted)][0]
-                raise NumericsFailure(f"log ||exp(t*A)|| is not finite at t = {t:g}, shift s = {s!r}")
-            out[deep] = s * td + shifted
+        out = np.full(ts.shape, np.nan)
+        maybe = ts >= self._deep_from
+        if maybe.any():
+            out[maybe] = self._shifted_log_norms(ts[maybe])
+        rest = ~(np.isfinite(out) & (out < _DEEP_LOG - _DEEP_MARGIN))
+        tr, logs = ts[rest], out[rest]
+        vals = self.norm_at_many(tr)
+        deep = vals <= _DEEP_NORM
+        logs[~deep] = np.log(vals[~deep])
+        late = deep & ~maybe[rest]
+        if late.any():
+            logs[late] = self._shifted_log_norms(tr[late])
+        bad = deep & ~np.isfinite(logs)
+        if bad.any():
+            raise NumericsFailure(f"log ||exp(t*A)|| is not finite at t = {tr[bad][0]:g}, "
+                                  f"shift s = {self._abscissa!r}")
+        out[rest] = logs
         return out
+
+    def _shifted_log_norms(self, ts):
+        """s*t + log ||exp(t*(A - s*I))||, non-finite where the shifted norm is 0, inf or NaN."""
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return self._abscissa * ts + np.log(self._map_expm(self._shifted, ts, operator_norms_batch))
 
     def vector_trajectory(self, x):
         """Norm curve t -> ||exp(t*A) x|| for a single unit vector x."""
@@ -351,7 +390,7 @@ class MatrixSemigroup(SemigroupModel):
         parent = self.trajectory()
 
         def many(ts):
-            return self._map_expm(ts, lambda e: np.linalg.norm(e @ x, axis=1))
+            return self._map_expm(self.a, ts, lambda e: np.linalg.norm(e @ x, axis=1))
 
         # a contraction semigroup contracts every orbit norm as well, and
         # ||T(t+s)x|| <= ||T(s)|| ||T(t)x|| bounds every orbit's growth

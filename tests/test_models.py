@@ -248,6 +248,29 @@ class TestMatrixNorms:
         with pytest.raises(NumericsFailure, match=r"t = 1e\+06"):
             traj.log_evaluate_many(np.array([900.0, 1e6]))
 
+    def test_log_norm_certified_deep_times_are_exponentiated_once(self, monkeypatch):
+        # s*t is far below log(1e-280) at every time, so the shifted log alone
+        # decides depth: one stacked exponential holding each time once, where
+        # the two-pass route exponentiated every time for the plain norm first
+        sizes = []
+        monkeypatch.setattr(models, "_expm", lambda m, kernel=models._expm:
+                            sizes.append(len(m)) or kernel(m))
+        ts = np.geomspace(900.0, 3e4, 15)
+        out = ss.MatrixSemigroup([[-1.0, 10.0], [0.0, -1.0]]).trajectory().log_evaluate_many(ts)
+        assert np.isfinite(out).all()
+        assert sizes == [ts.size]
+
+    def test_log_norm_keeps_the_plain_log_where_the_shift_fails_above_the_floor(self, monkeypatch):
+        # on j10, s*t <= log(1e-280) from t = 644.7, but the transient keeps the
+        # norm near exp(-637) at t = 646: a non-finite shifted log there
+        # certifies nothing and raises nothing, and the plain log comes back
+        model = ss.MatrixSemigroup([[-1.0, 10.0], [0.0, -1.0]])
+        ts = np.array([1.0, 646.0])
+        assert model._abscissa * ts[1] <= models._DEEP_LOG < math.log(model.norm_at(ts[1]))
+        for bad in (np.nan, np.inf, -np.inf):
+            monkeypatch.setattr(model, "_shifted_log_norms", lambda t, bad=bad: np.full(t.shape, bad))
+            assert np.array_equal(model.trajectory().log_evaluate_many(ts), np.log(model.norm_at_many(ts)))
+
 
 class TestSubmultiplicativity:
     GRID = [(s, t) for s in (0.3, 0.7, 1.1, 2.0) for t in (0.3, 0.7, 1.1, 2.0)]

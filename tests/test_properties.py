@@ -10,7 +10,9 @@ The sparse search for the overshoot suprema, and the growth-bounded
 entry-time lattice scan of a matrix curve, return bit for bit what
 evaluating every grid or lattice point gives; the growth rate they rely on
 bounds the computed norms.  Deep in the tail, past the norm's underflow,
-the matrix log route agrees with renormalized squaring.
+the matrix log route agrees with renormalized squaring, and deciding depth
+before the plain exponential gives the bits of the route that reads every
+plain norm first.
 """
 
 import itertools
@@ -107,6 +109,94 @@ def test_deep_log_norms_match_squaring(n, seed, scale, abscissa, order):
     assert np.array_equal(traj.log_evaluate_many(ts[perm]), logs[perm])
 
 
+@st.composite
+def log_route_generators(draw):
+    """Stable generators of order 1 to 4 with an upper coupling: triangular,
+    rotation blocks (complex eigenvalue pairs), or equal-diagonal Jordan type."""
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["triangular", "complex", "jordan"]))
+    upper = draw(st.lists(st.floats(-12.0, 12.0), min_size=n * n, max_size=n * n))
+    a = np.triu(np.reshape(upper, (n, n)), k=1)
+    if kind == "jordan":
+        return a + draw(st.floats(-6.0, -0.05)) * np.eye(n)
+    a += np.diag(draw(st.lists(st.floats(-6.0, -0.05), min_size=n, max_size=n)))
+    if kind == "complex":
+        # blocks [[d, w], [-r*w, d]]: eigenvalues d +- i*w*sqrt(r), non-normal unless r = 1
+        for i in range(0, n - 1, 2):
+            a[i + 1, i + 1] = a[i, i]
+            a[i, i + 1] = draw(st.floats(0.5, 10.0))
+            a[i + 1, i] = -draw(st.floats(0.1, 10.0)) * a[i, i + 1]
+    return a
+
+
+# P J P^-1 with J the 4x4 Jordan block at -0.3: near log(1e-280) its plain and
+# shifted logs differ by up to 23 nats, and both are 30 to 40 nats off the
+# exact value
+_P = np.random.default_rng(4).uniform(-1.0, 1.0, (4, 4)) + 2.0 * np.eye(4)
+DEFECTIVE_4 = _P @ (np.diag([4.0, 4.0, 4.0], 1) - 0.3 * np.eye(4)) @ np.linalg.inv(_P)
+
+
+def _two_pass_log_norms(model, ts):
+    """The log route that reads every time's plain norm first and takes the
+    shifted log only where that norm is at or below 1e-280: the reference
+    for the route that decides depth before the plain exponential."""
+    vals = model.norm_at_many(ts)
+    out = np.empty(ts.shape)
+    deep = vals <= 1e-280
+    out[~deep] = np.log(vals[~deep])
+    if deep.any():
+        s, td = model._abscissa, ts[deep]
+        gen = model.a - s * np.eye(len(model.a))
+        with np.errstate(divide="ignore"):
+            shifted = np.log(ss.numerics.operator_norms_batch(ss.numerics._expm(gen * td[:, None, None])))
+        if not np.isfinite(shifted).all():
+            t = td[~np.isfinite(shifted)][0]
+            raise ss.NumericsFailure(f"log ||exp(t*A)|| is not finite at t = {t:g}, shift s = {s!r}")
+        out[deep] = s * td + shifted
+    return out
+
+
+def _outcome(log_norms, ts):
+    try:
+        return log_norms(ts)
+    except ss.NumericsFailure as exc:
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=log_route_generators(), scales=st.lists(st.floats(0.0, 1e4), max_size=8))
+@example(a=J10, scales=[1e3, 1e4])
+@example(a=np.array([[-2000.0]]), scales=[])
+@example(a=np.array([[-3.0, 5.0], [-5.0, -3.0]]), scales=[])
+@example(a=DEFECTIVE_4, scales=[])
+def test_depth_first_log_route_matches_two_pass_bitwise(a, scales):
+    # the times run from shallow (s*t > log 1e-280) across the band where
+    # only the plain norm can tell depth, through the margin, to deep; every
+    # value, and every failure, matches the two-pass route bit for bit, on
+    # the batch and the point path
+    model = ss.MatrixSemigroup(a)
+    deep_log, margin = math.log(1e-280), ss.models._DEEP_MARGIN
+    edge = deep_log / model._abscissa
+    ts = edge * np.concatenate([[0.0, 0.5], np.linspace(0.9, 1.6, 600), scales])
+    ref = _outcome(lambda t: _two_pass_log_norms(model, t), ts)
+    if not isinstance(ref, str):
+        # an oscillating norm can step over the margin: refine the first step past it
+        i = max(1, int(np.argmax(ref < deep_log - margin)))
+        ts = np.concatenate([ts, np.linspace(ts[i - 1], ts[i], 65)[1:-1]])
+        ref = _outcome(lambda t: _two_pass_log_norms(model, t), ts)
+    got = _outcome(model._log_norms, ts)
+    if isinstance(ref, str):
+        assert got == ref
+        return
+    assert np.array_equal(got, ref)
+    assert (model._abscissa * ts > deep_log).any()
+    assert ((ref >= deep_log - margin) & (ref <= deep_log)).any()
+    assert (ref < deep_log - margin).any()
+    near = np.flatnonzero(np.abs(ref - deep_log) < 3.0)
+    points = [model._log_norms(ts[i:i + 1])[0] for i in near]
+    assert np.array_equal(points, ref[near])
+
+
 @pytest.mark.parametrize("n", FRACTIONAL_NS)
 @settings(max_examples=15, deadline=None)
 @given(ts=st.lists(st.one_of(st.just(0.0), st.floats(1e-8, 180.0)), min_size=1, max_size=40))
@@ -138,7 +228,7 @@ def test_closed_form_batch_matches_points_bitwise(model, ts):
     assert np.array_equal(np.array([traj.evaluate(t) for t in ts]), batch)
 
 
-@pytest.mark.parametrize("bad", [-1.0, -1e-300, math.nan, math.inf])
+@pytest.mark.parametrize("bad", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
 def test_single_path_rejects_bad_times_and_nan_norms(bad):
     for model in CLOSED_FORMS + (ss.MatrixSemigroup(J10), ss.FractionalIntegration(16)):
         traj = model.trajectory()
@@ -148,12 +238,18 @@ def test_single_path_rejects_bad_times_and_nan_norms(bad):
             traj.evaluate_many(np.array([0.5, bad]))
         with pytest.raises(ss.InvalidArgument):
             model.norm_at(bad)
-    nan_past_1 = ss.NormTrajectory(lambda ts: np.where(ts > 1.0, np.nan, 1.0), is_contraction=True)
+        with pytest.raises(ss.InvalidArgument):
+            traj.log_evaluate_many(np.array([0.5, bad]))
+    nan_past_1 = ss.NormTrajectory(lambda ts: np.where(ts > 1.0, np.nan, 1.0), is_contraction=True,
+                                   log_evaluate_many=lambda ts: np.where(ts > 1.0, np.nan, 0.0))
     assert nan_past_1.evaluate(0.5) == 1.0
+    assert nan_past_1.log_evaluate_many(np.array([0.5]))[0] == 0.0
     with pytest.raises(ss.NumericsFailure):
         nan_past_1.evaluate(2.0)
     with pytest.raises(ss.NumericsFailure):
         nan_past_1.evaluate_many(np.array([0.5, 2.0]))
+    with pytest.raises(ss.NumericsFailure):
+        nan_past_1.log_evaluate_many(np.array([0.5, 2.0]))
 
 
 @pytest.mark.parametrize("n", FRACTIONAL_NS)
