@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InvalidArgument, NumericsFailure
 from .entrytime import STATUS_HORIZON, STATUS_WIDENED
-from .numerics import LOG_SLACK, NORM_FLOOR, SEARCH_STRIDE, matrix_exponential, operator_norm
+from .numerics import NORM_FLOOR, growth_bounded_search, matrix_exponential, operator_norm
 
 VERDICT_UNSTABLE = "unstable"
 VERDICT_STABLE = "stable"
@@ -234,8 +234,8 @@ class GrowthEstimate:
     spread_is_minus_infinity: bool
 
 
-def default_growth_grid(traj, table, *, n_points=513):
-    """Sample grid for the growth routes.
+def default_growth_grid(traj, table):
+    """Sample grid for the growth routes: 513 equal steps up to t_end.
 
     Extends past the last finite entry time so the log-slope has settled;
     for curves that decay beyond the floating-point floor the grid ends at
@@ -250,7 +250,7 @@ def default_growth_grid(traj, table, *, n_points=513):
     cands = np.geomspace(t_hi + 1.0, cap, 24)
     below = np.flatnonzero(traj.evaluate_many(cands) <= NORM_FLOOR)
     t_end = float(cands[below[0]]) if below.size else cap
-    return np.linspace(t_end / n_points, t_end, n_points)
+    return np.linspace(t_end / 513, t_end, 513)
 
 
 def growth_characteristic(traj, table, t_grid, *, th=None):
@@ -365,7 +365,7 @@ class IndexEstimates:
     estimates approximate the extinction time.  ``per_nu`` holds
     (nu, log M_nu, log(M_nu)/nu, boundary) for each nu.  The suprema are
     those of the whole sample grid, found without evaluating every grid
-    point on a contraction (see :func:`stability_and_extinction_indices`).
+    point (see :func:`stability_and_extinction_indices`).
     """
 
     nu_hat: float
@@ -381,62 +381,35 @@ def _overshoot_maxima(traj, t, nu_grid):
 
     The maxima run over the points of the grid ``t`` whose norm exceeds
     NORM_FLOOR; ties go to the first index, as :func:`numpy.argmax` breaks
-    them.  On a curve with a growth bound sampled on a nondecreasing grid
-    the search is coarse to fine.  It evaluates every 32nd point and the
-    last one, then the midpoint of each cell (i, j) between evaluated
-    points that may still hold a maximum, until none may.  The norm rises
-    at most like exp(omega+ * s), omega+ = 0 for a contraction and
-    max(growth_rate, 0) otherwise, so every unevaluated point k of the
-    cell has log||T(t_k)|| at most h = log||T(t_i)|| + 1e-9 +
-    omega+ * (t_{j-1} - t_i) (the slack covers kernel noise, and the
-    floats of a sum round monotonically), hence value at most
-    h + nu*t_{j-1}; and it can exceed the floor only if h >= log(NORM_FLOOR).
-    A cell may hold a maximum only if that bound reaches, for some nu, the
-    best evaluated value, with equality kept for the tie rule.  So the
-    result is the one the dense grid gives, bit for bit, and points in
-    discarded cells are never evaluated.  A curve with no known growth
-    rate, or a grid that ever decreases, gets no bound: the first pass
-    then takes every point, in one call.  Raises :class:`InvalidArgument`
-    when no grid point exceeds the floor.
+    them.  :func:`growth_bounded_search` keeps a gap with head h and right
+    end b while h >= log(NORM_FLOOR) and, for some nu, h + nu*t_{b-1}
+    reaches the best value so far (equality counts, for the tie rule).  No
+    point of a rejected gap exceeds both the floor and a best value, and
+    the best values only rise, so the result is the dense grid's, bit for
+    bit.  Each round scores only its new points and the open gaps.  Raises
+    :class:`InvalidArgument` when no grid point exceeds the floor.
     """
-    rate = 0.0 if traj.is_contraction else max(traj.growth_rate, 0.0)
-    bounded = math.isfinite(rate) and bool((t[1:] >= t[:-1]).all())
-    ks = np.arange(t.size)
-    todo = ks[(ks % (SEARCH_STRIDE if bounded else 1) == 0) | (ks == t.size - 1)]
-    lo, hi = todo[:-1], todo[1:]          # the cells between first-pass points
-    log_v = np.zeros(t.size)
     best = [-math.inf] * len(nu_grid)     # for each nu, the best value so far
     at = [-1] * len(nu_grid)              # and its grid index
     log_floor = np.log(NORM_FLOOR)
-    while todo.size:
-        vals = traj.evaluate_many(t[todo])
+
+    def keep(new, vals, hi, head):
+        # one pass per nu over the new points, then over the open gaps
+        m = new.size
         with np.errstate(divide="ignore"):
-            log_v[todo] = np.log(vals)
-        # an unbounded search has no cell wider than one step, and its
-        # infinite rate is never read
-        lo, hi = lo[hi - lo > 1], hi[hi - lo > 1]
-        head = log_v[lo] + LOG_SLACK + rate * (t[hi - 1] - t[lo])
-        cell = head >= log_floor
-        lo, hi, head = lo[cell], hi[cell], head[cell]
-        # one pass per nu over the new points, then over the open cells
-        m = todo.size
-        base = np.concatenate([np.where(vals > NORM_FLOOR, log_v[todo], -math.inf), head])
-        times = np.concatenate([t[todo], t[hi - 1]])
-        reach = np.zeros(lo.size, dtype=bool)
+            base = np.concatenate([np.where(vals > NORM_FLOOR, np.log(vals), -math.inf), head])
+        times = np.concatenate([t[new], t[hi - 1]])
+        reach = np.zeros(hi.size, dtype=bool)
         for j, nu in enumerate(nu_grid):
             score = base + nu * times
             i = int(score[:m].argmax())
             value = float(score[i])
-            if value > best[j] or (value == best[j] and todo[i] < at[j]):
-                best[j], at[j] = value, int(todo[i])
+            if value > best[j] or (value == best[j] and new[i] < at[j]):
+                best[j], at[j] = value, int(new[i])
             reach |= score[m:] >= best[j]
-        # a cell that fails keeps failing, as the best values only rise;
-        # the two halves of each cell that passes are the next cells.
-        # >> 1 rather than // 2: numpy's integer floor-division loop alone
-        # raised the closed-form benchmark's peak RSS by about 0.3 MiB
-        lo, hi = lo[reach], hi[reach]
-        todo = (lo + hi) >> 1
-        lo, hi = np.stack([lo, todo], 1).ravel(), np.stack([todo, hi], 1).ravel()
+        return reach & (head >= log_floor)
+
+    growth_bounded_search(traj, t, keep)
     if at[0] < 0:
         raise InvalidArgument("trajectory vanishes on the whole sample grid")
     return list(zip(at, best))
@@ -448,10 +421,10 @@ def stability_and_extinction_indices(traj, table, nu_grid=None, t_grid=None, *, 
     The default sample grid is 4097 equally spaced times on
     [0, max(2 t_hi, t_hi + 1)], t_hi the last finite entry time.  On a
     contraction, or a curve with a known growth rate, the overshoot suprema
-    are found by a coarse-to-fine search that evaluates only the grid
-    points that can hold a maximum (about 450 of the 4097 on fractional
-    integration) and gives the same bits as evaluating all of them; see
-    :func:`_overshoot_maxima`.
+    are found by the growth-bounded search that also scans the entry
+    lattice.  It evaluates only the grid points that can hold a maximum
+    (447 of the 4097 on fractional integration n=64) and gives the same
+    bits as evaluating all of them; see :func:`_overshoot_maxima`.
     """
     th = th or ClassifyThresholds()
     if nu_grid is None:

@@ -16,12 +16,12 @@ below-threshold window follows it; otherwise the horizon doubles.  A
 contraction (norm nonincreasing) is its own envelope, so its horizon points
 suffice and one sample below a threshold certifies the crossing.  A curve
 with a known growth rate omega (||T(t+s)|| <= exp(omega*s) ||T(t)||, as a
-matrix semigroup states) has its lattice scanned coarse to fine: only the
-lattice cells that may hold an anchor are refined, and the brackets are
-those of the full lattice, bit for bit.  All open brackets are then
-bisected in lockstep, one batched evaluation per round.  Trajectories that
-never settle below the threshold before the horizon cap are reported as
-+inf.
+matrix semigroup states) has its lattice searched coarse to fine by
+:func:`growth_bounded_search`, as the overshoot suprema are: only gaps
+that may hold an anchor are refined, and the brackets are those of the
+full lattice, bit for bit.  All open brackets are then bisected in
+lockstep, one batched evaluation per round.  Trajectories that never
+settle below the threshold before the horizon cap are reported as +inf.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument
-from .numerics import LOG_SLACK, NORM_FLOOR, SEARCH_STRIDE
+from .numerics import NORM_FLOOR, growth_bounded_search
 
 STATUS_EXACT = "exact"
 STATUS_BISECTED = "bisected"
@@ -95,7 +95,7 @@ def vector_entry_time(model, x, r, cfg=None):
 
 
 def _check_r(r):
-    if r < 0 or int(r) != r:
+    if not (0 <= r < math.inf and int(r) == r):
         raise InvalidArgument(f"r must be a nonnegative integer, got {r}")
     if math.exp(-float(r)) <= NORM_FLOOR:
         raise InvalidArgument(f"threshold exp(-{r}) is below the norm floor")
@@ -246,50 +246,36 @@ class _EnvelopeScan:
     def _lattice(self, k0, k1, at_horizon, pending):
         """Times and norms of the lattice points k0..k1 that a bracket can read.
 
-        With no growth bound that is every point, in one call.  Otherwise
-        the first pass takes k0, k1 and every SEARCH_STRIDE-th point
-        between, and each round evaluates, in one call, the midpoint of
-        every gap (a, b) between evaluated points that holds a candidate c
-        with S < c <= U.  Here S is the largest sample at or after b, the
-        horizon's included, and U = f(a) * exp(max(omega, 0) * (t_b - t_a)
-        + slack) bounds the norm inside the gap.  A gap outside that test
-        cannot hold the last point with f >= c: that point lies at or after
-        b when S >= c, and nothing inside reaches c when U < c.  As S only
-        grows, a gap that fails once fails for good.  When the rounds end,
-        the last lattice point with f >= c is evaluated for every candidate
-        c, and so is the point after it: the gap right of it has S < c <=
-        f(a) <= U.  The candidates are the pending thresholds, which fixes
-        every anchor and bracket, and the least float above each threshold
-        * (1 + 1e-12), so the sampled maximum fails the exact-from-zero test
-        in :meth:`bracket` exactly when the full lattice's does.  The slack,
-        LOG_SLACK + 2 * eval_error_bound, covers kernel noise; a norm at or
-        below NORM_FLOOR (zero or subnormal) has no relative accuracy, so
-        there the bound starts from NORM_FLOOR.
+        :func:`growth_bounded_search` keeps a gap (a, b) while it holds a
+        candidate c with S < c <= U = exp(head), S the largest sample at or
+        after b, the horizon's included.  Any other gap cannot hold the last
+        point with f >= c: that point lies at or after b when S >= c, and
+        nothing inside reaches c when U < c; and S only grows.  So the last
+        point with f >= c is evaluated for every candidate c, and so is the
+        point after it, whose gap has S < c <= f(a) <= U.  The candidates
+        are the pending thresholds, which fixes every anchor and bracket,
+        and the least float above each threshold * (1 + 1e-12), so the
+        sampled maximum fails the exact-from-zero test in :meth:`bracket`
+        exactly when the full lattice's does.
         """
-        h = self.cfg.grid_step
-        rate = max(self.traj.growth_rate, 0.0)
-        if math.isinf(rate) or k1 <= k0:
-            lattice = np.arange(k0, k1 + 1, dtype=float) * h
-            return lattice, self.traj.evaluate_many(lattice)
+        lattice = np.arange(k0, k1 + 1, dtype=float) * self.cfg.grid_step
         cands = np.sort(np.concatenate([pending, np.nextafter(pending * (1.0 + 1e-12), math.inf)]))
         log_cands = np.log(cands)
-        slack = LOG_SLACK + 2.0 * self.traj.eval_error_bound
-        ks, vals = np.zeros(0, dtype=np.int64), np.zeros(0)
-        todo = np.concatenate([[k0], np.arange((k0 // SEARCH_STRIDE + 1) * SEARCH_STRIDE, k1,
-                                               SEARCH_STRIDE), [k1]])
-        while todo.size:
-            ks = np.concatenate([ks, todo])
-            vals = np.concatenate([vals, self.traj.evaluate_many(todo * h)])
+
+        ks, vals = np.zeros(0, dtype=np.int64), np.zeros(0)  # every sample so far, in order
+
+        def keep(new, fresh, hi, head):
+            nonlocal ks, vals
+            ks, vals = np.concatenate([ks, new]), np.concatenate([vals, fresh])
             order = ks.argsort()
             ks, vals = ks[order], vals[order]
-            after = np.maximum(np.maximum.accumulate(vals[::-1])[::-1], at_horizon)
-            width = np.diff(ks)
-            log_u = np.log(np.maximum(vals[:-1], NORM_FLOOR)) + rate * (width * h) + slack
+            after = np.maximum.accumulate(vals[::-1])[::-1][ks.searchsorted(hi)]
             # the largest candidate at or below U must lie above S
-            n_under = log_cands.searchsorted(log_u, side="right")
-            split = (width > 1) & (n_under > 0) & (cands[n_under - 1] > after[1:])
-            todo = (ks[:-1][split] + ks[1:][split]) >> 1
-        return ks * h, vals
+            n_under = log_cands.searchsorted(head, side="right")
+            return (n_under > 0) & (cands[n_under - 1] > np.maximum(after, at_horizon))
+
+        growth_bounded_search(self.traj, lattice, keep)
+        return lattice[ks], vals
 
 
 # ---------------------------------------------------------------------------
@@ -352,9 +338,9 @@ def _csv_number(x):
 def entry_time_table(traj, r_max, cfg=None):
     """Compute t_0..t_{r_max+1} and the u_r differences."""
     cfg = cfg or SearchConfig()
+    if not (1 <= r_max < math.inf and int(r_max) == r_max):
+        raise InvalidArgument(f"r_max must be an integer of at least 1, got {r_max}")
     r_max = int(r_max)
-    if r_max < 1:
-        raise InvalidArgument(f"r_max must be at least 1, got {r_max}")
     _check_r(r_max + 1)
     entries = _entry_times(traj, range(r_max + 2), cfg)
     t = tuple(e.time for e in entries)

@@ -426,10 +426,9 @@ class FractionalIntegration(SemigroupModel):
     kind = "fractional-integration"
 
     def __init__(self, n=400):
-        n = int(n)
-        if n < 16:
-            raise InvalidModel(f"fractional-integration requires n >= 16, got {n}")
-        self.n = n
+        if not (float(n).is_integer() and n >= 16):
+            raise InvalidModel(f"fractional-integration requires an integer n >= 16, got {n}")
+        self.n = n = int(n)
         self.eval_error_bound = 4.0 / n
         # log distance from a cell midpoint to the left edge of the cell m
         # cells back
@@ -569,12 +568,10 @@ def build_model_from_spec(text):
             raise SpecError(f"duplicate key {key!r}", pos)
         params[key] = (value, pos)
 
-    def take(key, required=True, default=None):
-        if key in params:
-            return params.pop(key)[0]
-        if required:
+    def take(key):
+        if key not in params:
             raise SpecError(f"{kind} requires {key}=", kind_pos)
-        return default
+        return params.pop(key)[0]
 
     try:
         if kind == "scalar-decay":
@@ -586,7 +583,10 @@ def build_model_from_spec(text):
         elif kind == "damped-nilpotent":
             model = DampedNilpotent(take("nu"), take("L"))
         else:
-            model = FractionalIntegration(int(take("n", required=False, default=400)))
+            n, pos = params.pop("n", (400, kind_pos))
+            if not float(n).is_integer():
+                raise SpecError(f"n must be an integer, got {n:g}", pos)
+            model = FractionalIntegration(n)
     except InvalidModel as exc:
         raise SpecError(str(exc), kind_pos) from None
     if params:

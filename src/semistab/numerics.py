@@ -1,14 +1,14 @@
 """Self-contained numerical kernels.
 
-Matrix exponentials, spectral norms and adaptive quadrature on finite or
-semi-infinite intervals, and the one norm value that counts as exact zero.
-All operations are pure functions of their inputs.  Stacks of matrices
-get their spectral norms from stacked kernels that keep no state between
-calls: exact singular values (:func:`operator_norms_batch`) or Lanczos from
-a fixed start vector (:func:`operator_norms_lanczos`), and each norm in a
-stack depends on its own matrix only.  The only randomness is the seeded start vector of
-:func:`operator_norm` called without one, so results are reproducible bit
-for bit.
+Matrix exponentials, spectral norms, adaptive quadrature on finite or
+semi-infinite intervals, the growth-bounded grid search, and the one norm
+value that counts as exact zero.  All operations are pure functions of
+their inputs.  Stacks of matrices get their spectral norms from stateless
+stacked kernels, exact singular values (:func:`operator_norms_batch`) or
+Lanczos from a fixed start vector (:func:`operator_norms_lanczos`), and
+each norm in a stack depends on its own matrix only.  The only randomness
+is the seeded start vector of :func:`operator_norm` called without one, so
+results are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -26,12 +26,50 @@ from .errors import InvalidArgument, InvalidModel, NumericsFailure
 #: superstability (faster than every exponential, yet positive) part here.
 NORM_FLOOR = 1e-300
 
-#: First-pass stride of the coarse-to-fine searches over a sample grid
-#: (the entry-time lattice scan and the overshoot suprema).
+#: First-pass stride of :func:`growth_bounded_search`.
 SEARCH_STRIDE = 32
 #: Rise of log||T(t)|| beyond its stated growth bound that computed norms
 #: may show; bounds the numerical noise of the norm kernels with a wide margin.
 LOG_SLACK = 1e-9
+
+
+def growth_bounded_search(traj, t, keep):
+    """Evaluate, coarse to fine, the points of the grid ``t`` that ``keep`` may need.
+
+    The norm rises at most like exp(rate * s): rate is 0 on a contraction,
+    max(growth_rate, 0) otherwise.  The first pass takes the first, the last
+    and every SEARCH_STRIDE-th point.  Inside a gap (a, b) between evaluated
+    points, log||T|| is then at most the gap's head log||T(t_a)|| +
+    LOG_SLACK + rate * (t_{b-1} - t_a), -inf when T(t_a) is exactly zero.
+    After each round, ``keep(new, vals, hi, head)`` gets the grid indices
+    evaluated in it and their norms, and the right ends and heads of the
+    open gaps, and says which gaps may hold a point it needs; a rejected gap
+    is never offered again.  The next round evaluates the midpoints of the
+    kept gaps in one call.  With an infinite rate, or a grid that ever
+    decreases, every point is evaluated in one call.
+    """
+    rate = 0.0 if traj.is_contraction else max(traj.growth_rate, 0.0)
+    bounded = math.isfinite(rate) and bool((t[1:] >= t[:-1]).all())
+    todo = np.append(np.arange(0, t.size - 1, SEARCH_STRIDE if bounded else 1), t.size - 1)[:t.size]
+    lo, hi, log_lo = todo[:-1], todo[1:], None
+    while todo.size:
+        vals = traj.evaluate_many(t[todo])
+        with np.errstate(divide="ignore"):
+            log_new = np.log(vals)
+        # the left ends: the first-pass points, then each kept gap's own
+        # left end followed by its midpoint
+        log_lo = log_new[:-1] if log_lo is None else np.stack([log_lo, log_new], 1).ravel()
+        # an unbounded search has no gap wider than one step, and its
+        # infinite rate is never read
+        wide = hi - lo > 1
+        lo, hi, log_lo = lo[wide], hi[wide], log_lo[wide]
+        kept = keep(todo, vals, hi, log_lo + LOG_SLACK + rate * (t[hi - 1] - t[lo]))
+        # >> 1 rather than // 2: numpy's integer floor-division loop alone
+        # raised the closed-form benchmark's peak RSS by about 0.3 MiB
+        lo, hi, log_lo = lo[kept], hi[kept], log_lo[kept]
+        todo = (lo + hi) >> 1
+        lo, hi = np.stack([lo, todo], 1).ravel(), np.stack([todo, hi], 1).ravel()
+
 
 #: Default seed for the power-iteration start vector when none is given.
 DEFAULT_SEED = 1863

@@ -39,7 +39,7 @@ from .numerics import (
 
 INAPPLICABLE = "inapplicable"
 
-#: p values hard-wired to each criterion; (iv) additionally traces a grid.
+#: p values hard-wired to each criterion; (iv) also traces DEFAULT_P_TRACE, largest p first.
 CRITERION_PS = {"i": (1.0, 2.0), "ii": (1.5, 2.0), "iii": (1.0,)}
 DEFAULT_P_TRACE = tuple(2.0**-j for j in range(1, 11))
 
@@ -171,7 +171,7 @@ class PazyReport:
     overall: str
 
 
-def pazy_criteria(traj, a=0.0, p_grid=DEFAULT_P_TRACE, *, cfg=None, quad=None, t0=None):
+def pazy_criteria(traj, a=0.0, *, cfg=None, quad=None, t0=None):
     """Evaluate criteria (i)-(iv) with lower limit max(a, t_0) + 1e-6.
 
     The shift past t_0 keeps the norm at or below 1 on the integration range
@@ -204,7 +204,7 @@ def pazy_criteria(traj, a=0.0, p_grid=DEFAULT_P_TRACE, *, cfg=None, quad=None, t
             fired.append(crit)
 
     trace = []
-    for p in sorted(p_grid, reverse=True):
+    for p in DEFAULT_P_TRACE:
         res = run("iv", InverseLogPower(p))
         trace.append((p, res.kind, res.value))
     converged = [kind == VALUE for _, kind, _ in trace]

@@ -77,6 +77,14 @@ class TestAnalyze:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n", ["nan", "inf", "64.5"])
+    def test_fractional_cell_count_must_be_an_integer(self, tmp_path, capsys, n):
+        code = run(["analyze", "--model", f"fractional-integration n={n}",
+                    "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert f"error: n must be an integer, got {n}" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
     def test_bare_matrix_literal_exits_2(self, tmp_path, capsys):
         code = run(["analyze", "--model", "[[1]]", "--out", str(tmp_path / "x")])
         assert code == 2
@@ -240,6 +248,18 @@ class TestSweep:
         text = out.read_text()
         assert "error:SpecError" in text
         assert "superstable" in text
+
+    def test_bad_cell_count_gives_only_its_error_row(self, tmp_path):
+        out = tmp_path / "n.csv"
+        specs = ["fractional-integration n=nan", "scalar-decay nu=1",
+                 "fractional-integration n=inf", "fractional-integration n=64.5"]
+        code = run(["sweep", "--models", ";".join(specs), "--rmax", "20", "--out", str(out)])
+        assert code == 0
+        lines = out.read_text().splitlines()
+        assert [ln for ln in lines if "fractional" in ln] == [
+            f'"{spec}",summary,,,error:SpecError,,,,' for spec in specs if "fractional" in spec]
+        assert [r[4:6] for r in summary_rows(out) if r[0] == "scalar-decay nu=1"] == [
+            ["ok", "stable"]]
 
     def test_numerics_failure_gives_only_its_error_row(self, tmp_path, monkeypatch):
         monkeypatch.setattr(FractionalIntegration, "norm_at_many",

@@ -44,6 +44,14 @@ class TestFinalEntryTime:
         with pytest.raises(InvalidArgument):
             ss.final_entry_time(ss.GaussianShift().trajectory(), -1)
 
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf, 1.5])
+    def test_rejects_r_that_is_no_integer(self, r):
+        model = ss.MatrixSemigroup(np.diag([-1.0, -2.0]))
+        with pytest.raises(InvalidArgument, match="nonnegative integer"):
+            ss.final_entry_time(model.trajectory(), r)
+        with pytest.raises(InvalidArgument, match="nonnegative integer"):
+            ss.vector_entry_time(model, np.array([1.0, 0.0]), r)
+
 
 class TestEntryTimeTable:
     def test_gaussian_relative_times(self):
@@ -73,6 +81,11 @@ class TestEntryTimeTable:
     def test_rejects_tiny_rmax(self):
         with pytest.raises(InvalidArgument):
             ss.entry_time_table(ss.GaussianShift().trajectory(), 0)
+
+    @pytest.mark.parametrize("r_max", [math.nan, math.inf, 20.5])
+    def test_rejects_rmax_that_is_no_integer(self, r_max):
+        with pytest.raises(InvalidArgument, match="r_max must be an integer"):
+            ss.entry_time_table(ss.GaussianShift().trajectory(), r_max)
 
     def test_rejects_threshold_below_floor(self):
         with pytest.raises(InvalidArgument):

@@ -83,6 +83,9 @@ class TestSpecParsing:
         ("nilpotent-shift L=1 junk", 20),
         ("scalar-decay nu=1 nu=2", 18),
         ("  [[1]]", 2),
+        ("fractional-integration n=nan", 23),
+        ("fractional-integration n=inf", 23),
+        ("fractional-integration  n=64.5", 24),
     ])
     def test_errors_carry_position(self, bad, pos):
         with pytest.raises(SpecError) as err:
@@ -372,6 +375,11 @@ class TestFractionalIntegration:
     def test_rejects_tiny_grid(self):
         with pytest.raises(InvalidModel):
             ss.FractionalIntegration(8)
+
+    @pytest.mark.parametrize("n", [math.nan, math.inf, 64.5])
+    def test_rejects_n_that_is_no_integer(self, n):
+        with pytest.raises(InvalidModel, match="requires an integer n >= 16"):
+            ss.FractionalIntegration(n)
 
     def test_norm_helper(self):
         assert ss.FractionalIntegration(64).norm_at(1.0) == pytest.approx(2.0 / math.pi, abs=0.02)

@@ -410,12 +410,32 @@ T_GRIDS = {
     "geometric": np.geomspace(1e-3, 12.0, 3001),
     "decreasing": np.linspace(9.0, 0.0, 1500),
     "repeated": np.repeat(np.linspace(0.0, 6.0, 700), 2),  # ties on every step
+    "runs": np.repeat(np.linspace(0.0, 6.0, 60), 45),  # gaps of equal times across strides
 }
 
 
 @pytest.fixture(scope="module")
 def fractional_16():
     traj = ss.FractionalIntegration(16).trajectory()
+    return traj, ss.entry_time_table(traj, 20)
+
+
+def _spike_to_zero(ts):
+    """exp(-2t) with a tent of slope 400 on [0.029, 0.031], and 0 from t = 3.9.
+
+    log f rises at most at slope 398, so growth rate 400 bounds it.  On the
+    default indices grid (step 7.8/4096) the tent holds one point, index
+    16, between the first-pass points 0 and 32; the maxima for nu = 1 and
+    nu = 2 sit there.  From t = 3.9 on the curve is exactly zero.
+    """
+    tent = np.maximum(0.0, 0.001 - np.abs(ts - 0.03))
+    return np.where(ts < 3.9, np.exp(400.0 * tent - 2.0 * ts), 0.0)
+
+
+@pytest.fixture(scope="module")
+def spike_to_zero():
+    traj = ss.NormTrajectory(_spike_to_zero, is_contraction=False, growth_rate=400.0,
+                             label="spike-to-zero")
     return traj, ss.entry_time_table(traj, 20)
 
 
@@ -443,11 +463,11 @@ def _dense_overshoot(traj, table, nu_grid, t_grid, floor=1e-300):
 
 @pytest.mark.parametrize("name", [
     "scalar2", "gaussian", "nilpotent", "damped", "fractional_16", "fractional_64",
-    "matrix_j10", "matrix_nilpotent_gen",
+    "matrix_j10", "matrix_nilpotent_gen", "spike_to_zero",
 ])
 def test_indices_search_matches_dense_grid(name, request):
     traj, table = request.getfixturevalue(name)[-2:]
-    assert traj.is_contraction == (not name.startswith("matrix"))
+    assert traj.is_contraction == (not name.startswith(("matrix", "spike")))
     for (grid_name, t_grid), nu_grid in itertools.product(T_GRIDS.items(), NU_GRIDS):
         got = ss.stability_and_extinction_indices(traj, table, nu_grid, t_grid)
         per_nu, k = _dense_overshoot(traj, table, nu_grid, t_grid)
@@ -502,6 +522,8 @@ def _scan_cases(name, request):
     elif name == "matrix_j10":
         _, traj, table = request.getfixturevalue(name)
         yield traj, table.r_max, ss.SearchConfig()
+    elif name == "spike_to_zero":
+        yield request.getfixturevalue(name)[0], 20, ss.SearchConfig()
     elif name == "lumer_phillips_edge":
         yield ss.MatrixSemigroup([[-0.5, 1.01], [0.0, -0.5]]).trajectory(), 40, ss.SearchConfig()
     else:
@@ -515,6 +537,7 @@ def _entries(table):
 
 @pytest.mark.parametrize("name", [
     "random_mixed_100", "random_stable_20", "matrix_j10", "lumer_phillips_edge", "j10_orbit",
+    "spike_to_zero",
 ])
 def test_entry_scan_matches_dense_lattice(name, request):
     # [[-0.5,1.01],[0,-0.5]]: A + A^T is just indefinite, so the norm rises
