@@ -420,11 +420,11 @@ def stability_and_extinction_indices(traj, table, nu_grid=None, t_grid=None, *, 
 
     The default sample grid is 4097 equally spaced times on
     [0, max(2 t_hi, t_hi + 1)], t_hi the last finite entry time.  On a
-    contraction, or a curve with a known growth rate, the overshoot suprema
-    are found by the growth-bounded search that also scans the entry
-    lattice.  It evaluates only the grid points that can hold a maximum
-    (447 of the 4097 on fractional integration n=64) and gives the same
-    bits as evaluating all of them; see :func:`_overshoot_maxima`.
+    curve with a finite growth rate, the overshoot suprema are found by the
+    growth-bounded search that also scans the entry lattice.  It
+    evaluates only the grid points that can hold a maximum (447 of the
+    4097 on fractional integration n=64) and gives the same bits as
+    evaluating all of them; see :func:`_overshoot_maxima`.
     """
     th = th or ClassifyThresholds()
     if nu_grid is None:

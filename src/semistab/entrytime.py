@@ -13,10 +13,11 @@ is also sampled on the grid_step lattice.  The reverse cumulative maximum of
 the samples is a discrete M, and the last sample at or above exp(-r) and the
 sample after it bracket t_r.  A bracket is final once a sustained
 below-threshold window follows it; otherwise the horizon doubles.  A
-contraction (norm nonincreasing) is its own envelope, so its horizon points
-suffice and one sample below a threshold certifies the crossing.  A curve
-with a known growth rate omega (||T(t+s)|| <= exp(omega*s) ||T(t)||, as a
-matrix semigroup states) has its lattice searched coarse to fine by
+contraction (growth rate omega <= 0, norm nonincreasing) is its own
+envelope, so its horizon points suffice and one sample below a threshold
+certifies the crossing.  Any other curve with a finite growth rate omega
+(||T(t+s)|| <= exp(omega*s) ||T(t)||, as a matrix semigroup states) has
+its lattice searched coarse to fine by
 :func:`growth_bounded_search`, as the overshoot suprema are: only gaps
 that may hold an anchor are refined, and the brackets are those of the
 full lattice, bit for bit.  All open brackets are then bisected in
@@ -39,6 +40,11 @@ STATUS_BISECTED = "bisected"
 STATUS_HORIZON = "horizon"
 STATUS_WIDENED = "widened"
 
+# relative slack of the exact-from-zero test in _EnvelopeScan.bracket.  The
+# sparse lattice adds a candidate just above threshold * (1 + _EXACT_SLACK),
+# so it passes that test exactly when the full lattice does.
+_EXACT_SLACK = 1e-12
+
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -50,8 +56,11 @@ class SearchConfig:
     evaluated, see :class:`_EnvelopeScan`);
     ``horizon_start`` the first search horizon, and for non-contractions
     also the length of the sustained-below window that certifies a crossing
-    as final; ``horizon_cap`` the absolute give-up point.  The value treated
-    as an exact zero is not a knob: it is :data:`semistab.numerics.NORM_FLOOR`.
+    as final; ``horizon_cap`` the absolute give-up point, which must be
+    finite.  ``time_tol`` must be at least two ulps of ``horizon_cap``: no
+    bracket passes the cap, so every bisection midpoint then lies strictly
+    inside its bracket.  The value treated as an exact zero is not a knob:
+    it is :data:`semistab.numerics.NORM_FLOOR`.
     """
 
     time_tol: float = 1e-8
@@ -60,9 +69,15 @@ class SearchConfig:
     horizon_cap: float = 1e4
 
     def __post_init__(self):
-        if not (0.0 < self.time_tol < self.grid_step < self.horizon_start <= self.horizon_cap):
+        if not (0.0 < self.time_tol < self.grid_step < self.horizon_start <= self.horizon_cap
+                < math.inf):
             raise InvalidArgument(
-                "require 0 < time_tol < grid_step < horizon_start <= horizon_cap"
+                "require 0 < time_tol < grid_step < horizon_start <= horizon_cap < inf"
+            )
+        if self.time_tol < 2.0 * math.ulp(self.horizon_cap):
+            raise InvalidArgument(
+                f"time_tol {self.time_tol:g} is below two ulps of horizon_cap "
+                f"({2.0 * math.ulp(self.horizon_cap):g}): bisection could not narrow a bracket"
             )
 
 
@@ -175,14 +190,16 @@ class _EnvelopeScan:
     follows it; otherwise the horizon doubles.  Before a window is scanned
     the horizon point is checked alone: while the curve is still above the
     pending threshold there, nothing earlier can hold an anchor, so the
-    window is skipped.  A contraction's norm never rises, so its horizon
-    points alone already form its envelope, and one sample below a
-    threshold proves every later time below it too.
+    window is skipped.  A contraction, a curve with growth rate <= 0,
+    never rises, so its horizon points alone already form its envelope, and
+    one sample below a threshold proves every later time below it too.
 
-    With a known growth rate the lattice of a window is scanned coarse to
-    fine, and only points that an anchor can depend on are evaluated (see
-    :meth:`_lattice`); every bracket, and the sampled maximum that the
-    exact-from-zero test reads, is the one the full lattice gives.
+    With a finite positive growth rate the lattice of a window is scanned
+    coarse to fine, and only points that an anchor can depend on are
+    evaluated (see :meth:`_lattice`); every bracket, and the sampled maximum
+    that the exact-from-zero test reads, is the one the full lattice gives.
+    With no rate (+inf) the whole lattice of a window is evaluated in one
+    call.
     """
 
     def __init__(self, traj, cfg, thresholds):
@@ -220,7 +237,7 @@ class _EnvelopeScan:
                 status = STATUS_WIDENED
                 break
             self._extend(threshold)
-        if -self.neg_envelope[0] <= threshold * (1.0 + 1e-12):
+        if -self.neg_envelope[0] <= threshold * (1.0 + _EXACT_SLACK):
             # the curve never rises above the threshold: inside from t = 0
             return STATUS_EXACT, 0.0, 0.0, math.inf
         hi = min(anchor + cfg.grid_step, self.horizon) if self.on_lattice else float(self.ts[i + 1])
@@ -254,12 +271,13 @@ class _EnvelopeScan:
         point with f >= c is evaluated for every candidate c, and so is the
         point after it, whose gap has S < c <= f(a) <= U.  The candidates
         are the pending thresholds, which fixes every anchor and bracket,
-        and the least float above each threshold * (1 + 1e-12), so the
+        and the least float above each threshold * (1 + _EXACT_SLACK), so the
         sampled maximum fails the exact-from-zero test in :meth:`bracket`
         exactly when the full lattice's does.
         """
         lattice = np.arange(k0, k1 + 1, dtype=float) * self.cfg.grid_step
-        cands = np.sort(np.concatenate([pending, np.nextafter(pending * (1.0 + 1e-12), math.inf)]))
+        above = np.nextafter(pending * (1.0 + _EXACT_SLACK), math.inf)
+        cands = np.sort(np.concatenate([pending, above]))
         log_cands = np.log(cands)
 
         ks, vals = np.zeros(0, dtype=np.int64), np.zeros(0)  # every sample so far, in order

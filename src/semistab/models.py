@@ -2,7 +2,7 @@
 
 A :class:`NormTrajectory` is the single abstraction the analysis consumes: a
 curve t -> ||T(t)|| evaluated on arrays of times, plus what is known of it
-(contraction, growth rate, error bound, extinction time).  Every model
+(growth rate, error bound, extinction time).  Every model
 computes norms only through its vectorized ``norm_at_many``; a single time
 is a batch of one, so a norm has the same bits whichever path asked for
 it.  Models produce trajectories either from closed forms (scalar decay,
@@ -18,6 +18,7 @@ import ast
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from .numerics import (  # noqa: F401
 
 _CHUNK = 4096              # matrices per stacked exponential, bounding temporaries
 _STACK_BYTES = 1 << 20     # bytes of fractional kernels per Lanczos stack, sized to stay in cache
-_FLAG_TOL = 1e-10          # slack when sampling for the contraction flag
+_SAMPLE_TOL = 1e-10        # slack when sampling the fractional norm for its growth rate
 _LUMER_PHILLIPS_TOL = 1e-12  # relative slack on the top eigenvalue of A + A^T
 _DEEP_NORM = 1e-280        # matrix norms at or below this take the shifted log route
 _DEEP_LOG = math.log(_DEEP_NORM)
@@ -75,28 +76,32 @@ class NormTrajectory:
     one.  Both, and ``log_evaluate_many``, raise :class:`InvalidArgument`
     on a negative or non-finite time and :class:`NumericsFailure` on a NaN
     norm or log norm.
-    ``is_contraction`` says the norm starts at most 1 and never rises.
     ``growth_rate`` is an omega with ||T(t+s)|| <= exp(omega*s) ||T(t)||
     for all t, s >= 0, or +inf when none is known; it lets the searches
-    skip stretches of a rising curve where no sample can matter.
+    skip stretches of a rising curve where no sample can matter.  It is
+    the curve's one growth fact: ``is_contraction`` is omega <= 0.
     ``extinction_time`` is the time past which the norm is identically zero,
     or None.  ``eval_error_bound`` is zero for exact closed forms and a
     discretization-error estimate otherwise.  ``log_evaluate_many``, when
     given, is an exact route to log ||T(t)||.
     """
 
-    def __init__(self, evaluate_many, *, is_contraction, growth_rate=math.inf,
+    def __init__(self, evaluate_many, *, growth_rate=math.inf,
                  eval_error_bound=0.0, extinction_time=None, label="",
                  log_evaluate_many=None):
         self._evaluate_many = evaluate_many
         self._log_evaluate_many = log_evaluate_many
-        self.is_contraction = bool(is_contraction)
         self.growth_rate = float(growth_rate)
         if math.isnan(self.growth_rate):
             raise InvalidArgument("growth_rate must be a number or +inf, got NaN")
         self.eval_error_bound = float(eval_error_bound)
         self.extinction_time = extinction_time
         self.label = label
+
+    @property
+    def is_contraction(self):
+        """The norm never rises: ||T(t+s)|| <= ||T(t)|| for all t, s >= 0."""
+        return self.growth_rate <= 0.0
 
     def evaluate(self, t):
         return float(self.evaluate_many(np.array([float(t)]))[0])
@@ -165,10 +170,11 @@ class SemigroupModel:
 
     A model states what is known of its curve as attributes:
     ``extinction_time``, ``growth_rate``, ``eval_error_bound`` and, where an
-    exact log route exists, a ``_log_norms`` method.  A closed form states
-    its curve only there: its norms are ``exp`` of its log norms, and
-    ``np.exp`` maps 0 to 1 and -inf to 0 exactly.  :meth:`trajectory` builds the curve from
-    these facts once.
+    exact log route exists, a ``_log_norms`` method.  The growth rate
+    defaults to +inf, unknown; no closed form rises, so each states 0.  A
+    closed form states its curve only in ``_log_norms``: its norms are
+    ``exp`` of its log norms, and ``np.exp`` maps 0 to 1 and -inf to 0
+    exactly.  :meth:`trajectory` builds the curve from these facts once.
     """
 
     kind = ""
@@ -184,15 +190,12 @@ class SemigroupModel:
     def norm_at_many(self, ts):
         return np.exp(self._log_norms(ts))
 
-    def _is_contraction(self):
-        return True
-
     def trajectory(self):
         """The model's norm curve, built on first use and then shared."""
         if self._traj is None:
             self._traj = NormTrajectory(
-                self.norm_at_many, is_contraction=self._is_contraction(),
-                growth_rate=self.growth_rate, eval_error_bound=self.eval_error_bound,
+                self.norm_at_many, growth_rate=self.growth_rate,
+                eval_error_bound=self.eval_error_bound,
                 extinction_time=self.extinction_time, label=self.spec_string(),
                 log_evaluate_many=self._log_norms,
             )
@@ -209,6 +212,7 @@ class ScalarDecay(SemigroupModel):
     """Pure exponential decay exp(-nu*t): stable with index nu."""
 
     kind = "scalar-decay"
+    growth_rate = 0.0
 
     def __init__(self, nu):
         if not (float(nu) > 0 and math.isfinite(nu)):
@@ -230,6 +234,7 @@ class GaussianShift(SemigroupModel):
     """
 
     kind = "gaussian-shift"
+    growth_rate = 0.0
 
     def _log_norms(self, ts):
         ts = np.asarray(ts, dtype=float)
@@ -246,6 +251,7 @@ class NilpotentShift(SemigroupModel):
     """
 
     kind = "nilpotent-shift"
+    growth_rate = 0.0
 
     def __init__(self, L):
         if not (float(L) > 0 and math.isfinite(L)):
@@ -268,6 +274,7 @@ class DampedNilpotent(SemigroupModel):
     """
 
     kind = "damped-nilpotent"
+    growth_rate = 0.0
 
     def __init__(self, nu, L):
         if not (float(nu) > 0 and math.isfinite(nu)):
@@ -295,12 +302,14 @@ class MatrixSemigroup(SemigroupModel):
     bits on the batch and the point path, in any query order.  The model
     keeps no warm start, memo or lattice cache; the only state is the
     lazily built trajectory.  So models and trajectories may be shared
-    across threads.  The growth rate and the contraction flag evaluate no
-    norm: by the Lumer-Phillips theorem (Pazy, *Semigroups of Linear
-    Operators*, 1983, section 1.4) ||exp(s*A)|| <= exp(omega*s) with omega
-    the top eigenvalue of (A + A^T)/2, so ||T(t+s)|| <= exp(omega*s)
-    ||T(t)||; the semigroup is a contraction, its norm never rising,
-    exactly when omega <= 0.  One symmetric eigensolve gives both.  Past
+    across threads.  The growth rate evaluates no norm: by the
+    Lumer-Phillips theorem (Pazy, *Semigroups of Linear Operators*, 1983,
+    section 1.4) ||exp(s*A)|| <= exp(omega*s) with omega the top
+    eigenvalue of (A + A^T)/2, so ||T(t+s)|| <= exp(omega*s) ||T(t)||; the
+    semigroup is a contraction, its norm never rising, exactly when
+    omega <= 0.  One symmetric eigensolve gives it.  As the bound is a
+    theorem, a computed norm above it is a kernel error, and
+    :meth:`norm_at_many` raises :class:`NumericsFailure` there.  Past
     the norm's underflow the log route shifts by the spectral abscissa s:
     exp(t*A) = exp(s*t) exp(t*(A - s*I)) (Moler and Van Loan, "Nineteen
     Dubious Ways to Compute the Exponential of a Matrix, Twenty-Five Years
@@ -315,7 +324,10 @@ class MatrixSemigroup(SemigroupModel):
 
     def __init__(self, a):
         self.a = _as_square_matrix(a)
-        self.growth_rate = 0.5 * float(np.linalg.eigvalsh(self.a + self.a.T)[-1])
+        omega = 0.5 * float(np.linalg.eigvalsh(self.a + self.a.T)[-1])
+        # within 1e-12 * max(1, max |a_ij|) above 0 is a rounded 0, as for A + A^T = 0
+        tol = _LUMER_PHILLIPS_TOL * max(1.0, float(np.abs(self.a).max()))
+        self.growth_rate = min(omega, 0.0) if 2.0 * omega <= tol else omega
         self._abscissa = float(np.linalg.eigvals(self.a).real.max())
         self._shifted = self.a - self._abscissa * np.eye(len(self.a))
         # ||exp(t*A)|| >= exp(s*t), so no earlier time has its norm at or below _DEEP_NORM
@@ -332,12 +344,25 @@ class MatrixSemigroup(SemigroupModel):
         return out.reshape(ts.shape)
 
     def norm_at_many(self, ts):
-        return self._map_expm(self.a, ts, operator_norms_batch)
+        return self._bounded(ts, self._map_expm(self.a, ts, operator_norms_batch))
 
-    def _is_contraction(self):
-        """Top eigenvalue of A + A^T at most 0, within 1e-12 * max(1, max |a_ij|)."""
-        tol = _LUMER_PHILLIPS_TOL * max(1.0, float(np.abs(self.a).max()))
-        return 2.0 * self.growth_rate <= tol
+    def _bounded(self, ts, vals):
+        """vals, the norms of exp(t*A) or of an orbit, checked against the Lumer-Phillips bound.
+
+        A norm above 1e-280 that exceeds exp(omega*t) * (1 + eval_error_bound)
+        raises :class:`NumericsFailure` naming the first such time: scaling
+        and squaring beside a stiff mode, as in diag(-1e17, -1), rounds the
+        slow mode's decay away.  Deeper norms are not checked, as subnormal
+        ones lose relative precision.
+        """
+        ts = np.asarray(ts, dtype=float)
+        with np.errstate(over="ignore"):
+            bound = np.exp(self.growth_rate * ts) * (1.0 + self.eval_error_bound)
+        over = (vals > _DEEP_NORM) & (vals > bound)
+        if over.any():
+            raise NumericsFailure(f"a computed norm of exp(t*A) exceeds its Lumer-Phillips bound "
+                                  f"exp({self.growth_rate!r}*t) at t = {ts[over].min():g}")
+        return vals
 
     def _log_norms(self, ts):
         """log ||exp(t*A)|| on an array of times, stable far beyond the norm's underflow.
@@ -381,22 +406,23 @@ class MatrixSemigroup(SemigroupModel):
             return self._abscissa * ts + np.log(self._map_expm(self._shifted, ts, operator_norms_batch))
 
     def vector_trajectory(self, x):
-        """Norm curve t -> ||exp(t*A) x|| for a single unit vector x."""
+        """Norm curve t -> ||exp(t*A) x|| for a single unit vector x.
+
+        ||T(t+s)x|| <= ||T(s)|| ||T(t)x||, so the semigroup's rate bounds the
+        orbit, and its norms are checked as the semigroup's are.
+        """
         x = np.asarray(x, dtype=float)
         if x.shape != (self.a.shape[0],):
             raise InvalidArgument(f"vector of length {self.a.shape[0]} required")
         if abs(float(np.linalg.norm(x)) - 1.0) > 1e-12:
             raise InvalidArgument("x must be a unit vector (within 1e-12)")
-        parent = self.trajectory()
 
         def many(ts):
-            return self._map_expm(self.a, ts, lambda e: np.linalg.norm(e @ x, axis=1))
+            norms = self._map_expm(self.a, ts, lambda e: np.linalg.norm(e @ x, axis=1))
+            return self._bounded(ts, norms)
 
-        # a contraction semigroup contracts every orbit norm as well, and
-        # ||T(t+s)x|| <= ||T(s)|| ||T(t)x|| bounds every orbit's growth
         return NormTrajectory(
-            many, is_contraction=parent.is_contraction, growth_rate=self.growth_rate,
-            eval_error_bound=self.eval_error_bound,
+            many, growth_rate=self.growth_rate, eval_error_bound=self.eval_error_bound,
             label=f"{self.spec_string()} |x orbit",
         )
 
@@ -476,19 +502,21 @@ class FractionalIntegration(SemigroupModel):
             out[idx] = operator_norms_lanczos(self._kernels(flat[idx], denom[idx]))
         return out.reshape(ts.shape)
 
-    def _is_contraction(self):
-        """Contraction flag by sampling the norm on a diagnostic grid up to t = 8.
+    @cached_property
+    def growth_rate(self):
+        """0 if the norm, sampled on a diagnostic grid up to t = 8, never rises; else +inf.
 
-        The grid mixes a linear sweep with a geometric prefix so that fast
-        transient growth near t=0 is not stepped over.  Duplicates are
-        dropped after a sort rather than by ``np.unique``, which imports
-        ``numpy.ma``.
+        The sample runs on first use, so building the model or a kernel
+        evaluates no norm.  The grid mixes a linear sweep with a geometric
+        prefix so that fast transient growth near t=0 is not stepped over.
+        Duplicates are dropped after a sort rather than by ``np.unique``,
+        which imports ``numpy.ma``.
         """
         grid = np.sort(np.concatenate([np.linspace(0.0, 8.0, 161), np.geomspace(5e-3, 1.0, 25)]))
         grid = grid[np.concatenate([[True], grid[1:] != grid[:-1]])]
         vals = self.norm_at_many(grid)
-        nonincreasing = bool(np.all(vals[1:] <= vals[:-1] * (1.0 + _FLAG_TOL)))
-        return nonincreasing and vals[0] <= 1.0 + _FLAG_TOL
+        nonincreasing = bool(np.all(vals[1:] <= vals[:-1] * (1.0 + _SAMPLE_TOL)))
+        return 0.0 if nonincreasing and vals[0] <= 1.0 + _SAMPLE_TOL else math.inf
 
     def spec_string(self):
         return f"fractional-integration n={self.n}"

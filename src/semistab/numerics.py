@@ -36,8 +36,8 @@ LOG_SLACK = 1e-9
 def growth_bounded_search(traj, t, keep):
     """Evaluate, coarse to fine, the points of the grid ``t`` that ``keep`` may need.
 
-    The norm rises at most like exp(rate * s): rate is 0 on a contraction,
-    max(growth_rate, 0) otherwise.  The first pass takes the first, the last
+    The norm rises at most like exp(rate * s), rate = max(growth_rate, 0),
+    which is 0 on a contraction.  The first pass takes the first, the last
     and every SEARCH_STRIDE-th point.  Inside a gap (a, b) between evaluated
     points, log||T|| is then at most the gap's head log||T(t_a)|| +
     LOG_SLACK + rate * (t_{b-1} - t_a), -inf when T(t_a) is exactly zero.
@@ -48,7 +48,7 @@ def growth_bounded_search(traj, t, keep):
     kept gaps in one call.  With an infinite rate, or a grid that ever
     decreases, every point is evaluated in one call.
     """
-    rate = 0.0 if traj.is_contraction else max(traj.growth_rate, 0.0)
+    rate = max(traj.growth_rate, 0.0)
     bounded = math.isfinite(rate) and bool((t[1:] >= t[:-1]).all())
     todo = np.append(np.arange(0, t.size - 1, SEARCH_STRIDE if bounded else 1), t.size - 1)[:t.size]
     lo, hi, log_lo = todo[:-1], todo[1:], None

@@ -15,9 +15,8 @@ TH = ss.ClassifyThresholds()
 class _Counting(ss.NormTrajectory):
     """``traj`` read through, with single and batch calls counted apart."""
 
-    def __init__(self, traj, calls, is_contraction, growth_rate):
-        super().__init__(traj.evaluate_many, is_contraction=is_contraction,
-                         growth_rate=growth_rate)
+    def __init__(self, traj, calls, growth_rate):
+        super().__init__(traj.evaluate_many, growth_rate=growth_rate)
         self._traj = traj
         self.calls = calls
 
@@ -31,21 +30,19 @@ class _Counting(ss.NormTrajectory):
         return self._traj.evaluate_many(ts)
 
 
-def counting(traj, is_contraction=None, growth_rate=None):
+def counting(traj, growth_rate=None):
     """The same curve, counting its calls.
 
-    ``is_contraction`` and ``growth_rate`` override the curve's own flag
-    and rate; ``growth_rate=math.inf`` takes away a matrix curve's bound,
-    so its searches evaluate every lattice or grid point.  The counting
-    curve has no exact log route, extinction time or error bound, so every
-    norm it gives is one of the counted calls.
+    ``growth_rate`` overrides the curve's own rate, and with it whether the
+    curve is a contraction; ``growth_rate=math.inf`` takes away a curve's
+    bound, so its searches evaluate every lattice or grid point.  The
+    counting curve has no exact log route, extinction time or error bound,
+    so every norm it gives is one of the counted calls.
     """
-    if is_contraction is None:
-        is_contraction = traj.is_contraction
     if growth_rate is None:
         growth_rate = traj.growth_rate
     calls = {"evaluate": 0, "evaluate_many": 0, "points": 0}
-    return _Counting(traj, calls, is_contraction, growth_rate), calls
+    return _Counting(traj, calls, growth_rate), calls
 
 
 @pytest.fixture(scope="session")

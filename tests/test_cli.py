@@ -98,6 +98,31 @@ class TestAnalyze:
         assert code == 3
         assert "numerics failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec", ["matrix [[-1e17,0],[0,-1]]", "matrix [[-1e9,0],[0,-1]]"])
+    def test_stiff_generator_exits_3(self, spec, tmp_path, capsys):
+        # a computed norm above the Lumer-Phillips bound exp(-t) is a kernel
+        # error; the diag(-1e17, -1) curve once read "unstable" with exit 0
+        code = run(["analyze", "--model", spec, "--out", str(tmp_path / "stiff")])
+        assert code == 3
+        assert "exceeds its Lumer-Phillips bound" in capsys.readouterr().err
+        assert not (tmp_path / "stiff.json").exists()
+
+    @pytest.mark.parametrize("flag, value", [("--time-tol", "1e-20"), ("--horizon-cap", "inf")])
+    def test_unusable_search_config_exits_2(self, flag, value, tmp_path):
+        # a --time-tol below two ulps of the cap once stalled the bisection,
+        # and an infinite cap raised OverflowError; a fresh interpreter with
+        # a timeout, so a regression fails rather than hangs the suite
+        src = os.path.dirname(os.path.dirname(semistab.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "semistab.cli", "analyze", "--model", "scalar-decay nu=2",
+             flag, value, "--out", str(tmp_path / "cfg")],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
     def test_numpy_ma_stays_unimported(self, tmp_path):
         # np.unique imports numpy.ma (1.6 MiB) on first use; an analysis
         # needs none of it.  A fresh interpreter, since pytest imports it.

@@ -141,12 +141,29 @@ class TestEnvelopeScan:
             tent = np.maximum(0.0, 1.0 - np.abs(ts - 0.005) / 5e-4)
             return np.where(ts <= 0.008, base + peak * tent, base * np.exp(0.008 - ts))
 
-        sparse, calls = counting(ss.NormTrajectory(many, is_contraction=False, growth_rate=8.0))
-        dense = ss.NormTrajectory(many, is_contraction=False)
+        sparse, calls = counting(ss.NormTrajectory(many, growth_rate=8.0))
+        dense = ss.NormTrajectory(many)
         got, want = ss.entry_time_table(sparse, 3), ss.entry_time_table(dense, 3)
         assert repr((got.t, got.statuses)) == repr((want.t, want.statuses))
         assert want.statuses[0].status == STATUS_BISECTED
         assert calls["points"] < 5000
+
+    def test_curve_with_no_rate_scans_whole_lattice_windows(self):
+        # a curve that states no growth rate is not a contraction, and the
+        # entry scan evaluates each lattice window whole, in one call
+        sizes = []
+
+        def many(ts):
+            sizes.append(ts.size)
+            return np.exp(-ts)
+
+        traj = ss.NormTrajectory(many)
+        assert traj.growth_rate == math.inf and not traj.is_contraction
+        table = ss.entry_time_table(traj, 3)
+        window = round(CFG.horizon_start / CFG.grid_step)
+        # t = 0, the first horizon, its window; the second horizon, its window
+        assert sizes[:5] == [1, 1, window, 1, window]
+        assert all(abs(t - r) <= CFG.time_tol for r, t in enumerate(table.t))
 
     def test_entries_are_final(self, matrix_j10):
         # final entry: after t_r the curve never rises above exp(-r) again
@@ -226,7 +243,7 @@ class TestInvariants:
         # a contraction's search and the general scan of the same curve agree
         for model in (ss.ScalarDecay(1.5), ss.GaussianShift(), ss.DampedNilpotent(2.0, 1.5)):
             traj = model.trajectory()
-            general, _ = counting(traj, is_contraction=False)
+            general, _ = counting(traj, growth_rate=math.inf)
             own = ss.entry_time_table(traj, 5).t
             scanned = ss.entry_time_table(general, 5).t
             assert all(abs(a - b) <= 2 * CFG.time_tol for a, b in zip(own, scanned))
@@ -260,6 +277,21 @@ class TestInvariants:
             SearchConfig(time_tol=1e-2, grid_step=1e-3)
         with pytest.raises(InvalidArgument):
             SearchConfig(horizon_start=2e4, horizon_cap=1e4)
+
+    @pytest.mark.parametrize("cfg", [
+        dict(horizon_cap=math.inf), dict(time_tol=1e-20), dict(time_tol=math.ulp(1e4)),
+        dict(time_tol=1e-8, horizon_cap=1e9),
+    ], ids=["inf-cap", "tiny-tol", "one-ulp", "tol-below-cap-ulps"])
+    def test_search_config_rejects_a_tol_bisection_cannot_reach(self, cfg):
+        # no bracket passes the cap, so a time_tol of two ulps of the cap
+        # leaves every midpoint strictly inside its bracket
+        with pytest.raises(InvalidArgument):
+            SearchConfig(**cfg)
+
+    def test_two_ulp_tol_bisects_to_the_float(self):
+        cfg = SearchConfig(time_tol=2.0 * math.ulp(1e4))
+        entry = ss.final_entry_time(ss.ScalarDecay(2.0).trajectory(), 3, cfg)
+        assert entry.status == STATUS_BISECTED and abs(entry.time - 1.5) <= entry.tol
 
 
 class TestGapGrowthNonNormal:

@@ -165,12 +165,36 @@ class TestFlags:
         # the top eigenvalue of (A + A^T)/2 = [[-1, 5], [5, -1]]
         assert traj.growth_rate == orbit.growth_rate == pytest.approx(4.0, rel=1e-14)
         assert not traj.is_contraction
-        for m in (ss.ScalarDecay(1.0), ss.GaussianShift(), ss.FractionalIntegration(16)):
-            assert m.trajectory().growth_rate == math.inf
+
+    def test_every_model_states_its_rate(self):
+        # the closed forms never rise; fractional integration samples its rate
+        for m in ANALYTIC_MODELS + [ss.FractionalIntegration(16)]:
+            assert m.trajectory().growth_rate == 0.0 and m.trajectory().is_contraction
+
+    def test_growth_rate_is_the_only_growth_fact(self):
+        # a curve or model that states no rate is not a contraction
+        assert ss.NormTrajectory(np.exp).growth_rate == math.inf
+        assert not ss.NormTrajectory(np.exp).is_contraction
+        assert models.SemigroupModel.growth_rate == math.inf
+        for rate, flag in [(-1.0, True), (0.0, True), (1e-300, False), (4.0, False)]:
+            assert ss.NormTrajectory(np.exp, growth_rate=rate).is_contraction is flag
+        with pytest.raises(AttributeError):
+            ss.NormTrajectory(np.exp).is_contraction = True
+
+    def test_fractional_rate_is_sampled_once_on_first_use(self, monkeypatch):
+        calls = []
+        many = ss.FractionalIntegration.norm_at_many
+        monkeypatch.setattr(ss.FractionalIntegration, "norm_at_many",
+                            lambda self, ts: calls.append(np.size(ts)) or many(self, ts))
+        model = ss.FractionalIntegration(16)
+        model.kernel_matrix(1.0)
+        assert calls == []
+        assert model.trajectory().growth_rate == model.growth_rate == 0.0
+        assert calls == [185]  # 186 grid points, one of them shared
 
     def test_rejects_nan_growth_rate(self):
         with pytest.raises(InvalidArgument):
-            ss.NormTrajectory(np.exp, is_contraction=False, growth_rate=math.nan)
+            ss.NormTrajectory(np.exp, growth_rate=math.nan)
 
 
 def _sampled_flag(model):
@@ -181,6 +205,19 @@ def _sampled_flag(model):
 
 
 class TestMatrixNorms:
+    @pytest.mark.parametrize("stiff, first", [(1e9, "0.05"), (1e17, "0.01")])
+    def test_stiff_generator_fails_at_its_growth_bound(self, stiff, first):
+        # diag(-stiff, -1) is stable with omega = -1, so ||T(t)|| = exp(-t).
+        # Scaling and squaring beside the stiff mode reads up to 7.3e-6 high
+        # at 1e9 and rounds the slow decay away (every norm 1) at 1e17.
+        model = ss.MatrixSemigroup(np.diag([-stiff, -1.0]))
+        assert model.growth_rate == -1.0
+        # the slow mode's orbit reads what the operator norm reads
+        for traj in (model.trajectory(), model.vector_trajectory(np.array([0.0, 1.0]))):
+            with pytest.raises(NumericsFailure, match=rf"at t = {first}$"):
+                traj.evaluate_many(np.linspace(40.0, 0.0, 4001))
+        assert model.norm_at(0.0) == 1.0
+
     def test_against_svd_of_closed_form(self):
         # triangular 2x2 exponentials have a closed form; the spectral norm
         # of that closed form via LAPACK is a fully independent route
@@ -300,7 +337,7 @@ class TestSubmultiplicativity:
         sums = [s + t for s, t in self.GRID]
         bumped = ss.NormTrajectory(
             lambda ts: model.norm_at_many(ts) * np.where(np.isin(ts, sums), 1.0 + 1e-7, 1.0),
-            is_contraction=True, eval_error_bound=exact.eval_error_bound,
+            growth_rate=0.0, eval_error_bound=exact.eval_error_bound,
         )
         assert ss.validate_submultiplicativity(exact, self.GRID).passed
         assert not ss.validate_submultiplicativity(bumped, self.GRID).passed

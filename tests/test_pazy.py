@@ -88,7 +88,7 @@ class TestPazyCriteria:
         traj = NormTrajectory(
             record(model.norm_at_many),
             log_evaluate_many=record(lambda ts: -np.asarray(ts) ** 2 / 4.0),
-            is_contraction=True,
+            growth_rate=0.0,
         )
         ss.pazy_criteria(traj, t0=0.0)
         assert calls and len(calls) == len(set(calls))
@@ -105,7 +105,7 @@ class TestPazyCriteria:
             return model.norm_at_many(ts)
 
         traj = NormTrajectory(
-            many, is_contraction=base.is_contraction, eval_error_bound=base.eval_error_bound,
+            many, growth_rate=base.growth_rate, eval_error_bound=base.eval_error_bound,
         )
         rep = ss.pazy_criteria(traj, t0=0.0)
         assert "iii" in rep.fired

@@ -240,7 +240,7 @@ def test_single_path_rejects_bad_times_and_nan_norms(bad):
             model.norm_at(bad)
         with pytest.raises(ss.InvalidArgument):
             traj.log_evaluate_many(np.array([0.5, bad]))
-    nan_past_1 = ss.NormTrajectory(lambda ts: np.where(ts > 1.0, np.nan, 1.0), is_contraction=True,
+    nan_past_1 = ss.NormTrajectory(lambda ts: np.where(ts > 1.0, np.nan, 1.0), growth_rate=0.0,
                                    log_evaluate_many=lambda ts: np.where(ts > 1.0, np.nan, 0.0))
     assert nan_past_1.evaluate(0.5) == 1.0
     assert nan_past_1.log_evaluate_many(np.array([0.5]))[0] == 0.0
@@ -434,8 +434,7 @@ def _spike_to_zero(ts):
 
 @pytest.fixture(scope="module")
 def spike_to_zero():
-    traj = ss.NormTrajectory(_spike_to_zero, is_contraction=False, growth_rate=400.0,
-                             label="spike-to-zero")
+    traj = ss.NormTrajectory(_spike_to_zero, growth_rate=400.0, label="spike-to-zero")
     return traj, ss.entry_time_table(traj, 20)
 
 
@@ -474,7 +473,7 @@ def test_indices_search_matches_dense_grid(name, request):
         assert repr(got.per_nu) == repr(per_nu), (grid_name, nu_grid)
         assert repr(got.k_hat_overshoot) == repr(k), (grid_name, nu_grid)
         # the same call with no bound on the norm's rise evaluates every point
-        dense, calls = counting(traj, is_contraction=False, growth_rate=math.inf)
+        dense, calls = counting(traj, growth_rate=math.inf)
         everything = ss.stability_and_extinction_indices(dense, table, nu_grid, t_grid)
         assert calls["evaluate_many"] == 1
         assert repr(got.notes) == repr(everything.notes), (grid_name, nu_grid)
@@ -505,11 +504,28 @@ def test_growth_rate_bounds_the_norm(a, t, s):
         assert f_ts <= f_t * math.exp(traj.growth_rate * s) * (1.0 + 1e-9)
 
 
+@pytest.mark.parametrize("model", CLOSED_FORMS + (ss.FractionalIntegration(16),),
+                         ids=lambda m: m.spec_string())
+@settings(max_examples=30, deadline=None)
+@given(t=st.floats(0.0, 172.0), s=st.floats(0.0, 8.0))
+@example(t=0.0, s=1e-3)
+@example(t=7.9, s=8.0)
+@example(t=169.5, s=2.0)
+def test_stated_growth_rate_bounds_the_norm(model, t, s):
+    # every model's own rate holds on its own curve: the closed forms state
+    # 0, and fractional integration's rate, sampled up to t = 8, holds until
+    # its kernel vanishes past t = 170
+    traj = model.trajectory()
+    f_t, f_ts = traj.evaluate_many(np.array([t, t + s]))
+    assert f_ts <= f_t * math.exp(traj.growth_rate * s) * (1.0 + 1e-9)
+
+
 def _scan_cases(name, request):
     """(trajectory, r_max, search config) for each general curve of one case.
 
     The generators of random_stable_20 are all contractions; they are
-    scanned as general curves, under the bound omega+ = 0.
+    scanned as general curves, under a positive rate of 1e-300, too small
+    to move any bound.
     """
     if name == "random_mixed_100":
         for a, table in request.getfixturevalue(name):
@@ -518,7 +534,7 @@ def _scan_cases(name, request):
                 yield traj, table.r_max, COARSE_CFG
     elif name == "random_stable_20":
         for _, traj, table in request.getfixturevalue(name):
-            yield counting(traj, is_contraction=False)[0], table.r_max, COARSE_CFG
+            yield counting(traj, growth_rate=1e-300)[0], table.r_max, COARSE_CFG
     elif name == "matrix_j10":
         _, traj, table = request.getfixturevalue(name)
         yield traj, table.r_max, ss.SearchConfig()
