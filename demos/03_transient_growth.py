@@ -33,5 +33,5 @@ print(f"grid infimum      : {growth.omega_inf_grid:+.4f}")
 print(f"spectral abscissa : {spectral_abscissa_triangular(A):+.4f}")
 
 radius = ss.gelfand_spectral_radius(model, 1.0)
-print(f"\nspectral radius of T(1) by repeated squaring: {radius:.6f}")
-print(f"e^(-nu) from the classified index           : {np.exp(-ss.classify(table).nu):.6f}")
+print(f"\nspectral radius of T(1), e^(max Re lambda): {radius:.6f}")
+print(f"e^(-nu) from the classified index         : {np.exp(-ss.classify(table).nu):.6f}")

@@ -6,7 +6,7 @@ quasinilpotent (spectral radius zero) and the norm falls roughly like
 textbook superstable-without-extinction example that lives on a genuinely
 infinite-dimensional space, here discretized on n cells.
 
-Runs in ~10 s at the default n=256; pass a smaller n for a quicker look.
+Runs in about a second at the default n=256; pass another n as the first argument.
 """
 
 import math
@@ -27,9 +27,13 @@ for t in (0.5, 1, 2, 3, 4, 5, 6, 8):
     print(f"  {t:5.1f}   {value:12.6e}   {ref:12.6e}   {ref/value:5.2f}")
 
 print()
-radius = ss.spectral_radius_estimate(model.kernel_matrix(1.0), 1024)
-print(f"spectral radius of the t=1 operator (repeated squaring): {radius:.2e}")
-print("  -> quasinilpotent: the spectrum sits at zero while the norm is ~0.64")
+# the discretized kernel is lower-triangular Toeplitz with diagonal
+# (1/(2n))^t / Gamma(t+1), so that one point is its whole spectrum; it tends
+# to 0 as n grows, the trace of the continuous operator's quasinilpotency
+radius = ss.spectral_radius_estimate(model.kernel_matrix(1.0))
+print(f"spectral radius of the t=1 operator: {radius:.6e}"
+      f"  (1/(2n) = {1 / (2 * n):.6e})")
+print("  -> quasinilpotent as n grows: the spectrum tends to zero while the norm is ~0.64")
 
 table = ss.entry_time_table(model.trajectory(), 20)
 verdict = ss.classify(table)

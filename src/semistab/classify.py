@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InvalidArgument, NumericsFailure
 from .entrytime import STATUS_HORIZON, STATUS_WIDENED
-from .numerics import NORM_FLOOR, growth_bounded_search, matrix_exponential, operator_norm
+from .numerics import NORM_FLOOR, growth_bounded_search
 
 VERDICT_UNSTABLE = "unstable"
 VERDICT_STABLE = "stable"
@@ -294,58 +294,34 @@ def growth_characteristic(traj, table, t_grid, *, th=None):
 
 
 # ---------------------------------------------------------------------------
-# Gelfand-style spectral radius
+# spectral radius
 
 
-def spectral_radius_estimate(m, n_max=1024):
-    """lim ||M^n||^(1/n) by repeated squaring with geometric extrapolation.
-
-    Norms are taken at n = 1, 2, 4, ..., with each square renormalized to
-    dodge overflow.  The log-estimates log||M^n||/n converge with roughly
-    geometrically shrinking differences, so the tail is extrapolated from
-    the ratio of the last two differences.
-    """
+def _eigenvalues(m):
     m = np.asarray(m, dtype=float)
-    if n_max < 8:
-        raise InvalidArgument(f"n_max must be at least 8, got {n_max}")
-    levels = max(3, int(math.ceil(math.log2(n_max))))
-    norm = operator_norm(m, 1e-12)
-    if norm == 0.0:
-        return 0.0
-    log_estimates = [math.log(norm)]
-    d = m / norm
-    log_scale = math.log(norm)
-    for k in range(1, levels + 1):
-        d = d @ d
-        if not np.all(np.isfinite(d)):
-            raise NumericsFailure(
-                "squaring produced non-finite entries",
-                best_estimate=math.exp(log_estimates[-1]),
-                data=log_estimates,
-            )
-        dn = operator_norm(d, 1e-12)
-        log_scale = 2.0 * log_scale + (math.log(dn) if dn > 0.0 else -math.inf)
-        if dn == 0.0 or log_scale == -math.inf:
-            return 0.0
-        d = d / dn
-        log_estimates.append(log_scale / 2.0**k)
-    y = log_estimates
-    extrapolated = y[-1]
-    if len(y) >= 3:
-        d1 = y[-1] - y[-2]
-        d2 = y[-2] - y[-3]
-        if abs(d2) > 1e-14:
-            q = d1 / d2
-            if 0.0 < q < 0.95:
-                extrapolated = y[-1] + d1 * q / (1.0 - q)
-    return math.exp(extrapolated)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0 or not np.isfinite(m).all():
+        raise InvalidArgument(f"expected a finite, nonempty square matrix, got shape {m.shape}")
+    try:
+        return np.linalg.eigvals(m)
+    except np.linalg.LinAlgError as exc:
+        raise NumericsFailure(f"eigenvalue solve failed: {exc}") from None
 
 
-def gelfand_spectral_radius(model, t, n_max=1024):
-    """Spectral radius of T(t) = exp(t*A) for a matrix semigroup."""
-    if t <= 0:
-        raise InvalidArgument(f"t must be positive, got {t}")
-    return spectral_radius_estimate(matrix_exponential(model.a, t), n_max)
+def spectral_radius_estimate(m):
+    """Spectral radius max |lambda| of a square matrix, read off its eigenvalues."""
+    return float(np.abs(_eigenvalues(m)).max())
+
+
+def gelfand_spectral_radius(model, t):
+    """Spectral radius of T(t) = exp(t*A) for a matrix semigroup, for finite t > 0.
+
+    It is exp(t * max Re lambda(A)) by the spectral mapping theorem (Pazy
+    1983, section 2.2): one eigensolve of the generator, no exponential.
+    """
+    if not 0.0 < t < math.inf:
+        raise InvalidArgument(f"t must be positive and finite, got {t}")
+    with np.errstate(over="ignore"):
+        return float(np.exp(t * _eigenvalues(model.a).real.max()))
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +385,7 @@ def _overshoot_maxima(traj, t, nu_grid):
             reach |= score[m:] >= best[j]
         return reach & (head >= log_floor)
 
-    growth_bounded_search(traj, t, keep)
+    growth_bounded_search(traj, t.size, t.__getitem__, bool((t[1:] >= t[:-1]).all()), keep)
     if at[0] < 0:
         raise InvalidArgument("trajectory vanishes on the whole sample grid")
     return list(zip(at, best))

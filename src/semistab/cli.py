@@ -3,10 +3,11 @@
 ``semistab analyze`` runs the full pipeline (entry times -> classification ->
 growth routes -> integral criteria) on one model and writes ``<out>.json``
 plus ``<out>.entry.csv``.  ``semistab sweep`` runs many models into one
-long-format CSV.  Exit codes: 0 success, 2 bad spec/arguments, 3 numerics
-failure, 4 verdict written but inconclusive (widened entry times, or every
-integral criterion inconclusive).  A horizon-limited table is not
-inconclusive: it reads as unstable and exits 0.
+long-format CSV.  Exit codes: 0 success, 2 bad spec/arguments or a file
+that cannot be read or written, 3 numerics failure, 4 verdict written but
+inconclusive (widened entry times, or every integral criterion
+inconclusive).  A horizon-limited table is not inconclusive: it reads as
+unstable and exits 0.
 
 All numbers in reports are rounded to 12 significant digits and +/-inf is
 encoded as the strings "inf"/"-inf", so identical runs produce byte-identical
@@ -70,7 +71,11 @@ def _round_tree(obj):
 
 def _write_atomic(path, text):
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".semistab-")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".semistab-")
+    except OSError as exc:
+        exc.filename = path  # name the output, not the temporary file
+        raise
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
             fh.write(text)
@@ -253,6 +258,11 @@ def _iter_sweep_specs(models_arg):
                 yield part
 
 
+def _quoted(text):
+    """``text`` as one quoted CSV field, each double quote doubled (RFC 4180)."""
+    return '"' + text.replace('"', '""') + '"'
+
+
 def cmd_sweep(args):
     cfg = _search_config(args)
     th = _thresholds(args)
@@ -275,16 +285,16 @@ def cmd_sweep(args):
         except (SpecError, InvalidArgument, InvalidModel, NumericsFailure) as exc:
             failures += 1
             print(f"{spec_text}: {exc}", file=sys.stderr)
-            lines.append(f'"{spec_text}",summary,,,error:{type(exc).__name__},,,,')
+            lines.append(f'{_quoted(spec_text)},summary,,,error:{type(exc).__name__},,,,')
             continue
-        name = model.spec_string()
+        name = _quoted(model.spec_string())
         for r in range(table.r_max + 1):
             t = _csv_number(table.t[r])
             u = _csv_number(table.u[r])
-            lines.append(f'"{name}",{r},{t},{u},{table.statuses[r].status},,,,')
+            lines.append(f'{name},{r},{t},{u},{table.statuses[r].status},,,,')
         growth = report["growth"]
         lines.append(
-            f'"{name}",summary,,,ok,{verdict.verdict},'
+            f'{name},summary,,,ok,{verdict.verdict},'
             f"{_csv_number(verdict.nu)},{_csv_number(verdict.k)},{_csv_number(growth['omega_entry'])}"
         )
     _write_atomic(args.out, "\n".join(lines) + "\n")
@@ -322,7 +332,8 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="semistab",
         description="Entry-time analysis and stability classification of semigroup norm curves.",
-        epilog="Exit codes: 0 ok, 2 bad spec/arguments, 3 numerics failure, 4 inconclusive.",
+        epilog="Exit codes: 0 ok, 2 bad spec/arguments or file error, 3 numerics failure, "
+               "4 inconclusive.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -361,7 +372,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SpecError, InvalidArgument, InvalidModel) as exc:
+    except (SpecError, InvalidArgument, InvalidModel, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC
     except NumericsFailure as exc:

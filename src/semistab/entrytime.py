@@ -275,7 +275,7 @@ class _EnvelopeScan:
         sampled maximum fails the exact-from-zero test in :meth:`bracket`
         exactly when the full lattice's does.
         """
-        lattice = np.arange(k0, k1 + 1, dtype=float) * self.cfg.grid_step
+        step = self.cfg.grid_step
         above = np.nextafter(pending * (1.0 + _EXACT_SLACK), math.inf)
         cands = np.sort(np.concatenate([pending, above]))
         log_cands = np.log(cands)
@@ -292,8 +292,11 @@ class _EnvelopeScan:
             n_under = log_cands.searchsorted(head, side="right")
             return (n_under > 0) & (cands[n_under - 1] > np.maximum(after, at_horizon))
 
-        growth_bounded_search(self.traj, lattice, keep)
-        return lattice[ks], vals
+        def time_at(i):
+            return (k0 + i) * step
+
+        growth_bounded_search(self.traj, k1 - k0 + 1, time_at, True, keep)
+        return time_at(ks), vals
 
 
 # ---------------------------------------------------------------------------

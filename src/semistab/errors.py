@@ -27,12 +27,11 @@ class SpecError(SemistabError, ValueError):
 
 
 class NumericsFailure(SemistabError, RuntimeError):
-    """An iterative kernel failed to converge.
+    """A numerical kernel failed, or computed a value that cannot be right.
 
-    Carries the best estimate obtained so far plus any partial data.
+    ``best_estimate`` carries the best value obtained so far, when there is one.
     """
 
-    def __init__(self, message, best_estimate=None, data=None):
+    def __init__(self, message, best_estimate=None):
         super().__init__(message)
         self.best_estimate = best_estimate
-        self.data = data

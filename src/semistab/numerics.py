@@ -7,8 +7,8 @@ their inputs.  Stacks of matrices get their spectral norms from stateless
 stacked kernels, exact singular values (:func:`operator_norms_batch`) or
 Lanczos from a fixed start vector (:func:`operator_norms_lanczos`), and
 each norm in a stack depends on its own matrix only.  The only randomness
-is the seeded start vector of :func:`operator_norm` called without one, so
-results are reproducible bit for bit.
+is the seeded start vector of :func:`operator_norm` called without one, and
+no analysis path calls it, so results are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -33,8 +33,12 @@ SEARCH_STRIDE = 32
 LOG_SLACK = 1e-9
 
 
-def growth_bounded_search(traj, t, keep):
-    """Evaluate, coarse to fine, the points of the grid ``t`` that ``keep`` may need.
+def growth_bounded_search(traj, size, time_at, increasing, keep):
+    """Evaluate, coarse to fine, the points of a grid that ``keep`` may need.
+
+    The grid has ``size`` points; ``time_at`` maps an array of indices to
+    their times, so the grid need not be built, and ``increasing`` says
+    whether its times never decrease.
 
     The norm rises at most like exp(rate * s), rate = max(growth_rate, 0),
     which is 0 on a contraction.  The first pass takes the first, the last
@@ -49,11 +53,11 @@ def growth_bounded_search(traj, t, keep):
     decreases, every point is evaluated in one call.
     """
     rate = max(traj.growth_rate, 0.0)
-    bounded = math.isfinite(rate) and bool((t[1:] >= t[:-1]).all())
-    todo = np.append(np.arange(0, t.size - 1, SEARCH_STRIDE if bounded else 1), t.size - 1)[:t.size]
+    bounded = math.isfinite(rate) and increasing
+    todo = np.append(np.arange(0, size - 1, SEARCH_STRIDE if bounded else 1), size - 1)[:size]
     lo, hi, log_lo = todo[:-1], todo[1:], None
     while todo.size:
-        vals = traj.evaluate_many(t[todo])
+        vals = traj.evaluate_many(time_at(todo))
         with np.errstate(divide="ignore"):
             log_new = np.log(vals)
         # the left ends: the first-pass points, then each kept gap's own
@@ -63,7 +67,7 @@ def growth_bounded_search(traj, t, keep):
         # infinite rate is never read
         wide = hi - lo > 1
         lo, hi, log_lo = lo[wide], hi[wide], log_lo[wide]
-        kept = keep(todo, vals, hi, log_lo + LOG_SLACK + rate * (t[hi - 1] - t[lo]))
+        kept = keep(todo, vals, hi, log_lo + LOG_SLACK + rate * (time_at(hi - 1) - time_at(lo)))
         # >> 1 rather than // 2: numpy's integer floor-division loop alone
         # raised the closed-form benchmark's peak RSS by about 0.3 MiB
         lo, hi, log_lo = lo[kept], hi[kept], log_lo[kept]

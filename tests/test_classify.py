@@ -140,10 +140,9 @@ class TestGelfand:
         assert ss.gelfand_spectral_radius(model, 1.0) == pytest.approx(math.exp(-1.0), abs=1e-4)
 
     def test_nilpotent_generator(self):
-        # exp(N) is defective with both eigenvalues 1; norms of powers grow
-        # only linearly, so the radius estimate extrapolates to 1
+        # exp(N) is defective with both eigenvalues 1, though its norm exceeds 1
         model = ss.MatrixSemigroup(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        assert ss.gelfand_spectral_radius(model, 1.0) == pytest.approx(1.0, abs=1e-3)
+        assert ss.gelfand_spectral_radius(model, 1.0) == 1.0
 
     def test_scalar_generator(self):
         model = ss.MatrixSemigroup(-2.0 * np.eye(2))
@@ -161,12 +160,51 @@ class TestGelfand:
         model, _, _, verdict, _ = fractional_400
         assert verdict.verdict == VERDICT_SUPERSTABLE
         for t in (1.0, 2.0):
-            radius = ss.spectral_radius_estimate(model.kernel_matrix(t), 1024)
+            radius = ss.spectral_radius_estimate(model.kernel_matrix(t))
             assert radius < 0.05
 
     def test_rejects_nonpositive_time(self):
         with pytest.raises(InvalidArgument):
             ss.gelfand_spectral_radius(ss.MatrixSemigroup(np.eye(2)), 0.0)
+
+    @pytest.mark.parametrize("n, t, expected", [
+        (256, 1.0, 1.0 / 512),
+        (256, 2.0, 1.9073486328125e-06),  # (1/512)^2 / Gamma(3)
+        (400, 1.0, 1.0 / 800),
+    ])
+    def test_fractional_kernel_is_its_diagonal(self, n, t, expected):
+        # the discretized kernel is lower-triangular Toeplitz with the single
+        # eigenvalue (1/(2n))^t / Gamma(t+1)
+        radius = ss.spectral_radius_estimate(ss.FractionalIntegration(n).kernel_matrix(t))
+        assert radius == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+    def test_transient_generator_reads_its_abscissa(self):
+        model = ss.MatrixSemigroup(np.array([[-1.0, 10.0], [0.0, -1.0]]))
+        assert ss.gelfand_spectral_radius(model, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
+
+    def test_failed_eigensolve_is_a_numerics_failure(self, monkeypatch):
+        def fail(m):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        model = ss.MatrixSemigroup(np.eye(2))
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        with pytest.raises(ss.NumericsFailure, match="did not converge"):
+            ss.spectral_radius_estimate(np.eye(2))
+        with pytest.raises(ss.NumericsFailure, match="did not converge"):
+            ss.gelfand_spectral_radius(model, 1.0)
+
+    @pytest.mark.parametrize("m", [
+        np.ones((2, 3)), np.ones(3), np.zeros((0, 0)),
+        np.array([[1.0, math.nan], [0.0, 1.0]]), np.array([[math.inf]]),
+    ], ids=["non-square", "vector", "empty", "nan", "inf"])
+    def test_rejects_unusable_matrices(self, m):
+        with pytest.raises(InvalidArgument):
+            ss.spectral_radius_estimate(m)
+
+    @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
+    def test_rejects_times_that_are_not_finite_and_positive(self, t):
+        with pytest.raises(InvalidArgument):
+            ss.gelfand_spectral_radius(ss.MatrixSemigroup(np.eye(2)), t)
 
 
 class TestIndices:

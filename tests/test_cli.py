@@ -147,6 +147,25 @@ class TestAnalyze:
     def test_missing_model_exits_2(self, tmp_path):
         assert run(["analyze", "--out", str(tmp_path / "x")]) == 2
 
+    def test_unreadable_model_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "absent.model"
+        code = run(["analyze", "--model-file", str(path), "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+        assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("command, out", [
+        (["analyze", "--model", "scalar-decay nu=2"], "sd"),
+        (["sweep", "--models", "scalar-decay nu=2"], "sd.csv"),
+    ], ids=["analyze", "sweep"])
+    def test_out_in_a_missing_directory_exits_2(self, tmp_path, capsys, command, out):
+        path = tmp_path / "absent" / out
+        code = run(command + ["--rmax", "20", "--out", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+
     def test_small_rmax_exits_2(self, tmp_path):
         code = run(["analyze", "--model", "gaussian-shift", "--rmax", "4",
                     "--out", str(tmp_path / "x")])
@@ -305,6 +324,31 @@ class TestSweep:
                     "--out", str(tmp_path / "f.csv")])
         assert code == 2
 
+    def test_error_rows_quote_the_spec(self, tmp_path):
+        # a spec holding quotes and commas stays one field of the 9 columns
+        out = tmp_path / "q.csv"
+        bad = 'bad",x,y'
+        code = run(["sweep", "--models", f"{bad};scalar-decay nu=1", "--rmax", "20",
+                    "--out", str(out)])
+        assert code == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert {len(row) for row in rows} == {9}
+        assert rows[1] == [bad, "summary", "", "", "error:SpecError", "", "", "", ""]
+        assert rows[-1][:6] == ["scalar-decay nu=1", "summary", "", "", "ok", "stable"]
+
+    def test_unreadable_model_in_directory_exits_2(self, tmp_path, capsys):
+        d = tmp_path / "models"
+        d.mkdir()
+        (d / "a.model").write_text("scalar-decay nu=1\n")
+        (d / "b.model").mkdir()  # open() fails on it
+        out = tmp_path / "dir.csv"
+        code = run(["sweep", "--models", str(d), "--rmax", "20", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(d / "b.model") in err
+        assert not out.exists()
+
     def test_directory_of_model_files(self, tmp_path):
         d = tmp_path / "models"
         d.mkdir()
@@ -316,3 +360,28 @@ class TestSweep:
         assert code == 0
         verdicts = [r[5] for r in summary_rows(out)]
         assert sorted(verdicts) == ["finite-time-extinction", "stable"]
+
+
+class TestNoPowerIteration:
+    """No analysis or spectral-radius path reaches the power iteration."""
+
+    SPECS = ("scalar-decay nu=2", "gaussian-shift", "nilpotent-shift L=1",
+             "damped-nilpotent nu=1 L=1", "fractional-integration n=16",
+             "matrix [[-1,10],[0,-1]]")
+
+    def test_every_path_avoids_power_iteration(self, tmp_path, monkeypatch):
+        from semistab import models, numerics
+
+        assert {spec.split()[0] for spec in self.SPECS} == set(models._KINDS)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("power iteration reached")
+
+        monkeypatch.setattr(numerics, "_power_iteration", forbidden)
+        for i, spec in enumerate(self.SPECS):
+            code = run(["analyze", "--model", spec, "--rmax", "16", "--out", str(tmp_path / str(i))])
+            assert code == 0, spec
+        matrix = models.MatrixSemigroup(np.array([[-1.0, 10.0], [0.0, -1.0]]))
+        assert semistab.gelfand_spectral_radius(matrix, 1.0) > 0.0
+        kernel = FractionalIntegration(16).kernel_matrix(1.0)
+        assert semistab.spectral_radius_estimate(kernel) > 0.0

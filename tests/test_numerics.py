@@ -7,11 +7,17 @@ from semistab import (
     InvalidArgument,
     InvalidModel,
     QuadratureSpec,
+    ScalarDecay,
     integrate_adaptive,
     matrix_exponential,
     operator_norm,
 )
-from semistab.numerics import operator_norms_batch, operator_norms_lanczos
+from semistab.numerics import (
+    SEARCH_STRIDE,
+    growth_bounded_search,
+    operator_norms_batch,
+    operator_norms_lanczos,
+)
 
 
 class TestMatrixExponential:
@@ -168,6 +174,22 @@ class TestLanczosNorms:
         mats[1, 0, 2] = bad
         with pytest.raises(InvalidArgument):
             operator_norms_lanczos(mats)
+
+
+class TestGrowthBoundedSearch:
+    def test_grid_is_mapped_only_where_it_is_read(self):
+        # a grid of a million points is given by its size and index map, and
+        # no call maps more indices than the first pass takes
+        size = 10**6
+        mapped = []
+
+        def time_at(i):
+            mapped.append(np.size(i))
+            return i * 1e-3
+
+        growth_bounded_search(ScalarDecay(1.0).trajectory(), size, time_at, True,
+                              lambda new, vals, hi, head: np.zeros(hi.size, dtype=bool))
+        assert 0 < max(mapped) <= size // SEARCH_STRIDE + 2
 
 
 class TestQuadrature:

@@ -12,7 +12,8 @@ evaluating every grid or lattice point gives; the growth rate they rely on
 bounds the computed norms.  Deep in the tail, past the norm's underflow,
 the matrix log route agrees with renormalized squaring, and deciding depth
 before the plain exponential gives the bits of the route that reads every
-plain norm first.
+plain norm first.  The spectral radius of exp(tA) from the spectral mapping
+theorem is the one read off the spectrum of the computed exponential.
 """
 
 import itertools
@@ -576,3 +577,33 @@ def test_transient_entry_scan_is_sparse():
     table = ss.entry_time_table(sparse, 40)
     assert _entries(table) == _entries(ss.entry_time_table(dense, 40))
     assert calls["points"] <= dense_calls["points"] / 8, (calls, dense_calls)
+
+
+# ---------------------------------------------------------------------------
+# spectral radii: the spectral mapping theorem against the spectrum of exp(tA)
+
+
+@st.composite
+def triangular_generators(draw):
+    """Upper- or lower-triangular 2x2-4x4 generators of either stability."""
+    n = draw(st.integers(2, 4))
+    diag = draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
+    upper = draw(st.lists(st.floats(-12.0, 12.0), min_size=n * n, max_size=n * n))
+    a = np.triu(np.reshape(upper, (n, n)), k=1) + np.diag(diag)
+    return a.T if draw(st.booleans()) else a
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=triangular_generators(), t=st.floats(0.0, 5.0, exclude_min=True),
+       c=st.one_of(st.floats(-1e3, -1e-3), st.floats(1e-3, 1e3)))
+@example(a=J10, t=1.0, c=-2.0)
+def test_spectral_mapping_matches_the_spectrum_of_the_exponential(a, t, c):
+    # r(exp(tA)) = exp(t max Re lambda(A)); every radius is at most the norm,
+    # and the radius is absolutely homogeneous
+    e = ss.matrix_exponential(a, t)
+    mapped = ss.gelfand_spectral_radius(ss.MatrixSemigroup(a), t)
+    direct = ss.spectral_radius_estimate(e)
+    assert mapped == pytest.approx(direct, rel=1e-9, abs=0.0)
+    norm = float(np.linalg.norm(e, 2))
+    assert max(mapped, direct) <= norm * (1.0 + 1e-12)
+    assert ss.spectral_radius_estimate(c * e) == pytest.approx(abs(c) * direct, rel=1e-12, abs=0.0)
