@@ -69,13 +69,25 @@ def _round_tree(obj):
     return obj
 
 
-def _write_atomic(path, text):
+def _temp_beside(path):
+    """``(fd, name)`` of a new file beside ``path``; an error names ``path``, not that file."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".semistab-")
+        return tempfile.mkstemp(dir=directory, prefix=".semistab-")
     except OSError as exc:
-        exc.filename = path  # name the output, not the temporary file
+        exc.filename = path
         raise
+
+
+def _check_writable(path):
+    """Raise now the OSError that writing ``path`` after the analysis would raise."""
+    fd, tmp = _temp_beside(path)
+    os.close(fd)
+    os.unlink(tmp)
+
+
+def _write_atomic(path, text):
+    fd, tmp = _temp_beside(path)
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
             fh.write(text)
@@ -206,6 +218,9 @@ def _read_model_arg(args):
 
 
 def cmd_analyze(args):
+    csv_path = f"{args.out}.entry.csv"
+    json_path = f"{args.out}.json"
+    _check_writable(csv_path)
     spec_text = _read_model_arg(args)
     model = build_model_from_spec(spec_text)
     cfg = _search_config(args)
@@ -218,8 +233,6 @@ def cmd_analyze(args):
         model, rmax=args.rmax, cfg=cfg, th=th, pazy_a=args.pazy_a,
         quad_tols=(args.quad_abs_tol, args.quad_rel_tol),
     )
-    csv_path = f"{args.out}.entry.csv"
-    json_path = f"{args.out}.json"
     report["entry"]["csv"] = os.path.basename(csv_path)
     _write_atomic(csv_path, table.to_csv())
     _write_atomic(json_path, json.dumps(_round_tree(report), indent=2) + "\n")
@@ -264,6 +277,7 @@ def _quoted(text):
 
 
 def cmd_sweep(args):
+    _check_writable(args.out)
     cfg = _search_config(args)
     th = _thresholds(args)
     if args.rmax < 2 * th.plateau_window:

@@ -145,36 +145,32 @@ def _bisect(traj, thresholds, lo, hi, f_hi, rows, time_tol):
 
     Each bracket has f(lo) >= threshold > f(hi); every round evaluates the
     midpoints of all brackets still wider than time_tol in one call, and
-    f_hi follows hi.  Past an extinction plateau's crossing, the later
-    thresholds share one bracket ending at an exact zero.  Those rows ride
-    on the first of them: its norm moves them all, as their own would,
-    until it moves them apart and the riders are counted again.
+    f_hi follows hi.  Rows that share a bracket, as several thresholds do
+    between two horizon points or past an extinction plateau's crossing,
+    sit next to each other, so each distinct midpoint is evaluated once.
+    Brackets halve in lockstep, so rows whose brackets have parted never
+    share one again: once a round finds every midpoint distinct, later
+    rounds skip the test.
     """
     thr, a, b, fb = thresholds[rows], lo[rows], hi[rows], f_hi[rows]
-    riders = None
+    shared = True
     while True:
         wide = b - a > time_tol
         if not wide.all():
             done = rows[~wide]
             lo[done], hi[done], f_hi[done] = a[~wide], b[~wide], fb[~wide]
             rows, thr, a, b, fb = rows[wide], thr[wide], a[wide], b[wide], fb[wide]
-            riders = riders if wide[-1] else 0  # riders finish with their row
         if not rows.size:
             return
-        if riders is None:
-            same = (a[1:] == a[:-1]) & (b[1:] == b[:-1]) & (fb[1:] <= NORM_FLOOR)
-            riders = same.size if same.all() else int(same[::-1].argmin())
         mid = 0.5 * (a + b)
-        vals = traj.evaluate_many(mid[:mid.size - riders])
-        if riders:
-            vals = np.concatenate([vals, np.full(riders, vals[-1])])
+        if shared:
+            first = np.concatenate([[True], mid[1:] != mid[:-1]])
+            shared = not first.all()
+        vals = traj.evaluate_many(mid[first])[np.cumsum(first) - 1] if shared else traj.evaluate_many(mid)
         above = vals >= thr
         a = np.where(above, mid, a)
         b = np.where(above, b, mid)
         fb = np.where(above, fb, vals)
-        # thresholds fall along the rows: riders part only if the first and last do
-        if riders and above[-1] != above[-riders - 1]:
-            riders = None
 
 
 class _EnvelopeScan:

@@ -41,16 +41,7 @@ _CHUNK = 4096              # matrices per stacked exponential, bounding temporar
 _STACK_BYTES = 1 << 20     # bytes of fractional kernels per Lanczos stack, sized to stay in cache
 _SAMPLE_TOL = 1e-10        # slack when sampling the fractional norm for its growth rate
 _LUMER_PHILLIPS_TOL = 1e-12  # relative slack on the top eigenvalue of A + A^T
-_DEEP_NORM = 1e-280        # matrix norms at or below this take the shifted log route
-_DEEP_LOG = math.log(_DEEP_NORM)
-# nats below _DEEP_LOG that certify a time deep from its shifted log alone.
-# Near _DEEP_LOG the plain and shifted logs differ by at most 1.5e-10 nats on
-# 3,000 random stable generators, but by up to 36 nats on 400 defective dense
-# ones (P J P^-1, Jordan blocks of order 2 to 4), where both routes are that
-# far from the exact value.  The margin must exceed the difference, or a time
-# certified by one route could lie above _DEEP_NORM by the other; the band it
-# leaves to the plain route is a few quadrature points per analysis.
-_DEEP_MARGIN = 64.0
+_DEEP_NORM = 1e-280        # matrix norms at or below this lose relative precision: not bound-checked
 
 
 def _check_time(t):
@@ -309,14 +300,17 @@ class MatrixSemigroup(SemigroupModel):
     semigroup is a contraction, its norm never rising, exactly when
     omega <= 0.  One symmetric eigensolve gives it.  As the bound is a
     theorem, a computed norm above it is a kernel error, and
-    :meth:`norm_at_many` raises :class:`NumericsFailure` there.  Past
-    the norm's underflow the log route shifts by the spectral abscissa s:
+    :meth:`norm_at_many` and the log route raise :class:`NumericsFailure`
+    there.  The log route shifts by the spectral abscissa s at every time:
     exp(t*A) = exp(s*t) exp(t*(A - s*I)) (Moler and Van Loan, "Nineteen
     Dubious Ways to Compute the Exponential of a Matrix, Twenty-Five Years
-    Later", SIAM Rev. 45, 2003).  The shifted generator is built once.  As
-    ||exp(t*A)|| >= exp(s*t), the log route knows which times may lie past
-    the underflow before it exponentiates, and a time that its shifted log
-    shows to be deep is exponentiated only once.
+    Later", SIAM Rev. 45, 2003), so log ||exp(t*A)|| stays finite long
+    after the norm underflows.  The shifted generator is built once.  On an
+    equal-diagonal 2x2 block, where the log norm is a*t + asinh(|b|t/2),
+    the route is within 1.2 eps (|a t| + asinh(|b|t/2) + 1) of it, also
+    next to t_0, where the log of the norm read up to 463 eps off; where
+    the norm is above 1e-280 it agrees with the log of :meth:`norm_at_many`
+    to within ``eval_error_bound``.
     """
 
     kind = "matrix"
@@ -330,8 +324,6 @@ class MatrixSemigroup(SemigroupModel):
         self.growth_rate = min(omega, 0.0) if 2.0 * omega <= tol else omega
         self._abscissa = float(np.linalg.eigvals(self.a).real.max())
         self._shifted = self.a - self._abscissa * np.eye(len(self.a))
-        # ||exp(t*A)|| >= exp(s*t), so no earlier time has its norm at or below _DEEP_NORM
-        self._deep_from = _DEEP_LOG / self._abscissa if self._abscissa < 0.0 else math.inf
 
     def _map_expm(self, gen, ts, reduce):
         """reduce() applied to stacks of exp(t*gen) over the times ts, in chunks."""
@@ -367,43 +359,23 @@ class MatrixSemigroup(SemigroupModel):
     def _log_norms(self, ts):
         """log ||exp(t*A)|| on an array of times, stable far beyond the norm's underflow.
 
-        Where the norm is above 1e-280 this is its logarithm.  Deeper it is
-        s*t + log ||exp(t*(A - s*I))|| with s = max Re eig(A) (Moler and Van
-        Loan); near the norm's peak the two terms would cancel.  Depth is
-        decided before the plain exponential: ||exp(t*A)|| >= exp(s*t), so
-        only a time with s*t <= log(1e-280) can be deep, and those times get
-        the shifted log first.  A finite shifted log more than ``_DEEP_MARGIN``
-        below log(1e-280) certifies the time deep and is its value: one
-        stacked exponential and SVD for all such times.  Every other time
-        takes the plain norm and, if that is at or below 1e-280, the shifted
-        log (the one in hand, or computed now).  A non-finite shifted log at
-        a deep time, as when t amplifies the error of s on a defective
-        generator, raises :class:`NumericsFailure` naming the time.
+        At every time this is s*t + log ||exp(t*(A - s*I))|| with s = max Re
+        eig(A) (Moler and Van Loan): one stacked exponential and SVD of the
+        shifted generator per chunk.  A non-finite log, as when t amplifies
+        the error of s on a defective generator, raises
+        :class:`NumericsFailure` naming the time and s; the exponentiated
+        logs are checked against the Lumer-Phillips bound as norms are.
         """
         ts = np.asarray(ts, dtype=float)
-        out = np.full(ts.shape, np.nan)
-        maybe = ts >= self._deep_from
-        if maybe.any():
-            out[maybe] = self._shifted_log_norms(ts[maybe])
-        rest = ~(np.isfinite(out) & (out < _DEEP_LOG - _DEEP_MARGIN))
-        tr, logs = ts[rest], out[rest]
-        vals = self.norm_at_many(tr)
-        deep = vals <= _DEEP_NORM
-        logs[~deep] = np.log(vals[~deep])
-        late = deep & ~maybe[rest]
-        if late.any():
-            logs[late] = self._shifted_log_norms(tr[late])
-        bad = deep & ~np.isfinite(logs)
-        if bad.any():
-            raise NumericsFailure(f"log ||exp(t*A)|| is not finite at t = {tr[bad][0]:g}, "
-                                  f"shift s = {self._abscissa!r}")
-        out[rest] = logs
-        return out
-
-    def _shifted_log_norms(self, ts):
-        """s*t + log ||exp(t*(A - s*I))||, non-finite where the shifted norm is 0, inf or NaN."""
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return self._abscissa * ts + np.log(self._map_expm(self._shifted, ts, operator_norms_batch))
+            out = self._abscissa * ts + np.log(self._map_expm(self._shifted, ts, operator_norms_batch))
+        bad = ~np.isfinite(out)
+        if bad.any():
+            raise NumericsFailure(f"log ||exp(t*A)|| is not finite at t = {ts[bad][0]:g}, "
+                                  f"shift s = {self._abscissa!r}")
+        with np.errstate(over="ignore"):
+            self._bounded(ts, np.exp(out))
+        return out
 
     def vector_trajectory(self, x):
         """Norm curve t -> ||exp(t*A) x|| for a single unit vector x.

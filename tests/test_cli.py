@@ -166,6 +166,22 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(path) in err
 
+    @pytest.mark.parametrize("command, out, named", [
+        (["analyze", "--model", "scalar-decay nu=2"], "sd", "sd.entry.csv"),
+        (["sweep", "--models", "scalar-decay nu=2"], "sd.csv", "sd.csv"),
+    ], ids=["analyze", "sweep"])
+    def test_missing_out_directory_is_found_before_analysis(self, tmp_path, capsys, monkeypatch,
+                                                            command, out, named):
+        def analysis_ran(*args, **kwargs):
+            raise AssertionError("the analysis ran")
+
+        monkeypatch.setattr(semistab.cli, "analyze_model", analysis_ran)
+        path = tmp_path / "absent" / out
+        code = run(command + ["--rmax", "20", "--out", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path / "absent" / named) in err
+
     def test_small_rmax_exits_2(self, tmp_path):
         code = run(["analyze", "--model", "gaussian-shift", "--rmax", "4",
                     "--out", str(tmp_path / "x")])

@@ -272,6 +272,19 @@ class TestInvariants:
         monkeypatch.setattr(entrytime, "_bisect", _bisect_every_row)
         assert repr(table) == repr(ss.entry_time_table(wrapped, 40))
 
+    @pytest.mark.parametrize("model, most", [
+        (ss.GaussianShift(), 1064), (ss.ScalarDecay(2.76), 1085), (ss.FractionalIntegration(64), 1098),
+    ], ids=["gaussian", "scalar-decay nu=2.76", "fractional n=64"])
+    def test_bisection_evaluates_each_midpoint_once(self, model, most, monkeypatch):
+        # thresholds whose crossings share a bracket, as between two horizon
+        # points, share its midpoints until they part: each midpoint is one
+        # norm, where every row taking its own read 1,271; the table is the same
+        wrapped, calls = counting(model.trajectory())
+        table = ss.entry_time_table(wrapped, 40)
+        assert calls["points"] <= most, calls
+        monkeypatch.setattr(entrytime, "_bisect", _bisect_every_row)
+        assert repr(table) == repr(ss.entry_time_table(wrapped, 40))
+
     def test_search_config_validation(self):
         with pytest.raises(InvalidArgument):
             SearchConfig(time_tol=1e-2, grid_step=1e-3)

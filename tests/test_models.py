@@ -257,15 +257,22 @@ class TestMatrixNorms:
 
     @pytest.mark.parametrize("a, b", [(-1.0, 10.0), (-6.026, 14.86)], ids=["j10", "gallery"])
     def test_log_norm_deep_tail_jordan_closed_form(self, a, b):
-        # ||exp(t [[a,b],[0,a]])|| = exp(a t) (b t/2 + sqrt(1 + (b t/2)^2))
+        # ||exp(t [[a,b],[0,a]])|| = exp(a t + asinh(|b| t/2)); the shifted route
+        # stays within 4 eps of that scale from next to t_0, where x = -log||T||
+        # is near 0, out past the norm's underflow (worst of 300 random such
+        # blocks against a 40-digit reference: 1.2 eps; the plain log read up
+        # to 463 eps)
         traj = ss.MatrixSemigroup([[a, b], [0.0, a]]).trajectory()
-        ts = np.array([900.0, 5e3, 2e4])
-        assert (traj.evaluate_many(ts) == 0.0).all()
-        np.testing.assert_allclose(traj.log_evaluate_many(ts), a * ts + np.arcsinh(b * ts / 2.0),
-                                   rtol=1e-12, atol=0.0)
+        deep = np.array([900.0, 5e3, 2e4])
+        assert (traj.evaluate_many(deep) == 0.0).all()
+        t0 = ss.final_entry_time(traj, 0.0).time
+        ts = np.concatenate([[t0 + 1e-6, t0 + 1e-3, 1.0, 5.0, 20.0], deep])
+        at, bend = a * ts, np.arcsinh(abs(b) * ts / 2.0)
+        err = np.abs(traj.log_evaluate_many(ts) - (at + bend))
+        assert (err <= 4.0 * np.finfo(float).eps * (np.abs(at) + bend + 1.0)).all(), err
 
     def test_log_norm_deep_batch_is_one_exponential(self, monkeypatch):
-        # one stacked exponential for the norms and one for the deep tail,
+        # one stacked exponential and one SVD stack for the whole batch,
         # however deep the times: no squaring ladder per level
         calls = []
         for name in ("_expm", "operator_norms_batch"):
@@ -275,7 +282,7 @@ class TestMatrixNorms:
         traj = ss.MatrixSemigroup([[-1.0, 10.0], [0.0, -1.0]]).trajectory()
         out = traj.log_evaluate_many(np.geomspace(900.0, 3e4, 15))
         assert np.isfinite(out).all()
-        assert calls.count("_expm") <= 2 and calls.count("operator_norms_batch") <= 2, calls
+        assert calls == ["_expm", "operator_norms_batch"]
 
     def test_log_norm_fails_where_the_shift_breaks_down(self):
         # P J P^-1 with J the 3x3 Jordan block at -2: its computed spectral
@@ -289,27 +296,35 @@ class TestMatrixNorms:
             traj.log_evaluate_many(np.array([900.0, 1e6]))
 
     def test_log_norm_certified_deep_times_are_exponentiated_once(self, monkeypatch):
-        # s*t is far below log(1e-280) at every time, so the shifted log alone
-        # decides depth: one stacked exponential holding each time once, where
-        # the two-pass route exponentiated every time for the plain norm first
+        # every time, shallow or deep, takes the shifted route: a mixed batch
+        # is one stacked exponential holding each time once
         sizes = []
         monkeypatch.setattr(models, "_expm", lambda m, kernel=models._expm:
                             sizes.append(len(m)) or kernel(m))
-        ts = np.geomspace(900.0, 3e4, 15)
+        ts = np.concatenate([np.geomspace(900.0, 3e4, 15), [0.0, 0.3, 3.6, 40.0, 646.0]])
         out = ss.MatrixSemigroup([[-1.0, 10.0], [0.0, -1.0]]).trajectory().log_evaluate_many(ts)
         assert np.isfinite(out).all()
         assert sizes == [ts.size]
 
-    def test_log_norm_keeps_the_plain_log_where_the_shift_fails_above_the_floor(self, monkeypatch):
-        # on j10, s*t <= log(1e-280) from t = 644.7, but the transient keeps the
-        # norm near exp(-637) at t = 646: a non-finite shifted log there
-        # certifies nothing and raises nothing, and the plain log comes back
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
+    def test_log_norm_fails_where_the_shifted_factor_is_not_finite(self, monkeypatch, bad):
+        # a shallow time has no other route to fall back on: a NaN, infinite
+        # or zero shifted norm raises, naming the time and the shift
         model = ss.MatrixSemigroup([[-1.0, 10.0], [0.0, -1.0]])
-        ts = np.array([1.0, 646.0])
-        assert model._abscissa * ts[1] <= models._DEEP_LOG < math.log(model.norm_at(ts[1]))
-        for bad in (np.nan, np.inf, -np.inf):
-            monkeypatch.setattr(model, "_shifted_log_norms", lambda t, bad=bad: np.full(t.shape, bad))
-            assert np.array_equal(model.trajectory().log_evaluate_many(ts), np.log(model.norm_at_many(ts)))
+        ts = np.array([1.0, 2.5, 646.0])
+        monkeypatch.setattr(models, "operator_norms_batch",
+                            lambda m: np.where(np.arange(len(m)) == 1, bad, 1.0))
+        with pytest.raises(NumericsFailure, match=r"not finite at t = 2\.5, shift s = -1\.0"):
+            model.trajectory().log_evaluate_many(ts)
+
+    def test_log_norm_above_its_lumer_phillips_bound_fails(self, monkeypatch):
+        # diag(-1, -2) has omega = -1, so ||T(t)|| <= exp(-t); a shifted norm
+        # read 1e-6 high puts the log above that bound, which the route checks
+        model = ss.MatrixSemigroup(np.diag([-1.0, -2.0]))
+        kernel = models.operator_norms_batch
+        monkeypatch.setattr(models, "operator_norms_batch", lambda m: kernel(m) * (1.0 + 1e-6))
+        with pytest.raises(NumericsFailure, match=r"Lumer-Phillips bound .* at t = 0\.5"):
+            model.trajectory().log_evaluate_many(np.array([2.0, 0.5, 900.0]))
 
 
 class TestSubmultiplicativity:

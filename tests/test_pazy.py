@@ -135,6 +135,23 @@ class TestPazyCriteria:
         iii = [e for e in rep.entries if e.criterion == "iii"]
         assert iii[0].kind == "divergent"
 
+    def test_j10_log_route_budget(self, matrix_j10):
+        # next to t_0 the shifted log route is smooth to a few 1e-10 relative
+        # in x; the plain log's noise there drove the stage, nearly all of it
+        # criterion (ii) at p=1.5, to 538 curve calls
+        model, base, table = matrix_j10
+        calls = []
+
+        def logs(ts):
+            calls.append(np.size(ts))
+            return model._log_norms(ts)
+
+        traj = NormTrajectory(model.norm_at_many, log_evaluate_many=logs,
+                              growth_rate=base.growth_rate, eval_error_bound=base.eval_error_bound)
+        rep = ss.pazy_criteria(traj, t0=table.t[0])
+        assert rep.fired == ("i", "ii")
+        assert len(calls) <= 100
+
     def test_strongly_damped_matrix_is_not_extinct(self):
         # exp(-2000 t) underflows by t = 0.4: a log route that read the
         # underflow as extinction made (iii) and (iv) fire on a semigroup

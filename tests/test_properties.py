@@ -130,33 +130,6 @@ def log_route_generators(draw):
     return a
 
 
-# P J P^-1 with J the 4x4 Jordan block at -0.3: near log(1e-280) its plain and
-# shifted logs differ by up to 23 nats, and both are 30 to 40 nats off the
-# exact value
-_P = np.random.default_rng(4).uniform(-1.0, 1.0, (4, 4)) + 2.0 * np.eye(4)
-DEFECTIVE_4 = _P @ (np.diag([4.0, 4.0, 4.0], 1) - 0.3 * np.eye(4)) @ np.linalg.inv(_P)
-
-
-def _two_pass_log_norms(model, ts):
-    """The log route that reads every time's plain norm first and takes the
-    shifted log only where that norm is at or below 1e-280: the reference
-    for the route that decides depth before the plain exponential."""
-    vals = model.norm_at_many(ts)
-    out = np.empty(ts.shape)
-    deep = vals <= 1e-280
-    out[~deep] = np.log(vals[~deep])
-    if deep.any():
-        s, td = model._abscissa, ts[deep]
-        gen = model.a - s * np.eye(len(model.a))
-        with np.errstate(divide="ignore"):
-            shifted = np.log(ss.numerics.operator_norms_batch(ss.numerics._expm(gen * td[:, None, None])))
-        if not np.isfinite(shifted).all():
-            t = td[~np.isfinite(shifted)][0]
-            raise ss.NumericsFailure(f"log ||exp(t*A)|| is not finite at t = {t:g}, shift s = {s!r}")
-        out[deep] = s * td + shifted
-    return out
-
-
 def _outcome(log_norms, ts):
     try:
         return log_norms(ts)
@@ -165,37 +138,34 @@ def _outcome(log_norms, ts):
 
 
 @settings(max_examples=60, deadline=None)
-@given(a=log_route_generators(), scales=st.lists(st.floats(0.0, 1e4), max_size=8))
-@example(a=J10, scales=[1e3, 1e4])
-@example(a=np.array([[-2000.0]]), scales=[])
-@example(a=np.array([[-3.0, 5.0], [-5.0, -3.0]]), scales=[])
-@example(a=DEFECTIVE_4, scales=[])
-def test_depth_first_log_route_matches_two_pass_bitwise(a, scales):
-    # the times run from shallow (s*t > log 1e-280) across the band where
-    # only the plain norm can tell depth, through the margin, to deep; every
-    # value, and every failure, matches the two-pass route bit for bit, on
-    # the batch and the point path
+@given(a=log_route_generators(), scales=st.lists(st.floats(0.0, 1e4), max_size=8),
+       order=st.randoms(use_true_random=False))
+@example(a=J10, scales=[1e3, 1e4], order=None)
+@example(a=np.array([[-2000.0]]), scales=[], order=None)
+@example(a=np.array([[-3.0, 5.0], [-5.0, -3.0]]), scales=[], order=None)
+def test_log_route_matches_the_norm_and_its_own_points(a, scales, order):
+    # one route at every time, s*t + log ||exp(t(A - sI))||, from next to
+    # t = 0 across the norm's underflow to deep times.  Where the norm is
+    # above 1e-280 it is within eval_error_bound of log(norm) (worst of
+    # 1,500 such generators: 2.2e-10 nats), and the batch and point paths
+    # give the same bits in any order; a failure names the same first time
     model = ss.MatrixSemigroup(a)
-    deep_log, margin = math.log(1e-280), ss.models._DEEP_MARGIN
-    edge = deep_log / model._abscissa
-    ts = edge * np.concatenate([[0.0, 0.5], np.linspace(0.9, 1.6, 600), scales])
-    ref = _outcome(lambda t: _two_pass_log_norms(model, t), ts)
-    if not isinstance(ref, str):
-        # an oscillating norm can step over the margin: refine the first step past it
-        i = max(1, int(np.argmax(ref < deep_log - margin)))
-        ts = np.concatenate([ts, np.linspace(ts[i - 1], ts[i], 65)[1:-1]])
-        ref = _outcome(lambda t: _two_pass_log_norms(model, t), ts)
-    got = _outcome(model._log_norms, ts)
-    if isinstance(ref, str):
-        assert got == ref
+    edge = math.log(1e-280) / model._abscissa
+    ts = edge * np.concatenate([[0.0, 1e-6, 1e-3, 0.5], np.linspace(0.9, 1.6, 200), scales])
+    logs = _outcome(model._log_norms, ts)
+    points = _outcome(lambda t: np.array([model._log_norms(t[i:i + 1])[0] for i in range(t.size)]), ts)
+    if isinstance(logs, str):
+        assert points == logs
         return
-    assert np.array_equal(got, ref)
-    assert (model._abscissa * ts > deep_log).any()
-    assert ((ref >= deep_log - margin) & (ref <= deep_log)).any()
-    assert (ref < deep_log - margin).any()
-    near = np.flatnonzero(np.abs(ref - deep_log) < 3.0)
-    points = [model._log_norms(ts[i:i + 1])[0] for i in near]
-    assert np.array_equal(points, ref[near])
+    assert np.array_equal(points, logs)
+    perm = list(range(ts.size))
+    if order is not None:
+        order.shuffle(perm)
+    assert np.array_equal(model._log_norms(ts[perm]), logs[perm])
+    norms = model.norm_at_many(ts)
+    live = norms > 1e-280
+    assert live[0]
+    assert np.abs(logs[live] - np.log(norms[live])).max() <= model.eval_error_bound
 
 
 @pytest.mark.parametrize("n", FRACTIONAL_NS)
