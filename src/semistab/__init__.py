@@ -33,6 +33,7 @@ from .models import (
     NilpotentShift,
     NormTrajectory,
     ScalarDecay,
+    WeightedShift,
     build_model_from_spec,
     fractional_reference,
     validate_submultiplicativity,
@@ -84,7 +85,7 @@ __all__ = [
     "PazyReport", "QuadratureSpec", "SandwichResult", "ScalarDecay",
     "SearchConfig", "SemistabError", "SpecError", "VALUE",
     "VERDICT_EXTINCTION", "VERDICT_ORDER", "VERDICT_STABLE", "VERDICT_SUPERSTABLE",
-    "VERDICT_UNSTABLE", "build_model_from_spec", "classify",
+    "VERDICT_UNSTABLE", "WeightedShift", "build_model_from_spec", "classify",
     "default_growth_grid", "entry_time_table", "final_entry_time",
     "fractional_reference", "ftrick_sandwich",
     "gelfand_spectral_radius", "growth_characteristic",

@@ -5,11 +5,13 @@ curve t -> ||T(t)|| evaluated on arrays of times, plus what is known of it
 (growth rate, error bound, extinction time).  Every model
 computes norms only through its vectorized ``norm_at_many``; a single time
 is a batch of one, so a norm has the same bits whichever path asked for
-it.  Models produce trajectories either from closed forms (scalar decay,
-Gaussian-weighted shift, shifts with a hard cutoff), which state only
+it.  Models produce trajectories either from closed forms, which state only
 their log curve, or numerically (matrix generators, the discretized
-fractional integration operator).  A norm at or below :data:`~.numerics.NORM_FLOOR`
-counts as exact zero.
+fractional integration operator).  Every closed form is a
+:class:`WeightedShift` with a convex exponent phi, norm exactly
+exp(-phi(t)) up to an optional cutoff L: phi = nu*t (scalar decay), t^2/4
+(Gaussian-weighted shift), 0 and nu*t cut off at L (the cutoff shifts).
+A norm at or below :data:`~.numerics.NORM_FLOOR` counts as exact zero.
 """
 
 from __future__ import annotations
@@ -199,88 +201,84 @@ class SemigroupModel:
         return f"<{type(self).__name__} {self.spec_string()!r}>"
 
 
-class ScalarDecay(SemigroupModel):
-    """Pure exponential decay exp(-nu*t): stable with index nu."""
+class WeightedShift(SemigroupModel):
+    """Right shift on L2((0, inf), exp(-2*phi(s)) ds): norm exp(-phi(t)), zero from a cutoff L.
 
-    kind = "scalar-decay"
+    For a convex exponent phi with phi(0) = 0 the norm is exactly
+    exp(-phi(t)) (Engel and Nagel, *One-Parameter Semigroups*, 2000):
+    ||T(t)||^2 = sup_u exp(-2*(phi(u+t) - phi(u))), and by convexity the
+    increment is least at u = 0.  Restricted to L2[0, L] the shift keeps
+    that norm before L and is 0 from L, its extinction time.  The norm
+    never rises: the growth rate is 0.  ``WeightedShift(phi=..., L=...)``
+    takes any vectorized convex exponent; the closed forms below fix phi
+    and take their declared ``keys`` positionally.  Every parameter, and
+    a cutoff, must be finite and positive.
+    """
+
+    kind = "weighted-shift"
+    keys = ()
     growth_rate = 0.0
+    L = math.inf
+    phi = None
 
-    def __init__(self, nu):
-        if not (float(nu) > 0 and math.isfinite(nu)):
-            raise InvalidModel(f"scalar-decay requires nu > 0, got {nu}")
-        self.nu = float(nu)
+    def __init__(self, *values, phi=None, L=None):
+        if self.phi is None:
+            if phi is None or values:
+                raise TypeError("WeightedShift takes phi= and an optional cutoff L=")
+            self.phi = phi
+            if L is not None:
+                self.keys, values = ("L",), (L,)
+        elif len(values) != len(self.keys) or phi is not None or L is not None:
+            raise TypeError(f"{type(self).__name__} takes the parameters {self.keys}")
+        for key, v in zip(self.keys, values):
+            if not (float(v) > 0 and math.isfinite(v)):
+                raise InvalidModel(f"{self.kind} requires {key} > 0, got {v}")
+            setattr(self, key, float(v))
+        if math.isfinite(self.L):
+            self.extinction_time = self.L
 
     def _log_norms(self, ts):
-        return -self.nu * np.asarray(ts, dtype=float)
+        ts = np.asarray(ts, dtype=float)
+        # np.where costs several times the closed forms themselves: only a cutoff needs it
+        log = -self.phi(ts)
+        return log if self.extinction_time is None else np.where(ts < self.L, log, -np.inf)
 
     def spec_string(self):
-        return f"scalar-decay nu={self.nu:g}"
+        return " ".join([self.kind] + [f"{key}={getattr(self, key):g}" for key in self.keys])
 
 
-class GaussianShift(SemigroupModel):
-    """Right shift on a Gaussian-weighted half-line: norm exp(-t^2/4).
+class ScalarDecay(WeightedShift):
+    """Pure exponential decay exp(-nu*t), phi = nu*t: stable with index nu."""
 
-    The norm tends to zero faster than any exponential, yet never reaches
-    zero: superstable without finite-time extinction.
-    """
+    kind, keys = "scalar-decay", ("nu",)
+
+    def phi(self, ts):
+        return self.nu * ts
+
+
+class GaussianShift(WeightedShift):
+    """phi = t^2/4: superstable, the norm beating every exponential, yet never extinct."""
 
     kind = "gaussian-shift"
-    growth_rate = 0.0
 
-    def _log_norms(self, ts):
-        ts = np.asarray(ts, dtype=float)
-        return -ts * ts / 4.0
-
-    def spec_string(self):
-        return "gaussian-shift"
+    def phi(self, ts):
+        return ts * ts / 4.0
 
 
-class NilpotentShift(SemigroupModel):
-    """Shift on L2[0, L] with a hard cutoff: norm 1 before L, 0 after.
+class NilpotentShift(WeightedShift):
+    """phi = 0 on L2[0, L]: the norm jumps from 1 to 0 at the extinction time L."""
 
-    The norm curve jumps from 1 to 0 at t = L, the extinction time.
-    """
+    kind, keys = "nilpotent-shift", ("L",)
 
-    kind = "nilpotent-shift"
-    growth_rate = 0.0
-
-    def __init__(self, L):
-        if not (float(L) > 0 and math.isfinite(L)):
-            raise InvalidModel(f"nilpotent-shift requires L > 0, got {L}")
-        self.L = self.extinction_time = float(L)
-
-    def _log_norms(self, ts):
-        return np.where(np.asarray(ts, dtype=float) < self.L, 0.0, -np.inf)
-
-    def spec_string(self):
-        return f"nilpotent-shift L={self.L:g}"
+    def phi(self, ts):
+        return np.zeros_like(ts)
 
 
-class DampedNilpotent(SemigroupModel):
-    """Exponential decay exp(-nu*t) up to a hard cutoff at L, zero after.
+class DampedNilpotent(WeightedShift):
+    """phi = nu*t on L2[0, L]: below 1 on (0, L), so every criterion's integrand is finite there."""
 
-    Synthetic model whose norm is strictly below 1 on (0, L): unlike the
-    plain cutoff shift, reciprocal-log integrands stay finite on the decay
-    interval, so every integral criterion is exercised.
-    """
-
-    kind = "damped-nilpotent"
-    growth_rate = 0.0
-
-    def __init__(self, nu, L):
-        if not (float(nu) > 0 and math.isfinite(nu)):
-            raise InvalidModel(f"damped-nilpotent requires nu > 0, got {nu}")
-        if not (float(L) > 0 and math.isfinite(L)):
-            raise InvalidModel(f"damped-nilpotent requires L > 0, got {L}")
-        self.nu = float(nu)
-        self.L = self.extinction_time = float(L)
-
-    def _log_norms(self, ts):
-        ts = np.asarray(ts, dtype=float)
-        return np.where(ts < self.L, -self.nu * ts, -np.inf)
-
-    def spec_string(self):
-        return f"damped-nilpotent nu={self.nu:g} L={self.L:g}"
+    kind, keys = "damped-nilpotent", ("nu", "L")
+    phi = ScalarDecay.phi
 
 
 class MatrixSemigroup(SemigroupModel):
@@ -508,8 +506,8 @@ def fractional_reference(t):
 # ---------------------------------------------------------------------------
 # model-spec mini-language
 
-_KINDS = ("scalar-decay", "gaussian-shift", "nilpotent-shift",
-          "damped-nilpotent", "fractional-integration", "matrix")
+_CLOSED_FORMS = {cls.kind: cls for cls in (ScalarDecay, GaussianShift, NilpotentShift, DampedNilpotent)}
+_KINDS = (*_CLOSED_FORMS, "fractional-integration", "matrix")
 
 
 def build_model_from_spec(text):
@@ -574,14 +572,9 @@ def build_model_from_spec(text):
         return params.pop(key)[0]
 
     try:
-        if kind == "scalar-decay":
-            model = ScalarDecay(take("nu"))
-        elif kind == "gaussian-shift":
-            model = GaussianShift()
-        elif kind == "nilpotent-shift":
-            model = NilpotentShift(take("L"))
-        elif kind == "damped-nilpotent":
-            model = DampedNilpotent(take("nu"), take("L"))
+        if kind in _CLOSED_FORMS:
+            cls = _CLOSED_FORMS[kind]
+            model = cls(*(take(key) for key in cls.keys))
         else:
             n, pos = params.pop("n", (400, kind_pos))
             if not float(n).is_integer():

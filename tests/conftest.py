@@ -1,9 +1,13 @@
 """Shared fixtures; the expensive tables are built once per session."""
 
+import math
 import time
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import semistab as ss
 
@@ -174,3 +178,101 @@ def fractional_400():
     verdict = ss.classify(table, TH)
     elapsed = time.monotonic() - start
     return model, traj, table, verdict, elapsed
+
+
+# ---------------------------------------------------------------------------
+# convex exponents: weighted shifts whose truth is known
+
+
+@dataclass(frozen=True)
+class ConvexExponent:
+    """A convex phi with phi(0) = 0, and what is known of its weighted shift.
+
+    The shift's norm is exp(-phi(t)) before the cutoff ``L`` (inf when there
+    is none) and 0 from it, so t_r = min(inverse(r), L), where ``inverse(r)``
+    is the least t with phi(t) >= r.  At infinity phi(t) grows like
+    t^power * log(t)^log_power, which decides whether the tail integral of
+    phi^-p converges.
+    """
+
+    label: str
+    phi: Callable
+    inverse: Callable
+    power: float
+    log_power: float = 0.0
+    L: float = math.inf
+
+    def converges(self, p):
+        """Whether the tail integral of phi(t)^-p is finite; always, with a cutoff."""
+        q = self.power * p
+        return self.L < math.inf or q > 1.0 or (q == 1.0 and self.log_power * p > 1.0)
+
+    def model(self):
+        return ss.WeightedShift(phi=self.phi, L=self.L if self.L < math.inf else None)
+
+
+def _bisect_inverse(phi, r):
+    """The least t with phi(t) >= r, to 1e-13 relative, for a nondecreasing phi."""
+    if r <= 0.0:
+        return 0.0
+    f = lambda t: float(phi(np.array([t]))[0])
+    lo, hi = 0.0, 1.0
+    while f(hi) < r:
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > 1e-13 * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if f(mid) >= r else (mid, hi)
+    return hi
+
+
+def power_exponent(c, alpha):
+    """phi = c*t^alpha, inverse (r/c)^(1/alpha)."""
+    return ConvexExponent(f"{c:g}*t^{alpha:g}", lambda t: c * t**alpha,
+                          lambda r: (r / c) ** (1.0 / alpha), alpha)
+
+
+def log_exponent(beta):
+    """phi = t*log(1+t)^beta, superstable for every beta > 0; the inverse is bisected."""
+    phi = lambda t: t * np.log1p(t) ** beta
+    return ConvexExponent(f"t*log(1+t)^{beta:g}", phi, lambda r: _bisect_inverse(phi, r), 1.0, beta)
+
+
+def piecewise_exponent(knots, slopes, L=None):
+    """The convex piecewise-linear phi with phi(0) = 0 and ``slopes[i]`` from ``knots[i]`` on.
+
+    ``knots`` start at 0 and increase; ``slopes`` do not decrease, and the
+    last is positive.  phi is a sum of hinges, each adding a slope increment.
+    """
+    steps = np.diff(slopes, prepend=0.0)
+    phi = lambda t: sum(d * np.maximum(t - b, 0.0) for b, d in zip(knots, steps))
+    at_knots = [float(phi(np.array([b]))[0]) for b in knots]
+
+    def inverse(r):
+        if r <= 0.0:
+            return 0.0
+        i = max(j for j, v in enumerate(at_knots) if v < r)
+        return knots[i] + (r - at_knots[i]) / slopes[i]
+
+    label = f"piecewise knots={list(knots)} slopes={list(slopes)} L={L}"
+    return ConvexExponent(label, phi, inverse, 1.0, 0.0, math.inf if L is None else L)
+
+
+@st.composite
+def _piecewise(draw):
+    n = draw(st.integers(1, 4))
+    gaps = draw(st.lists(st.floats(0.2, 3.0), min_size=n - 1, max_size=n - 1))
+    # a flat start or a slope of at least 0.05: a tinier one overflows x^-p
+    slopes = sorted(draw(st.lists(st.just(0.0) | st.floats(0.05, 5.0), min_size=n - 1, max_size=n - 1))
+                    + [draw(st.floats(0.2, 5.0))])
+    L = draw(st.none() | st.floats(0.3, 6.0))
+    return piecewise_exponent(tuple(np.cumsum([0.0] + gaps).tolist()), tuple(slopes), L)
+
+
+def convex_exponents():
+    """c*t^alpha (alpha in [1, 2], c in [0.2, 5]), t*log(1+t)^beta (beta in [0.5, 2]),
+    and convex piecewise-linear phi with an optional cutoff."""
+    return st.one_of(
+        st.builds(power_exponent, st.floats(0.2, 5.0), st.floats(1.0, 2.0)),
+        st.builds(log_exponent, st.floats(0.5, 2.0)),
+        _piecewise(),
+    )

@@ -86,6 +86,10 @@ class TestSpecParsing:
         ("fractional-integration n=nan", 23),
         ("fractional-integration n=inf", 23),
         ("fractional-integration  n=64.5", 24),
+        ("damped-nilpotent nu=1", 0),
+        ("damped-nilpotent L=1", 0),
+        ("gaussian-shift nu=1", 15),
+        ("nilpotent-shift L=inf", 0),
     ])
     def test_errors_carry_position(self, bad, pos):
         with pytest.raises(SpecError) as err:
@@ -95,6 +99,36 @@ class TestSpecParsing:
     def test_empty_spec(self):
         with pytest.raises(SpecError):
             ss.build_model_from_spec("   ")
+
+
+class TestWeightedShift:
+    @pytest.mark.parametrize("model", ANALYTIC_MODELS[1:], ids=lambda m: m.spec_string())
+    def test_log_norms_are_the_old_closed_forms(self, model):
+        # the literal expressions each closed form evaluated before it became a
+        # weighted shift; the cutoff shift's log now reads -0.0 where it read
+        # 0.0, which array_equal accepts and exp maps to the same 1.0
+        nu, L = getattr(model, "nu", 2.0), model.L if math.isfinite(model.L) else 1.3
+        t = np.concatenate([[0.0, L, np.nextafter(L, np.inf), np.nextafter(L, -np.inf), 26.0],
+                            np.linspace(0.01, 20.0)])
+        old = {"scalar-decay": lambda: -nu * t,
+               "gaussian-shift": lambda: -t * t / 4.0,
+               "nilpotent-shift": lambda: np.where(t < L, 0.0, -np.inf),
+               "damped-nilpotent": lambda: np.where(t < L, -nu * t, -np.inf)}[model.kind]()
+        new = model._log_norms(t)
+        assert np.array_equal(new, old)
+        assert np.array_equal(np.exp(new).view(np.int64), np.exp(old).view(np.int64))
+
+    def test_takes_phi_or_its_declared_keys(self):
+        m = ss.WeightedShift(phi=lambda t: t**1.5, L=2.0)
+        assert m.spec_string() == "weighted-shift L=2" and m.trajectory().extinction_time == 2.0
+        assert ss.WeightedShift(phi=np.sqrt).trajectory().extinction_time is None
+        for bad in (lambda: ss.WeightedShift(), lambda: ss.WeightedShift(1.0, phi=np.sqrt),
+                    lambda: ss.ScalarDecay(), lambda: ss.ScalarDecay(1.0, L=2.0),
+                    lambda: ss.GaussianShift(phi=np.sqrt)):
+            with pytest.raises(TypeError):
+                bad()
+        with pytest.raises(InvalidModel, match="weighted-shift requires L > 0, got inf"):
+            ss.WeightedShift(phi=np.sqrt, L=math.inf)
 
 
 class TestFlags:
