@@ -18,13 +18,13 @@ stands in for the convergence of sum(u_r).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .errors import InvalidArgument, NumericsFailure
 from .entrytime import STATUS_HORIZON, STATUS_WIDENED
-from .numerics import NORM_FLOOR, growth_bounded_search
+from .numerics import NORM_FLOOR, growth_bounded_search, log_above_floor
 
 VERDICT_UNSTABLE = "unstable"
 VERDICT_STABLE = "stable"
@@ -191,10 +191,7 @@ def classify(table, th=None):
         "last_u": stats.last_u,
         "trend_slope": stats.trend_slope,
         "monotonicity_defect": table.monotonicity_defect,
-        "eps_super": th.eps_super,
-        "eps_tailsum": th.eps_tailsum,
-        "plateau_window": th.plateau_window,
-        "tail_decay_ratio": th.tail_decay_ratio,
+        **asdict(th),
     }
     if tail.unstable or horizon_limited:
         diagnostics["omega_entry"] = 0.0
@@ -237,15 +234,13 @@ class GrowthEstimate:
 def default_growth_grid(traj, table):
     """Sample grid for the growth routes: 513 equal steps up to t_end.
 
-    Extends past the last finite entry time so the log-slope has settled;
+    Extends past ``table.t_hi`` so the log-slope has settled;
     for curves that decay beyond the floating-point floor the grid ends at
     the first of 24 geometric horizon candidates where the norm is at
     NORM_FLOOR, which is what lets superexponential decay register as -inf.
     The candidates are read in one ``evaluate_many`` call.
     """
-    finite = [x for x in table.t if math.isfinite(x)]
-    t_hi = max(finite) if finite else 32.0
-    t_hi = max(t_hi, 1.0)
+    t_hi = max(table.t_hi, 1.0)
     cap = 4.0 * t_hi + 100.0
     cands = np.geomspace(t_hi + 1.0, cap, 24)
     below = np.flatnonzero(traj.evaluate_many(cands) <= NORM_FLOOR)
@@ -261,21 +256,20 @@ def growth_characteristic(traj, table, t_grid, *, th=None):
     so both grid routes are -inf whatever the other points hold, and no
     other point is evaluated; default grids on curves that underflow end at
     such a point.  Otherwise the rest of the grid is read in one more call.
+    The grid must reach ``table.t_hi``.
     """
     th = th or ClassifyThresholds()
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size == 0:
         raise InvalidArgument("t_grid must be nonempty")
-    finite_t = [x for x in table.t if math.isfinite(x)]
-    if finite_t and float(t_grid.max()) < max(finite_t):
-        raise InvalidArgument("max grid point must reach the last finite entry time")
+    if float(t_grid.max()) < table.t_hi:
+        raise InvalidArgument("max grid point must reach table.t_hi, the last finite entry time")
     last = traj.evaluate_many(t_grid[-1:])
     if last[0] <= NORM_FLOOR and 0.0 < t_grid.min() <= t_grid.max() < math.inf:
         omega_large = omega_inf = -math.inf
     else:
         vals = np.concatenate([traj.evaluate_many(t_grid[:-1]), last])
-        with np.errstate(divide="ignore"):
-            omega = np.log(np.where(vals > NORM_FLOOR, vals, 0.0)) / t_grid
+        omega = log_above_floor(vals) / t_grid
         omega_large = float(omega[-1])
         omega_inf = float(omega.min())
     if omega_large <= _OMEGA_FLOOR:
@@ -372,8 +366,7 @@ def _overshoot_maxima(traj, t, nu_grid):
     def keep(new, vals, hi, head):
         # one pass per nu over the new points, then over the open gaps
         m = new.size
-        with np.errstate(divide="ignore"):
-            base = np.concatenate([np.where(vals > NORM_FLOOR, np.log(vals), -math.inf), head])
+        base = np.concatenate([log_above_floor(vals), head])
         times = np.concatenate([t[new], t[hi - 1]])
         reach = np.zeros(hi.size, dtype=bool)
         for j, nu in enumerate(nu_grid):
@@ -395,7 +388,7 @@ def stability_and_extinction_indices(traj, table, nu_grid=None, t_grid=None, *, 
     """Decay index, extinction-time estimates and the overshoot suprema.
 
     The default sample grid is 4097 equally spaced times on
-    [0, max(2 t_hi, t_hi + 1)], t_hi the last finite entry time.  On a
+    [0, max(2 t_hi, t_hi + 1)], t_hi = ``table.t_hi``.  On a
     curve with a finite growth rate, the overshoot suprema are found by the
     growth-bounded search that also scans the entry lattice.  It
     evaluates only the grid points that can hold a maximum (447 of the
@@ -418,8 +411,7 @@ def stability_and_extinction_indices(traj, table, nu_grid=None, t_grid=None, *, 
             notes.append("u-sum still growing at r_max; no extinction claim")
 
     if t_grid is None:
-        finite = [x for x in table.t if math.isfinite(x)]
-        t_hi = max(finite) if finite else 32.0
+        t_hi = table.t_hi
         t_grid = np.linspace(0.0, max(2.0 * t_hi, t_hi + 1.0), 4097)
     t_grid = np.asarray(t_grid, dtype=float)
     maxima = _overshoot_maxima(traj, t_grid, nu_grid)

@@ -28,6 +28,7 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -98,22 +99,22 @@ def _write_atomic(path, text):
         raise
 
 
-def _search_config(args):
-    return SearchConfig(
-        time_tol=args.time_tol,
-        grid_step=args.grid_step,
-        horizon_start=args.horizon_start,
-        horizon_cap=args.horizon_cap,
-    )
+#: help text of each option that sets a SearchConfig or ClassifyThresholds field
+_HELP = {
+    "time_tol": "bisection width for entry times",
+    "grid_step": "scan resolution for non-monotone trajectories",
+    "horizon_start": "initial search span and sustained-below window length",
+    "horizon_cap": "absolute search horizon; beyond it entry times report inf",
+    "eps_super": "u tail mean below this is superstable",
+    "eps_tailsum": "second-half u sum below this accepts finite-time extinction",
+    "plateau_window": "length of the tail averaging window",
+    "tail_decay_ratio": "tail/mid window mean ratio at or below this is superstable",
+}
 
 
-def _thresholds(args):
-    return ClassifyThresholds(
-        eps_super=args.eps_super,
-        eps_tailsum=args.eps_tailsum,
-        plateau_window=args.plateau_window,
-        tail_decay_ratio=args.tail_decay_ratio,
-    )
+def _config(cls, args):
+    """An instance of the config dataclass ``cls`` from its options in ``args``."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
 
 
 def analyze_model(model, *, rmax, cfg, th, pazy_a, quad_tols):
@@ -132,15 +133,9 @@ def analyze_model(model, *, rmax, cfg, th, pazy_a, quad_tols):
         "model": model.spec_string(),
         "config": {
             "rmax": rmax,
-            "time_tol": cfg.time_tol,
-            "grid_step": cfg.grid_step,
-            "horizon_start": cfg.horizon_start,
-            "horizon_cap": cfg.horizon_cap,
+            **asdict(cfg),
             "norm_floor": NORM_FLOOR,
-            "eps_super": th.eps_super,
-            "eps_tailsum": th.eps_tailsum,
-            "plateau_window": th.plateau_window,
-            "tail_decay_ratio": th.tail_decay_ratio,
+            **asdict(th),
             "pazy_a": pazy_a,
             "pazy_p_trace": list(DEFAULT_P_TRACE),
             "quad_abs_tol": quad_tols[0],
@@ -203,36 +198,45 @@ def _status_counts(table):
     return counts
 
 
+def _read_spec_file(path):
+    """The model spec in the file ``path``: its non-comment lines, stripped and joined by spaces."""
+    with open(path) as fh:
+        return " ".join(ln.strip() for ln in fh if ln.strip() and not ln.strip().startswith("#"))
+
+
 def _read_model_arg(args):
     if args.model and args.model_file:
         raise SpecError("give either --model or --model-file, not both")
     if args.model:
         return args.model
     if args.model_file:
-        with open(args.model_file) as fh:
-            lines = [ln.strip() for ln in fh if ln.strip() and not ln.strip().startswith("#")]
-        if len(lines) != 1:
-            raise SpecError(f"model file must contain exactly one spec line, found {len(lines)}")
-        return lines[0]
+        return _read_spec_file(args.model_file)
     raise SpecError("a model is required (--model or --model-file)")
+
+
+def _pipeline(args):
+    """The analysis the options ask for, as a function of a built model.
+
+    It returns what :func:`analyze_model` returns, and calls it by its
+    module-level name, so that a wrapper installed there sees every run.
+    """
+    cfg = _config(SearchConfig, args)
+    th = _config(ClassifyThresholds, args)
+    if args.rmax < 2 * th.plateau_window:
+        raise InvalidArgument(
+            f"--rmax must be at least {2 * th.plateau_window} for classification"
+        )
+    quad_tols = (args.quad_abs_tol, args.quad_rel_tol)
+    return lambda model: analyze_model(
+        model, rmax=args.rmax, cfg=cfg, th=th, pazy_a=args.pazy_a, quad_tols=quad_tols)
 
 
 def cmd_analyze(args):
     csv_path = f"{args.out}.entry.csv"
     json_path = f"{args.out}.json"
     _check_writable(csv_path)
-    spec_text = _read_model_arg(args)
-    model = build_model_from_spec(spec_text)
-    cfg = _search_config(args)
-    th = _thresholds(args)
-    if args.rmax < 2 * th.plateau_window:
-        raise InvalidArgument(
-            f"--rmax must be at least {2 * th.plateau_window} for classification"
-        )
-    report, table, verdict, pazy = analyze_model(
-        model, rmax=args.rmax, cfg=cfg, th=th, pazy_a=args.pazy_a,
-        quad_tols=(args.quad_abs_tol, args.quad_rel_tol),
-    )
+    model = build_model_from_spec(_read_model_arg(args))
+    report, table, verdict, pazy = _pipeline(args)(model)
     report["entry"]["csv"] = os.path.basename(csv_path)
     _write_atomic(csv_path, table.to_csv())
     _write_atomic(json_path, json.dumps(_round_tree(report), indent=2) + "\n")
@@ -258,12 +262,7 @@ def _iter_sweep_specs(models_arg):
         names = sorted(os.listdir(models_arg))
         for name in names:
             if name.endswith(".model"):
-                with open(os.path.join(models_arg, name)) as fh:
-                    text = " ".join(
-                        ln.strip() for ln in fh
-                        if ln.strip() and not ln.strip().startswith("#")
-                    )
-                yield text
+                yield _read_spec_file(os.path.join(models_arg, name))
     else:
         for part in models_arg.split(";"):
             part = part.strip()
@@ -278,12 +277,7 @@ def _quoted(text):
 
 def cmd_sweep(args):
     _check_writable(args.out)
-    cfg = _search_config(args)
-    th = _thresholds(args)
-    if args.rmax < 2 * th.plateau_window:
-        raise InvalidArgument(
-            f"--rmax must be at least {2 * th.plateau_window} for classification"
-        )
+    analyze = _pipeline(args)
     specs = list(_iter_sweep_specs(args.models))
     if not specs:
         raise SpecError("no model specs found")
@@ -292,10 +286,7 @@ def cmd_sweep(args):
     for spec_text in specs:
         try:
             model = build_model_from_spec(spec_text)
-            report, table, verdict, _ = analyze_model(
-                model, rmax=args.rmax, cfg=cfg, th=th, pazy_a=args.pazy_a,
-                quad_tols=(args.quad_abs_tol, args.quad_rel_tol),
-            )
+            report, table, verdict, _ = analyze(model)
         except (SpecError, InvalidArgument, InvalidModel, NumericsFailure) as exc:
             failures += 1
             print(f"{spec_text}: {exc}", file=sys.stderr)
@@ -319,23 +310,11 @@ def cmd_sweep(args):
 
 
 def _add_shared(parser):
+    """The analysis options: one per SearchConfig and ClassifyThresholds field, its default."""
     parser.add_argument("--rmax", type=int, default=40, help="largest r in the entry-time table")
-    parser.add_argument("--time-tol", dest="time_tol", type=float, default=1e-8,
-                        help="bisection width for entry times")
-    parser.add_argument("--grid-step", dest="grid_step", type=float, default=1e-3,
-                        help="scan resolution for non-monotone trajectories")
-    parser.add_argument("--horizon-start", dest="horizon_start", type=float, default=16.0,
-                        help="initial search span and sustained-below window length")
-    parser.add_argument("--horizon-cap", dest="horizon_cap", type=float, default=1e4,
-                        help="absolute search horizon; beyond it entry times report inf")
-    parser.add_argument("--eps-super", dest="eps_super", type=float, default=1e-2,
-                        help="u tail mean below this is superstable")
-    parser.add_argument("--eps-tailsum", dest="eps_tailsum", type=float, default=1e-3,
-                        help="second-half u sum below this accepts finite-time extinction")
-    parser.add_argument("--plateau-window", dest="plateau_window", type=int, default=8,
-                        help="length of the tail averaging window")
-    parser.add_argument("--tail-decay-ratio", dest="tail_decay_ratio", type=float, default=0.85,
-                        help="tail/mid window mean ratio at or below this is superstable")
+    for f in (*fields(SearchConfig), *fields(ClassifyThresholds)):
+        parser.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
+                            default=f.default, help=_HELP[f.name])
     parser.add_argument("--pazy-a", dest="pazy_a", type=float, default=0.0,
                         help="requested lower integration limit (raised to t_0 automatically)")
     parser.add_argument("--quad-abs-tol", dest="quad_abs_tol", type=float, default=1e-9)

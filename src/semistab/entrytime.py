@@ -321,6 +321,15 @@ class EntryTimeTable:
         return np.asarray(self.u, dtype=float)
 
     @property
+    def t_hi(self):
+        """The last finite entry time, or 32.0 when t_0 is already infinite.
+
+        The growth and index sample grids reach past it.
+        """
+        finite = [x for x in self.t if math.isfinite(x)]
+        return max(finite) if finite else 32.0
+
+    @property
     def has_infinite(self):
         return any(math.isinf(v) for v in self.u)
 

@@ -24,12 +24,13 @@ from functools import cached_property
 
 import numpy as np
 
+from .entrytime import _csv_number
 from .errors import InvalidArgument, InvalidModel, NumericsFailure, SpecError
 # matrix_exponential, operator_norm and _power_iteration are unused here but
 # stay importable from this module: the benchmark's tracer wraps the numerics
 # kernels where models looks them up, by these names
 from .numerics import (  # noqa: F401
-    NORM_FLOOR,
+    log_above_floor,
     matrix_exponential,
     operator_norm,
     operator_norms_batch,
@@ -115,11 +116,7 @@ class NormTrajectory:
         ``evaluate_many``, and a NaN log raises :class:`NumericsFailure`.
         """
         if self._log_evaluate_many is None:
-            vals = self.evaluate_many(ts)
-            out = np.full(vals.shape, -math.inf)
-            live = vals > NORM_FLOOR
-            out[live] = np.log(vals[live])
-            return out
+            return log_above_floor(self.evaluate_many(ts))
         out = np.asarray(self._log_evaluate_many(_check_times(ts)), dtype=float)
         if np.isnan(out).any():
             raise NumericsFailure("log norm evaluation returned NaN")
@@ -244,7 +241,7 @@ class WeightedShift(SemigroupModel):
         return log if self.extinction_time is None else np.where(ts < self.L, log, -np.inf)
 
     def spec_string(self):
-        return " ".join([self.kind] + [f"{key}={getattr(self, key):g}" for key in self.keys])
+        return " ".join([self.kind] + [f"{k}={_csv_number(getattr(self, k))}" for k in self.keys])
 
 
 class ScalarDecay(WeightedShift):
@@ -397,7 +394,8 @@ class MatrixSemigroup(SemigroupModel):
         )
 
     def spec_string(self):
-        rows = ",".join("[" + ",".join(f"{v:g}" for v in row) + "]" for row in self.a)
+        # + 0.0 turns -0.0 into 0.0: the parser reads "-0" as the integer 0
+        rows = ",".join("[" + ",".join(map(_csv_number, row + 0.0)) + "]" for row in self.a)
         return f"matrix [{rows}]"
 
 
@@ -436,7 +434,10 @@ class FractionalIntegration(SemigroupModel):
         return math.gamma(t + 1.0) if t + 1.0 <= 171.0 else math.inf
 
     def _kernels(self, ts, denom):
-        """C-contiguous stack of the operators at the times ts > 0."""
+        """C-contiguous stack of the operators at the times ts, with denominators Gamma(t+1).
+
+        t = 0 gives exactly the identity and an infinite denominator exactly 0.
+        """
         n = self.n
         col = np.exp(ts[:, None] * self._log_col)
         # g[m] = col[m] - col[m-1] (col[-1] = 0) is the entry at lag m.  p
@@ -453,12 +454,7 @@ class FractionalIntegration(SemigroupModel):
     def kernel_matrix(self, t):
         """The discretized operator at order t (lower triangular, n x n)."""
         t = _check_time(t)
-        if t == 0.0:
-            return np.eye(self.n)
-        denom = self._gamma(t)
-        if not math.isfinite(denom):
-            return np.zeros((self.n, self.n))
-        return self._kernels(np.array([t]), np.array([denom]))[0]
+        return self._kernels(np.array([t]), np.array([self._gamma(t)]))[0]
 
     def norm_at_many(self, ts):
         ts = np.asarray(ts, dtype=float)

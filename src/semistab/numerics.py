@@ -33,6 +33,12 @@ SEARCH_STRIDE = 32
 LOG_SLACK = 1e-9
 
 
+def log_above_floor(vals):
+    """log of an array of norms, -inf at or below NORM_FLOOR, where the curve is extinct."""
+    with np.errstate(divide="ignore"):
+        return np.log(np.where(vals > NORM_FLOOR, vals, 0.0))
+
+
 def growth_bounded_search(traj, size, time_at, increasing, keep):
     """Evaluate, coarse to fine, the points of a grid that ``keep`` may need.
 

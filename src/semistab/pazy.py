@@ -76,9 +76,9 @@ class InverseLogPower:
             raise InvalidArgument(f"p must be positive and finite, got {self.p}")
 
     def F(self, x):
-        """x^-p on an array of x; F(inf) = 0 and F(x <= 0) = +inf."""
+        """x^-p on an array of x; F(inf) = 0, and F = +inf where x <= 0 or x^-p overflows."""
         x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             return np.where(x > 0.0, np.abs(x) ** (-self.p), math.inf)
 
     def label(self):
@@ -110,10 +110,10 @@ def pazy_integral(traj, weight, a, quad=None, *, check_applicable=True):
 
     The integrand is zero wherever the norm has sunk to NORM_FLOOR (an
     extinct trajectory contributes nothing past its extinction time, where
-    the integration is cut off exactly).  For reciprocal-log weights the norm
-    must sit strictly below 1 just past ``a``; a sampled plateau at 1 returns
-    the distinct ``inapplicable`` verdict since the integrand would be
-    identically infinite there.
+    the integration is cut off exactly).  A reciprocal-log weight is probed
+    at 33 points of [a, a + 1] first: where it is infinite there, at a norm
+    of 1 or above, or where x = -log||T(t)|| is so small that x^-p
+    overflows, the integral returns the distinct ``inapplicable`` verdict.
     """
     return _integral(traj, _curve(traj), weight, a, quad, check_applicable)
 
@@ -131,7 +131,7 @@ def _integral(traj, x, weight, a, quad, check_applicable):
     upper = min(upper, quad.upper)
     quad = replace(quad, lower=a, upper=upper)
     if check_applicable and isinstance(weight, InverseLogPower):
-        if np.any(x(np.linspace(a, min(a + 1.0, upper), 33)) <= 0.0):
+        if np.isinf(weight.F(x(np.linspace(a, min(a + 1.0, upper), 33)))).any():
             return IntegralResult(INAPPLICABLE)
     return integrate_adaptive(lambda ts: weight.F(x(ts)), quad)
 

@@ -261,8 +261,9 @@ def piecewise_exponent(knots, slopes, L=None):
 def _piecewise(draw):
     n = draw(st.integers(1, 4))
     gaps = draw(st.lists(st.floats(0.2, 3.0), min_size=n - 1, max_size=n - 1))
-    # a flat start or a slope of at least 0.05: a tinier one overflows x^-p
-    slopes = sorted(draw(st.lists(st.just(0.0) | st.floats(0.05, 5.0), min_size=n - 1, max_size=n - 1))
+    # a flat start or a slope down to 1e-305, where x = -log||T|| is tiny
+    # enough past t_0 that x^-p overflows and the criteria must read inapplicable
+    slopes = sorted(draw(st.lists(st.just(0.0) | st.floats(1e-305, 5.0), min_size=n - 1, max_size=n - 1))
                     + [draw(st.floats(0.2, 5.0))])
     L = draw(st.none() | st.floats(0.3, 6.0))
     return piecewise_exponent(tuple(np.cumsum([0.0] + gaps).tolist()), tuple(slopes), L)

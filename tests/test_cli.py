@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import semistab
-from semistab.cli import main
+from semistab.cli import _config, build_parser, main
 from semistab.models import FractionalIntegration
 from semistab.oracles import spectral_abscissa_triangular
 
@@ -61,6 +62,41 @@ class TestAnalyze:
         code = run(["analyze", "--model-file", str(spec), "--rmax", "20",
                     "--out", str(tmp_path / "mf")])
         assert code == 0
+
+    def test_model_file_may_span_lines(self, tmp_path):
+        # one reading of a model file for analyze and sweep: non-comment
+        # lines joined by spaces
+        d = tmp_path / "models"
+        d.mkdir()
+        (d / "j10.model").write_text("# a transient\nmatrix [[-1,10],\n[0,-1]]\n")
+        assert run(["analyze", "--model-file", str(d / "j10.model"), "--rmax", "16",
+                    "--out", str(tmp_path / "file")]) == 0
+        assert run(["analyze", "--model", "matrix [[-1,10],[0,-1]]", "--rmax", "16",
+                    "--out", str(tmp_path / "inline")]) == 0
+        for suffix in (".json", ".entry.csv"):
+            file_text = (tmp_path / f"file{suffix}").read_text()
+            assert file_text.replace("file.entry.csv", "inline.entry.csv") == (
+                tmp_path / f"inline{suffix}").read_text()
+        assert run(["sweep", "--models", str(d), "--rmax", "16", "--out", str(tmp_path / "d.csv")]) == 0
+        assert run(["sweep", "--models", "matrix [[-1,10],[0,-1]]", "--rmax", "16",
+                    "--out", str(tmp_path / "i.csv")]) == 0
+        assert (tmp_path / "d.csv").read_text() == (tmp_path / "i.csv").read_text()
+
+    def test_empty_model_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "empty.model"
+        path.write_text("# nothing but a comment\n\n")
+        assert run(["analyze", "--model-file", str(path), "--out", str(tmp_path / "x")]) == 2
+        assert "error: empty model spec" in capsys.readouterr().err
+
+    def test_model_string_keeps_its_digits(self, tmp_path, capsys):
+        spec = "matrix [[-1.23456789,1],[0,-1]]"
+        assert run(["analyze", "--model", spec, "--rmax", "16", "--out", str(tmp_path / "m")]) == 0
+        assert json.loads((tmp_path / "m.json").read_text())["model"] == spec
+        assert capsys.readouterr().out.startswith(f"{spec}: ")
+        out = tmp_path / "s.csv"
+        assert run(["sweep", "--models", f"{spec};scalar-decay nu=2.123456789", "--rmax", "16",
+                    "--out", str(out)]) == 0
+        assert [r[0] for r in summary_rows(out)] == [spec, "scalar-decay nu=2.123456789"]
 
     def test_norm_floor_is_fixed_and_echoed(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -250,6 +286,44 @@ class TestAnalyze:
         rb = json.loads((tmp_path / "b.json").read_text())
         ra["entry"].pop("csv"), rb["entry"].pop("csv")
         assert ra == rb
+
+
+class TestOptions:
+    """Each SearchConfig and ClassifyThresholds field is one option, with its default, echoed."""
+
+    CLASSES = (semistab.SearchConfig, semistab.ClassifyThresholds)
+
+    def test_no_options_give_the_default_configs(self):
+        args = build_parser().parse_args(["analyze"])
+        for cls in self.CLASSES:
+            assert _config(cls, args) == cls()
+
+    @pytest.mark.parametrize("command", [["analyze"], ["sweep", "--models", "gaussian-shift"]])
+    def test_every_field_has_a_flag(self, command):
+        for cls in self.CLASSES:
+            for f in dataclasses.fields(cls):
+                value = 2 * f.default
+                args = build_parser().parse_args(
+                    command + ["--" + f.name.replace("_", "-"), str(value)])
+                assert getattr(args, f.name) == value and type(getattr(args, f.name)) is type(value)
+
+    def test_report_echoes_every_field(self, tmp_path):
+        cfg = semistab.SearchConfig(time_tol=2e-8, grid_step=2e-3, horizon_start=20.0,
+                                    horizon_cap=2e4)
+        th = semistab.ClassifyThresholds(eps_super=2e-2, eps_tailsum=2e-3, plateau_window=6,
+                                         tail_decay_ratio=0.8)
+        flags = [arg for obj in (cfg, th) for f in dataclasses.fields(obj)
+                 for arg in ("--" + f.name.replace("_", "-"), repr(getattr(obj, f.name)))]
+        assert run(["analyze", "--model", "scalar-decay nu=2", "--rmax", "16", *flags,
+                    "--out", str(tmp_path / "e")]) == 0
+        report = json.loads((tmp_path / "e.json").read_text())
+        names = [[f.name for f in dataclasses.fields(cls)] for cls in self.CLASSES]
+        expected = ["rmax", *names[0], "norm_floor", *names[1]]
+        assert list(report["config"])[:len(expected)] == expected
+        assert {k: report["config"][k] for k in names[0]} == dataclasses.asdict(cfg)
+        assert {k: report["config"][k] for k in names[1]} == dataclasses.asdict(th)
+        assert {k: report["classification"]["diagnostics"][k] for k in names[1]} == (
+            dataclasses.asdict(th))
 
 
 class TestDeterminism:

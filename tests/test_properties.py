@@ -16,7 +16,8 @@ plain norm first.  The spectral radius of exp(tA) from the spectral mapping
 theorem is the one read off the spectrum of the computed exponential.
 Weighted shifts with a convex exponent phi have known truth: entry times
 phi^-1(r), cut off at L, and reciprocal-log criteria that converge exactly
-when the integral of phi^-p does.
+when the integral of phi^-p does.  A model's spec string parses back to
+itself.
 """
 
 import itertools
@@ -413,6 +414,7 @@ def _reciprocal_log_entries(m):
 @example(m=log_exponent(1.0))          # (iii) reads inconclusive
 @example(m=log_exponent(0.5))          # (iii) reads divergent
 @example(m=power_exponent(2.0, 1.0))   # (iii), at p = 1, reads divergent
+@example(m=piecewise_exponent((0.0, 1.0), (1e-305, 1.0)))  # x^-p overflows next to t_0
 def test_no_criterion_reads_value_where_its_integral_diverges(m):
     # verdicts are not asserted: the classifier reads t^1.2 as stable
     for e in _reciprocal_log_entries(m):
@@ -639,3 +641,31 @@ def test_spectral_mapping_matches_the_spectrum_of_the_exponential(a, t, c):
     norm = float(np.linalg.norm(e, 2))
     assert max(mapped, direct) <= norm * (1.0 + 1e-12)
     assert ss.spectral_radius_estimate(c * e) == pytest.approx(abs(c) * direct, rel=1e-12, abs=0.0)
+
+
+# ---------------------------------------------------------------------------
+# model specs: the report's model string is the model that was analyzed
+
+_PARAMETER = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.one_of(
+    st.builds(ss.ScalarDecay, _PARAMETER),
+    st.builds(ss.NilpotentShift, _PARAMETER),
+    st.builds(ss.DampedNilpotent, _PARAMETER, _PARAMETER),
+    st.builds(lambda a: ss.MatrixSemigroup(np.reshape(a, (2, 2))),
+              st.lists(st.floats(-1e6, 1e6), min_size=4, max_size=4)),
+))
+@example(m=ss.ScalarDecay(2.123456789))
+@example(m=ss.MatrixSemigroup([[-1.23456789, 1.0], [0.0, -1.0]]))
+@example(m=ss.MatrixSemigroup([[0.0, 1.0], [0.0, -0.0]]))  # "-0" would parse as the integer 0
+def test_spec_string_parses_back_to_itself(m):
+    # the report's formatter keeps 12 significant digits, and they survive the parser
+    text = m.spec_string()
+    again = ss.build_model_from_spec(text)
+    assert again.spec_string() == text
+    for key in getattr(m, "keys", ()):
+        assert getattr(again, key) == pytest.approx(getattr(m, key), rel=1e-11, abs=0.0)
+    if isinstance(m, ss.MatrixSemigroup):
+        np.testing.assert_allclose(again.a, m.a, rtol=1e-11, atol=0.0)

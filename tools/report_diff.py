@@ -1,0 +1,141 @@
+"""Compare the reports of two semistab source trees, spec by spec.
+
+    python tools/report_diff.py SRC_A SRC_B [--seeds 1 7 41] [--specs SPEC ...]
+
+SRC_A and SRC_B are directories that hold a ``semistab`` package, such as
+``src`` of two checkouts.  Each side runs in its own interpreter with its
+own directory on PYTHONPATH, under a temporary directory: one
+``semistab analyze`` per spec, through ``cli.main``, then one ``sweep``
+over every spec, then ``analyze --help`` and ``sweep --help``.  For each
+analysis the JSON report, the entry CSV, stdout, stderr and the exit code
+are compared; for the sweep its CSV, stdout, stderr and exit code.  Every
+spec whose outputs differ is named, and the exit code is 1 on any
+difference, else 0.
+
+The specs are those of the three galleries in ``perfbench/gallery.py`` at
+each seed, deduplicated in order, plus a few fixed specs that reach the
+other outcomes: a transient, a rotation, an unstable Jordan block, a stiff
+generator (exit 3), a large fractional discretization and an extinction
+plateau.  ``--specs`` replaces all of them.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+EXTRA_SPECS = (
+    "matrix [[-1,10],[0,-1]]",
+    "matrix [[-3,5],[-5,-3]]",
+    "matrix [[0,1],[0,0]]",
+    "matrix [[-1e17,0],[0,-1]]",
+    "fractional-integration n=400",
+    "nilpotent-shift L=1",
+)
+
+# Runs in the side's interpreter, in its output directory: argv[1] is a JSON
+# file of specs, and the outputs go to results.json there.
+WORKER = r"""
+import contextlib, io, json, sys
+from semistab import cli
+
+def call(argv, files):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:
+            code = f"raised {type(exc).__name__}: {exc}"
+    result = {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+    for name in files:
+        try:
+            with open(name) as fh:
+                result[name.split(".", 1)[1]] = fh.read()
+        except OSError:
+            result[name.split(".", 1)[1]] = None
+    return result
+
+specs = json.load(open(sys.argv[1]))
+results = {"analyze": [call(["analyze", "--model", spec, "--out", f"a{i}"],
+                            [f"a{i}.json", f"a{i}.entry.csv"])
+                       for i, spec in enumerate(specs)],
+           "sweep": call(["sweep", "--models", ";".join(specs), "--out", "s.csv"], ["s.csv"]),
+           "help": [call([command, "--help"], []) for command in ("analyze", "sweep")]}
+json.dump(results, open("results.json", "w"))
+"""
+
+
+def gallery_specs(seeds):
+    """The specs of every perfbench gallery at ``seeds``, in order."""
+    spec = importlib.util.spec_from_file_location(
+        "_report_diff_gallery", os.path.join(ROOT, "perfbench", "gallery.py"))
+    gallery = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gallery)
+    return [case.spec for seed in seeds for workload in gallery.WORKLOADS
+            for case in gallery.build(workload, seed)]
+
+
+def start(src, specs_path, out_dir):
+    os.makedirs(out_dir)
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src), COLUMNS="80")
+    return subprocess.Popen([sys.executable, "-c", WORKER, specs_path], cwd=out_dir, env=env)
+
+
+def differing(a, b):
+    """The names of the fields of two result dicts that differ."""
+    return [key for key in sorted(set(a) | set(b)) if a.get(key) != b.get(key)]
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("src_a", help="directory holding the first side's semistab package")
+    parser.add_argument("src_b", help="directory holding the second side's semistab package")
+    parser.add_argument("--seeds", type=int, nargs="*", default=[1, 7, 41],
+                        help="gallery seeds (default: 1 7 41)")
+    parser.add_argument("--specs", nargs="+",
+                        help="compare these specs instead of the galleries and the fixed specs")
+    args = parser.parse_args(argv)
+    specs = args.specs or list(dict.fromkeys(gallery_specs(args.seeds) + list(EXTRA_SPECS)))
+
+    with tempfile.TemporaryDirectory(prefix="report-diff-") as tmp:
+        specs_path = os.path.join(tmp, "specs.json")
+        with open(specs_path, "w") as fh:
+            json.dump(specs, fh)
+        sides = [os.path.join(tmp, side) for side in ("a", "b")]
+        procs = [start(src, specs_path, out) for src, out in zip((args.src_a, args.src_b), sides)]
+        if any([proc.wait() for proc in procs]):
+            print("a side failed to run; see its traceback above", file=sys.stderr)
+            return 2
+        results = []
+        for out in sides:
+            with open(os.path.join(out, "results.json")) as fh:
+                results.append(json.load(fh))
+
+    a, b = results
+    diffs = [(spec, differing(ra, rb)) for spec, ra, rb in zip(specs, a["analyze"], b["analyze"])]
+    diffs = [(spec, fields) for spec, fields in diffs if fields]
+    for spec, fields in diffs:
+        print(f"differs: {spec}: {', '.join(fields)}")
+    sweep = differing(a["sweep"], b["sweep"])
+    if sweep:
+        print(f"differs: sweep: {', '.join(sweep)}")
+    help_diff = [command for command, ha, hb in zip(("analyze", "sweep"), a["help"], b["help"])
+                 if ha != hb]
+    for command in help_diff:
+        print(f"differs: {command} --help")
+    print(f"{len(specs)} specs, {len(diffs)} differ; sweep {'differs' if sweep else 'identical'}; "
+          f"help {'differs' if help_diff else 'identical'}")
+    return 1 if diffs or sweep or help_diff else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
