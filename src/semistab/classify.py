@@ -22,9 +22,9 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .errors import InvalidArgument, NumericsFailure
+from .errors import InvalidArgument
 from .entrytime import STATUS_HORIZON, STATUS_WIDENED
-from .numerics import NORM_FLOOR, growth_bounded_search, log_above_floor
+from .numerics import NORM_FLOOR, _eigenvalues, growth_bounded_search, log_above_floor
 
 VERDICT_UNSTABLE = "unstable"
 VERDICT_STABLE = "stable"
@@ -291,16 +291,6 @@ def growth_characteristic(traj, table, t_grid, *, th=None):
 # spectral radius
 
 
-def _eigenvalues(m):
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0 or not np.isfinite(m).all():
-        raise InvalidArgument(f"expected a finite, nonempty square matrix, got shape {m.shape}")
-    try:
-        return np.linalg.eigvals(m)
-    except np.linalg.LinAlgError as exc:
-        raise NumericsFailure(f"eigenvalue solve failed: {exc}") from None
-
-
 def spectral_radius_estimate(m):
     """Spectral radius max |lambda| of a square matrix, read off its eigenvalues."""
     return float(np.abs(_eigenvalues(m)).max())
@@ -310,12 +300,13 @@ def gelfand_spectral_radius(model, t):
     """Spectral radius of T(t) = exp(t*A) for a matrix semigroup, for finite t > 0.
 
     It is exp(t * max Re lambda(A)) by the spectral mapping theorem (Pazy
-    1983, section 2.2): one eigensolve of the generator, no exponential.
+    1983, section 2.2): the model's ``abscissa``, from the eigensolve it
+    made when built, and no exponential of a matrix.
     """
     if not 0.0 < t < math.inf:
         raise InvalidArgument(f"t must be positive and finite, got {t}")
     with np.errstate(over="ignore"):
-        return float(np.exp(t * _eigenvalues(model.a).real.max()))
+        return float(np.exp(t * model.abscissa))
 
 
 # ---------------------------------------------------------------------------

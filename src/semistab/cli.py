@@ -337,7 +337,8 @@ def build_parser():
                     "(rows r,t_r,u_r,status; inf rendered as 'inf').",
     )
     pa.add_argument("--model", help='inline model spec, e.g. "scalar-decay nu=2"')
-    pa.add_argument("--model-file", dest="model_file", help="file containing one model spec line")
+    pa.add_argument("--model-file", dest="model_file",
+                    help="file holding one model spec; its non-comment lines are joined")
     pa.add_argument("--out", default="analysis", help="output path prefix")
     _add_shared(pa)
     pa.set_defaults(func=cmd_analyze)

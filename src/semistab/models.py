@@ -36,6 +36,7 @@ from .numerics import (  # noqa: F401
     operator_norms_batch,
     operator_norms_lanczos,
     _as_square_matrix,
+    _eigenvalues,
     _expm,
     _power_iteration,
 )
@@ -44,7 +45,7 @@ _CHUNK = 4096              # matrices per stacked exponential, bounding temporar
 _STACK_BYTES = 1 << 20     # bytes of fractional kernels per Lanczos stack, sized to stay in cache
 _SAMPLE_TOL = 1e-10        # slack when sampling the fractional norm for its growth rate
 _LUMER_PHILLIPS_TOL = 1e-12  # relative slack on the top eigenvalue of A + A^T
-_DEEP_NORM = 1e-280        # matrix norms at or below this lose relative precision: not bound-checked
+_LOG_DEEP = math.log(1e-280)  # norms at or below 1e-280 lose relative precision: not bound-checked
 
 
 def _check_time(t):
@@ -281,31 +282,22 @@ class DampedNilpotent(WeightedShift):
 class MatrixSemigroup(SemigroupModel):
     """Finite-dimensional semigroup exp(t*A) for a square generator A.
 
-    Norms are the exact largest singular value of exp(t*A).  Every batch of
-    times goes through one stacked kernel (scaling and squaring per time,
-    then a stacked singular value decomposition), and a single time is a
-    batch of one, so each value is a pure function of its own t: the same
-    bits on the batch and the point path, in any query order.  The model
-    keeps no warm start, memo or lattice cache; the only state is the
-    lazily built trajectory.  So models and trajectories may be shared
+    One route at every time gives the log norm, the spectral shift
+    s*t + log ||exp(t*(A - s*I))|| with s = ``abscissa`` = max Re eig(A)
+    (Moler and Van Loan, SIAM Rev. 45, 2003), and :meth:`norm_at_many` is
+    its exp by construction.  The log stays finite long after the norm
+    underflows.  Shifting before scaling and squaring cuts the norm that
+    sets the number of squarings (Higham, SIAM J. Matrix Anal. Appl. 26,
+    2005), so a stiff diag(-1e17, -1) reads its slow mode's exact exp(-t).
+    Each batch is one stacked exponential and SVD, and a single time a
+    batch of one, so each value is a pure function of its own t, the same
+    bits in any query order, and models and trajectories may be shared
     across threads.  The growth rate evaluates no norm: by the
     Lumer-Phillips theorem (Pazy, *Semigroups of Linear Operators*, 1983,
-    section 1.4) ||exp(s*A)|| <= exp(omega*s) with omega the top
-    eigenvalue of (A + A^T)/2, so ||T(t+s)|| <= exp(omega*s) ||T(t)||; the
-    semigroup is a contraction, its norm never rising, exactly when
-    omega <= 0.  One symmetric eigensolve gives it.  As the bound is a
-    theorem, a computed norm above it is a kernel error, and
-    :meth:`norm_at_many` and the log route raise :class:`NumericsFailure`
-    there.  The log route shifts by the spectral abscissa s at every time:
-    exp(t*A) = exp(s*t) exp(t*(A - s*I)) (Moler and Van Loan, "Nineteen
-    Dubious Ways to Compute the Exponential of a Matrix, Twenty-Five Years
-    Later", SIAM Rev. 45, 2003), so log ||exp(t*A)|| stays finite long
-    after the norm underflows.  The shifted generator is built once.  On an
-    equal-diagonal 2x2 block, where the log norm is a*t + asinh(|b|t/2),
-    the route is within 1.2 eps (|a t| + asinh(|b|t/2) + 1) of it, also
-    next to t_0, where the log of the norm read up to 463 eps off; where
-    the norm is above 1e-280 it agrees with the log of :meth:`norm_at_many`
-    to within ``eval_error_bound``.
+    section 1.4) ||exp(s*A)|| <= exp(omega*s) with omega the top eigenvalue
+    of (A + A^T)/2, so ||T(t+s)|| <= exp(omega*s) ||T(t)||, and the norm
+    never rises exactly when omega <= 0.  As the bound is a theorem, a
+    computed norm above it is a kernel error: :class:`NumericsFailure`.
     """
 
     kind = "matrix"
@@ -317,66 +309,58 @@ class MatrixSemigroup(SemigroupModel):
         # within 1e-12 * max(1, max |a_ij|) above 0 is a rounded 0, as for A + A^T = 0
         tol = _LUMER_PHILLIPS_TOL * max(1.0, float(np.abs(self.a).max()))
         self.growth_rate = min(omega, 0.0) if 2.0 * omega <= tol else omega
-        self._abscissa = float(np.linalg.eigvals(self.a).real.max())
-        self._shifted = self.a - self._abscissa * np.eye(len(self.a))
+        #: The spectral abscissa max Re eig(A): the route's shift s, and
+        #: log of the spectral radius of exp(A).
+        self.abscissa = float(_eigenvalues(self.a).real.max())
+        self._shifted = self.a - self.abscissa * np.eye(len(self.a))
 
-    def _map_expm(self, gen, ts, reduce):
-        """reduce() applied to stacks of exp(t*gen) over the times ts, in chunks."""
+    def _shifted_logs(self, ts, reduce, may_vanish=False):
+        """s*t + log reduce(exp(t*(A - s*I))) on an array of times, checked once.
+
+        ``reduce`` maps a stack of shifted exponentials to their norms.  A
+        log that is not finite, as when t amplifies the error of s on a
+        defective generator, raises :class:`NumericsFailure` naming the
+        time and s; so does a log above log(1e-280) and above the bound
+        omega*t + log1p(eval_error_bound), as when scaling and squaring
+        beside a stiff mode rounds a non-normal slow block's decay away.
+        With ``may_vanish``, as for an orbit in a mode faster than s, a
+        reduced norm that underflows to 0 where s <= 0 has a true norm
+        below NORM_FLOOR, and its log is -inf.
+        """
         ts = np.asarray(ts, dtype=float)
         flat = ts.ravel()
-        out = np.empty(flat.size)
+        norms = np.empty(flat.size)
         for lo in range(0, flat.size, _CHUNK):
             chunk = flat[lo:lo + _CHUNK]
-            out[lo:lo + _CHUNK] = reduce(_expm(gen * chunk[:, None, None]))
-        return out.reshape(ts.shape)
-
-    def norm_at_many(self, ts):
-        return self._bounded(ts, self._map_expm(self.a, ts, operator_norms_batch))
-
-    def _bounded(self, ts, vals):
-        """vals, the norms of exp(t*A) or of an orbit, checked against the Lumer-Phillips bound.
-
-        A norm above 1e-280 that exceeds exp(omega*t) * (1 + eval_error_bound)
-        raises :class:`NumericsFailure` naming the first such time: scaling
-        and squaring beside a stiff mode, as in diag(-1e17, -1), rounds the
-        slow mode's decay away.  Deeper norms are not checked, as subnormal
-        ones lose relative precision.
-        """
-        ts = np.asarray(ts, dtype=float)
-        with np.errstate(over="ignore"):
-            bound = np.exp(self.growth_rate * ts) * (1.0 + self.eval_error_bound)
-        over = (vals > _DEEP_NORM) & (vals > bound)
+            norms[lo:lo + _CHUNK] = reduce(_expm(self._shifted * chunk[:, None, None]))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            out = self.abscissa * flat + np.log(norms)
+            bound = self.growth_rate * flat + math.log1p(self.eval_error_bound)
+        bad = ~np.isfinite(out)
+        if may_vanish and self.abscissa <= 0.0:
+            bad &= norms != 0.0
+        if bad.any():
+            raise NumericsFailure(f"log ||exp(t*A)|| is not finite at t = {flat[bad][0]:g}, "
+                                  f"shift s = {self.abscissa!r}")
+        over = (out > _LOG_DEEP) & (out > bound)
         if over.any():
             raise NumericsFailure(f"a computed norm of exp(t*A) exceeds its Lumer-Phillips bound "
-                                  f"exp({self.growth_rate!r}*t) at t = {ts[over].min():g}")
-        return vals
+                                  f"exp({self.growth_rate!r}*t) at t = {flat[over].min():g}")
+        return out.reshape(ts.shape)
 
     def _log_norms(self, ts):
-        """log ||exp(t*A)|| on an array of times, stable far beyond the norm's underflow.
+        return self._shifted_logs(ts, operator_norms_batch)
 
-        At every time this is s*t + log ||exp(t*(A - s*I))|| with s = max Re
-        eig(A) (Moler and Van Loan): one stacked exponential and SVD of the
-        shifted generator per chunk.  A non-finite log, as when t amplifies
-        the error of s on a defective generator, raises
-        :class:`NumericsFailure` naming the time and s; the exponentiated
-        logs are checked against the Lumer-Phillips bound as norms are.
-        """
-        ts = np.asarray(ts, dtype=float)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            out = self._abscissa * ts + np.log(self._map_expm(self._shifted, ts, operator_norms_batch))
-        bad = ~np.isfinite(out)
-        if bad.any():
-            raise NumericsFailure(f"log ||exp(t*A)|| is not finite at t = {ts[bad][0]:g}, "
-                                  f"shift s = {self._abscissa!r}")
-        with np.errstate(over="ignore"):
-            self._bounded(ts, np.exp(out))
-        return out
+    def norm_at_many(self, ts):
+        with np.errstate(over="ignore"):  # a growing semigroup's norm overflows to inf
+            return np.exp(self._log_norms(ts))
 
     def vector_trajectory(self, x):
-        """Norm curve t -> ||exp(t*A) x|| for a single unit vector x.
+        """Norm curve t -> ||exp(t*A) x|| = exp(s*t) ||exp(t*(A - s*I)) x|| for a unit vector x.
 
-        ||T(t+s)x|| <= ||T(s)|| ||T(t)x||, so the semigroup's rate bounds the
-        orbit, and its norms are checked as the semigroup's are.
+        It is read and checked through the semigroup's route, which is also
+        its exact log route.  ||T(t+s)x|| <= ||T(s)|| ||T(t)x||, so the
+        semigroup's rate bounds the orbit.
         """
         x = np.asarray(x, dtype=float)
         if x.shape != (self.a.shape[0],):
@@ -384,13 +368,18 @@ class MatrixSemigroup(SemigroupModel):
         if abs(float(np.linalg.norm(x)) - 1.0) > 1e-12:
             raise InvalidArgument("x must be a unit vector (within 1e-12)")
 
+        def logs(ts):
+            # hypot, unlike the sum of squares, does not underflow below 1e-154
+            return self._shifted_logs(ts, lambda e: np.hypot.reduce(e @ x, axis=1),
+                                      may_vanish=True)
+
         def many(ts):
-            norms = self._map_expm(self.a, ts, lambda e: np.linalg.norm(e @ x, axis=1))
-            return self._bounded(ts, norms)
+            with np.errstate(over="ignore"):
+                return np.exp(logs(ts))
 
         return NormTrajectory(
             many, growth_rate=self.growth_rate, eval_error_bound=self.eval_error_bound,
-            label=f"{self.spec_string()} |x orbit",
+            label=f"{self.spec_string()} |x orbit", log_evaluate_many=logs,
         )
 
     def spec_string(self):

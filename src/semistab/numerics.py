@@ -104,6 +104,17 @@ def _as_square_matrix(a):
     return m
 
 
+def _eigenvalues(m):
+    """Eigenvalues of a finite, nonempty square matrix; a failed solve is a NumericsFailure."""
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0 or not np.isfinite(m).all():
+        raise InvalidArgument(f"expected a finite, nonempty square matrix, got shape {m.shape}")
+    try:
+        return np.linalg.eigvals(m)
+    except np.linalg.LinAlgError as exc:
+        raise NumericsFailure(f"eigenvalue solve failed: {exc}") from None
+
+
 def matrix_exponential(a, t):
     """Evaluate exp(t*a) by scaling and squaring a truncated Taylor series.
 

@@ -182,16 +182,28 @@ class TestGelfand:
         model = ss.MatrixSemigroup(np.array([[-1.0, 10.0], [0.0, -1.0]]))
         assert ss.gelfand_spectral_radius(model, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
 
+    def test_reads_the_abscissa_of_the_model(self, monkeypatch):
+        # the model's one eigensolve gives the abscissa; the radius solves no more
+        a = np.array([[-1.0, 10.0, 0.0], [0.0, -0.5, 2.0], [-3.0, 0.0, -2.0]])
+        model = ss.MatrixSemigroup(a)
+        expected = [float(np.exp(t * np.linalg.eigvals(a).real.max())) for t in (0.5, 1.0, 3.0)]
+        calls = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda m: calls.append(m) or eigvals(m))
+        assert [ss.gelfand_spectral_radius(model, t) for t in (0.5, 1.0, 3.0)] == expected
+        assert calls == []
+
     def test_failed_eigensolve_is_a_numerics_failure(self, monkeypatch):
         def fail(m):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        model = ss.MatrixSemigroup(np.eye(2))
+        # a matrix model eigensolves its generator once, when built, for the
+        # abscissa that gelfand_spectral_radius reads
         monkeypatch.setattr(np.linalg, "eigvals", fail)
         with pytest.raises(ss.NumericsFailure, match="did not converge"):
             ss.spectral_radius_estimate(np.eye(2))
         with pytest.raises(ss.NumericsFailure, match="did not converge"):
-            ss.gelfand_spectral_radius(model, 1.0)
+            ss.MatrixSemigroup(np.eye(2))
 
     @pytest.mark.parametrize("m", [
         np.ones((2, 3)), np.ones(3), np.zeros((0, 0)),

@@ -134,14 +134,26 @@ class TestAnalyze:
         assert code == 3
         assert "numerics failure" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("spec", ["matrix [[-1e17,0],[0,-1]]", "matrix [[-1e9,0],[0,-1]]"])
-    def test_stiff_generator_exits_3(self, spec, tmp_path, capsys):
-        # a computed norm above the Lumer-Phillips bound exp(-t) is a kernel
-        # error; the diag(-1e17, -1) curve once read "unstable" with exit 0
-        code = run(["analyze", "--model", spec, "--out", str(tmp_path / "stiff")])
+    def test_stiff_generator_exits_3(self, tmp_path, capsys):
+        # a computed norm above the Lumer-Phillips bound is a kernel error:
+        # scaling and squaring beside the stiff mode rounds the decay of the
+        # non-normal slow block away
+        code = run(["analyze", "--model", "matrix [[-1e17,0,0],[0,-1,1],[0,0,-2]]",
+                    "--out", str(tmp_path / "stiff")])
         assert code == 3
         assert "exceeds its Lumer-Phillips bound" in capsys.readouterr().err
         assert not (tmp_path / "stiff.json").exists()
+
+    @pytest.mark.parametrize("spec", ["matrix [[-1e17,0],[0,-1]]", "matrix [[-1e9,0],[0,-1]]"])
+    def test_stiff_diagonal_generator_reads_its_slow_mode(self, spec, tmp_path):
+        # the shift s = -1 leaves the slow mode exactly 1, so the curve is
+        # exactly e^-t; diag(-1e17, -1) once read "unstable" with exit 0,
+        # then exited 3
+        code = run(["analyze", "--model", spec, "--out", str(tmp_path / "stiff")])
+        assert code == 0
+        report = json.loads((tmp_path / "stiff.json").read_text())
+        assert report["classification"]["verdict"] == "stable"
+        assert abs(report["classification"]["nu"] - 1.0) <= 0.01
 
     @pytest.mark.parametrize("flag, value", [("--time-tol", "1e-20"), ("--horizon-cap", "inf")])
     def test_unusable_search_config_exits_2(self, flag, value, tmp_path):

@@ -181,6 +181,14 @@ class TestVectorEntryTime:
         et = ss.vector_entry_time(m, np.array([0.0, 1.0]), 1)
         assert et.time == pytest.approx(0.5, abs=CFG.time_tol)
 
+    def test_fast_mode_past_its_underflow(self):
+        # the orbit's shifted factor exp(-999 t) underflows past t = 0.75,
+        # where its norm is below the floor: the search reads it as 0
+        m = ss.MatrixSemigroup(np.diag([-1.0, -1000.0]))
+        for r in (1, 40):
+            et = ss.vector_entry_time(m, np.array([0.0, 1.0]), r)
+            assert et.time == pytest.approx(r / 1000.0, abs=CFG.time_tol)
+
     def test_slow_mode(self):
         m = ss.MatrixSemigroup(np.diag([-1.0, -2.0]))
         et = ss.vector_entry_time(m, np.array([1.0, 0.0]), 1)

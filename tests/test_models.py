@@ -239,18 +239,42 @@ def _sampled_flag(model):
 
 
 class TestMatrixNorms:
-    @pytest.mark.parametrize("stiff, first", [(1e9, "0.05"), (1e17, "0.01")])
-    def test_stiff_generator_fails_at_its_growth_bound(self, stiff, first):
-        # diag(-stiff, -1) is stable with omega = -1, so ||T(t)|| = exp(-t).
-        # Scaling and squaring beside the stiff mode reads up to 7.3e-6 high
-        # at 1e9 and rounds the slow decay away (every norm 1) at 1e17.
-        model = ss.MatrixSemigroup(np.diag([-stiff, -1.0]))
-        assert model.growth_rate == -1.0
-        # the slow mode's orbit reads what the operator norm reads
-        for traj in (model.trajectory(), model.vector_trajectory(np.array([0.0, 1.0]))):
-            with pytest.raises(NumericsFailure, match=rf"at t = {first}$"):
+    def test_stiff_generator_fails_at_its_growth_bound(self):
+        # omega = -(3 - sqrt(2))/2 here.  Scaling and squaring the shifted
+        # generator beside the stiff mode rounds the decay of the non-normal
+        # slow block away, on the operator norm and on an orbit in that block
+        model = ss.MatrixSemigroup([[-1e17, 0.0, 0.0], [0.0, -1.0, 1.0], [0.0, 0.0, -2.0]])
+        assert model.growth_rate == pytest.approx(-(3.0 - math.sqrt(2.0)) / 2.0, rel=1e-15)
+        orbit = model.vector_trajectory(np.array([0.0, 0.0, 1.0]))
+        for traj, first in ((model.trajectory(), "0.01"), (orbit, "0.46")):
+            with pytest.raises(NumericsFailure, match=rf"Lumer-Phillips bound .* at t = {first}$"):
                 traj.evaluate_many(np.linspace(40.0, 0.0, 4001))
         assert model.norm_at(0.0) == 1.0
+
+    @pytest.mark.parametrize("stiff", [1e9, 1e17])
+    def test_stiff_diagonal_reads_its_slow_mode(self, stiff):
+        # diag(-stiff, -1) has the shift s = -1, which leaves the slow mode
+        # exactly 1: the norm and the slow mode's orbit read exactly e^-t, and
+        # their logs exactly -t.  Scaling and squaring the unshifted generator
+        # read up to 7.3e-6 high at 1e9 and every norm 1 at 1e17
+        model = ss.MatrixSemigroup(np.diag([-stiff, -1.0]))
+        assert model.growth_rate == model.abscissa == -1.0
+        ts = np.linspace(40.0, 0.0, 4001)
+        for traj in (model.trajectory(), model.vector_trajectory(np.array([0.0, 1.0]))):
+            assert np.array_equal(traj.evaluate_many(ts), np.exp(-ts))
+            assert np.array_equal(traj.log_evaluate_many(ts), -ts)
+        # the stiff mode's orbit underflows to exactly 0 from the first step
+        fast = model.vector_trajectory(np.array([1.0, 0.0]))
+        assert np.array_equal(fast.evaluate_many(ts), np.where(ts > 0.0, 0.0, 1.0))
+
+    def test_orbit_log_route_past_the_norm_underflow(self):
+        # the fast mode's orbit is exp(-1000 t): exact logs while its shifted
+        # factor exp(-999 t) is representable, also where a sum of squares
+        # underflows, and -inf past that, where s = -1 puts it below the floor
+        orbit = ss.MatrixSemigroup(np.diag([-1.0, -1000.0])).vector_trajectory(np.array([0.0, 1.0]))
+        logs = orbit.log_evaluate_many(np.array([0.0, 0.5, 0.7, 1.0]))
+        np.testing.assert_allclose(logs[:3], [0.0, -500.0, -700.0], rtol=1e-14)
+        assert logs[3] == -math.inf
 
     def test_against_svd_of_closed_form(self):
         # triangular 2x2 exponentials have a closed form; the spectral norm

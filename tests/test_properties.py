@@ -9,11 +9,12 @@ the integral criteria never claim a stronger class than the classifier.
 The sparse search for the overshoot suprema, and the growth-bounded
 entry-time lattice scan of a matrix curve, return bit for bit what
 evaluating every grid or lattice point gives; the growth rate they rely on
-bounds the computed norms.  Deep in the tail, past the norm's underflow,
-the matrix log route agrees with renormalized squaring, and deciding depth
-before the plain exponential gives the bits of the route that reads every
-plain norm first.  The spectral radius of exp(tA) from the spectral mapping
-theorem is the one read off the spectrum of the computed exponential.
+bounds the computed norms.  The matrix norm is the exp of the matrix log
+route bit for bit, on the operator and on an orbit; the route agrees with
+a 40-digit mpmath exponential down to norms of about 1e-280, and with
+renormalized squaring deep in the tail, past the norm's underflow.  The
+spectral radius of exp(tA) from the spectral mapping theorem is the one
+read off the spectrum of the computed exponential.
 Weighted shifts with a convex exponent phi have known truth: entry times
 phi^-1(r), cut off at L, and reciprocal-log criteria that converge exactly
 when the integral of phi^-p does.  A model's spec string parses back to
@@ -148,29 +149,43 @@ def _outcome(log_norms, ts):
 @example(a=J10, scales=[1e3, 1e4], order=None)
 @example(a=np.array([[-2000.0]]), scales=[], order=None)
 @example(a=np.array([[-3.0, 5.0], [-5.0, -3.0]]), scales=[], order=None)
+@example(a=np.array([[-0.02, 1.0], [0.0, -0.02]]), scales=[], order=None)
 def test_log_route_matches_the_norm_and_its_own_points(a, scales, order):
     # one route at every time, s*t + log ||exp(t(A - sI))||, from next to
-    # t = 0 across the norm's underflow to deep times.  Where the norm is
-    # above 1e-280 it is within eval_error_bound of log(norm) (worst of
-    # 1,500 such generators: 2.2e-10 nats), and the batch and point paths
-    # give the same bits in any order; a failure names the same first time
+    # t = 0 across the norm's underflow to deep times, for the operator and
+    # for an orbit, and the norm is its exp bit for bit.  The batch and point
+    # paths give the same bits in any order; a failure names the same first
+    # time.  Against a 40-digit mpmath expm, at five times up to where the
+    # norm is about 1e-280, the route is within eval_error_bound (worst of
+    # 2,000 such generators: 1.2e-10 nats).  scipy's expm is no such
+    # reference: it reads up to 3.6e-7 nats off on Jordan-type generators
+    mp = pytest.importorskip("mpmath")
     model = ss.MatrixSemigroup(a)
-    edge = math.log(1e-280) / model._abscissa
-    ts = edge * np.concatenate([[0.0, 1e-6, 1e-3, 0.5], np.linspace(0.9, 1.6, 200), scales])
-    logs = _outcome(model._log_norms, ts)
-    points = _outcome(lambda t: np.array([model._log_norms(t[i:i + 1])[0] for i in range(t.size)]), ts)
-    if isinstance(logs, str):
-        assert points == logs
-        return
-    assert np.array_equal(points, logs)
-    perm = list(range(ts.size))
-    if order is not None:
-        order.shuffle(perm)
-    assert np.array_equal(model._log_norms(ts[perm]), logs[perm])
-    norms = model.norm_at_many(ts)
-    live = norms > 1e-280
-    assert live[0]
-    assert np.abs(logs[live] - np.log(norms[live])).max() <= model.eval_error_bound
+    x = np.ones(len(a)) / math.sqrt(len(a))
+    orbit = model.vector_trajectory(x)
+    edge = math.log(1e-280) / model.abscissa
+    ts = edge * np.concatenate([[0.0, 1e-6, 1e-3, 0.5, 1.0], np.linspace(0.9, 1.6, 200), scales])
+    with mp.workdps(40):
+        exps = [mp.expm(mp.matrix(a.tolist()) * mp.mpf(float(t))) for t in ts[:5]]
+        references = ([float(mp.log(max(mp.svd_r(e, compute_uv=False)))) for e in exps],
+                      [float(mp.log(mp.norm(e * mp.matrix(x.tolist())))) for e in exps])
+    routes = ((model._log_norms, model.norm_at_many), (orbit.log_evaluate_many, orbit.evaluate_many))
+    for (log_norms, norms), reference in zip(routes, references):
+        logs = _outcome(log_norms, ts)
+        points = _outcome(lambda t: np.array([log_norms(t[i:i + 1])[0] for i in range(t.size)]), ts)
+        if isinstance(logs, str):
+            assert points == logs
+            continue
+        assert np.array_equal(points, logs)
+        perm = list(range(ts.size))
+        if order is not None:
+            order.shuffle(perm)
+        assert np.array_equal(log_norms(ts[perm]), logs[perm])
+        assert np.array_equal(norms(ts[perm]), np.exp(logs[perm]))
+        reference = np.array(reference)
+        live = reference > math.log(1e-280)
+        assert live[0]
+        assert np.abs(logs[:5][live] - reference[live]).max() <= model.eval_error_bound
 
 
 @pytest.mark.parametrize("n", FRACTIONAL_NS)

@@ -15,8 +15,9 @@ difference, else 0.
 The specs are those of the three galleries in ``perfbench/gallery.py`` at
 each seed, deduplicated in order, plus a few fixed specs that reach the
 other outcomes: a transient, a rotation, an unstable Jordan block, a stiff
-generator (exit 3), a large fractional discretization and an extinction
-plateau.  ``--specs`` replaces all of them.
+diagonal generator whose slow mode the spectral shift reads exactly, a
+stiff generator with a non-normal slow block (exit 3), a large fractional
+discretization and an extinction plateau.  ``--specs`` replaces all of them.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ EXTRA_SPECS = (
     "matrix [[-3,5],[-5,-3]]",
     "matrix [[0,1],[0,0]]",
     "matrix [[-1e17,0],[0,-1]]",
+    "matrix [[-1e17,0,0],[0,-1,1],[0,0,-2]]",
     "fractional-integration n=400",
     "nilpotent-shift L=1",
 )
