@@ -30,6 +30,7 @@ from .errors import InvalidArgument, InvalidModel, NumericsFailure, SpecError
 # stay importable from this module: the benchmark's tracer wraps the numerics
 # kernels where models looks them up, by these names
 from .numerics import (  # noqa: F401
+    NORM_FLOOR,
     log_above_floor,
     matrix_exponential,
     operator_norm,
@@ -324,8 +325,10 @@ class MatrixSemigroup(SemigroupModel):
         omega*t + log1p(eval_error_bound), as when scaling and squaring
         beside a stiff mode rounds a non-normal slow block's decay away.
         With ``may_vanish``, as for an orbit in a mode faster than s, a
-        reduced norm that underflows to 0 where s <= 0 has a true norm
-        below NORM_FLOOR, and its log is -inf.
+        reduced norm may underflow to 0.  It is then below n subnormal units
+        n*2^-1074, so the true norm is below NORM_FLOOR, and its log is
+        -inf, wherever s*t <= log(NORM_FLOOR / (n*2^-1074)), about 53 nats;
+        past that limit 0 proves nothing and raises as above.
         """
         ts = np.asarray(ts, dtype=float)
         flat = ts.ravel()
@@ -337,8 +340,9 @@ class MatrixSemigroup(SemigroupModel):
             out = self.abscissa * flat + np.log(norms)
             bound = self.growth_rate * flat + math.log1p(self.eval_error_bound)
         bad = ~np.isfinite(out)
-        if may_vanish and self.abscissa <= 0.0:
-            bad &= norms != 0.0
+        if may_vanish:
+            limit = math.log(NORM_FLOOR / len(self.a)) + 1074 * math.log(2.0)
+            bad &= (norms != 0.0) | (self.abscissa * flat > limit)
         if bad.any():
             raise NumericsFailure(f"log ||exp(t*A)|| is not finite at t = {flat[bad][0]:g}, "
                                   f"shift s = {self.abscissa!r}")

@@ -387,7 +387,10 @@ class QuadratureSpec:
 
     ``upper`` may be +inf, in which case the tail is integrated over
     geometrically doubled horizons until the increments certify convergence
-    or divergence.
+    or divergence.  Convergence is certified once the geometric estimate of
+    the rest of the tail is within tolerance, or has settled: it agrees,
+    within a quarter of the tolerance, with the last segment's estimate
+    scaled by the ratio of the increments.
     """
 
     lower: float
@@ -553,8 +556,15 @@ def integrate_adaptive(f, spec):
 
     Returns an :class:`IntegralResult`:
 
-    * ``value``   -- the partial integrals converged within tolerance (for
-      infinite upper limits a geometric tail estimate is folded in);
+    * ``value``   -- the partial integrals converged within tolerance.  For
+      an infinite upper limit the increments inc_k over doubled horizons
+      give the geometric tail estimate tail_k = inc_k*r/(1 - r), with
+      r = inc_k/inc_{k-1} < 0.95, which is folded in once it is within
+      tolerance, or once it has settled: |tail_k - r*tail_{k-1}| is within a
+      quarter of the tolerance, the share each segment's quadrature gets
+      (Piessens et al., *QUADPACK*, 1983, extrapolate infinite-range tails
+      likewise).  The increments of a power tail t^-q are exactly
+      geometric, so it settles within a few doublings;
     * ``divergent`` -- the partial integral exceeded 1e12, or the increments
       over successive doubled horizons stopped decaying;
     * ``inconclusive`` -- neither verdict could be certified before the
@@ -591,7 +601,7 @@ def integrate_adaptive(f, spec):
     if diverged:
         return IntegralResult(DIVERGENT, value=total, horizon=horizon)
     budget -= used
-    prev_inc = None
+    prev_inc = prev_tail = None
     for _ in range(_MAX_TAIL_SEGMENTS):
         if budget <= 0:
             return IntegralResult(INCONCLUSIVE, value=total, error=toterr, horizon=horizon)
@@ -611,10 +621,17 @@ def integrate_adaptive(f, spec):
             if inc > tol(total) and inc >= prev_inc * (1.0 - _DECAY_SLACK):
                 return IntegralResult(DIVERGENT, value=total, horizon=horizon)
             ratio = inc / prev_inc if prev_inc > 0.0 else 0.0
+            tail = None
             if ratio < 0.95:
                 tail = inc * ratio / (1.0 - ratio) if ratio > 0.0 else 0.0
-                if tail <= tol(total):
+                # accept a tail below tolerance, or one that has settled: a
+                # geometric tail shrinks by the ratio per doubled horizon, so
+                # the last segment's estimate foretold this one
+                settled = (prev_tail is not None
+                           and abs(tail - ratio * prev_tail) <= tol(total) / 4.0)
+                if tail <= tol(total) or settled:
                     return IntegralResult(VALUE, value=total + tail, error=toterr + tail)
+            prev_tail = tail
         elif inc == 0.0:
             return IntegralResult(VALUE, value=total, error=toterr)
         prev_inc = inc

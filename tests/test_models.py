@@ -276,6 +276,18 @@ class TestMatrixNorms:
         np.testing.assert_allclose(logs[:3], [0.0, -500.0, -700.0], rtol=1e-14)
         assert logs[3] == -math.inf
 
+    def test_growing_orbit_vanishes_below_the_floor_up_to_its_limit(self):
+        # s = 1: the orbit in the mode -1000 has a shifted factor exp(-1001 t)
+        # that underflows to 0.  While s*t <= log(1e-300 / (2 * 2^-1074)),
+        # 52.97 nats, that 0 puts the norm below the floor; past it, it does not
+        model = ss.MatrixSemigroup([[1.0, 0.0], [0.0, -1000.0]])
+        orbit = model.vector_trajectory(np.array([0.0, 1.0]))
+        assert np.array_equal(orbit.evaluate_many(np.array([0.0, 1.0])), [1.0, 0.0])
+        limit = math.log(1e-300 / 2.0) + 1074 * math.log(2.0)
+        assert orbit.log_evaluate_many(np.array([limit]))[0] == -math.inf
+        with pytest.raises(NumericsFailure, match="not finite at t = 53, shift s = 1.0"):
+            orbit.log_evaluate_many(np.array([1.0, 53.0]))
+
     def test_against_svd_of_closed_form(self):
         # triangular 2x2 exponentials have a closed form; the spectral norm
         # of that closed form via LAPACK is a fully independent route

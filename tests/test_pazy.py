@@ -135,22 +135,40 @@ class TestPazyCriteria:
         iii = [e for e in rep.entries if e.criterion == "iii"]
         assert iii[0].kind == "divergent"
 
-    def test_j10_log_route_budget(self, matrix_j10):
-        # next to t_0 the shifted log route is smooth to a few 1e-10 relative
-        # in x; the plain log's noise there drove the stage, nearly all of it
-        # criterion (ii) at p=1.5, to 538 curve calls
-        model, base, table = matrix_j10
+    @staticmethod
+    def _read_curve(model, t0):
+        """pazy_criteria of ``model``, with the times of each call its curve takes."""
+        base = model.trajectory()
         calls = []
 
         def logs(ts):
-            calls.append(np.size(ts))
+            calls.append(np.asarray(ts, dtype=float))
             return model._log_norms(ts)
 
         traj = NormTrajectory(model.norm_at_many, log_evaluate_many=logs,
                               growth_rate=base.growth_rate, eval_error_bound=base.eval_error_bound)
-        rep = ss.pazy_criteria(traj, t0=table.t[0])
+        return ss.pazy_criteria(traj, t0=t0), calls
+
+    def test_j10_log_route_budget(self, matrix_j10):
+        # next to t_0 the shifted log route is smooth to a few 1e-10 relative
+        # in x; the plain log's noise there drove the stage, nearly all of it
+        # criterion (ii) at p=1.5, to 538 curve calls.  A tail accepted only
+        # once it was below tolerance took 60 calls and read t = 6.7e11; a
+        # settled tail takes 40 and stops at t = 6.4e5
+        model, _, table = matrix_j10
+        rep, calls = self._read_curve(model, table.t[0])
         assert rep.fired == ("i", "ii")
-        assert len(calls) <= 100
+        assert len(calls) <= 42
+        assert max(ts.max() for ts in calls) < 1e7
+
+    def test_scalar_decay_tail_budget(self):
+        # x = t: the (ii) tail is geometric from the first doubling on, so it
+        # settles at t = 128; accepted only below tolerance it took 60 calls
+        # and read t = 1.1e12
+        rep, calls = self._read_curve(ss.ScalarDecay(1.0), 0.0)
+        assert rep.fired == ("i", "ii")
+        assert len(calls) <= 29
+        assert max(ts.max() for ts in calls) < 1e7
 
     def test_strongly_damped_matrix_is_not_extinct(self):
         # exp(-2000 t) underflows by t = 0.4: a log route that read the

@@ -17,8 +17,11 @@ spectral radius of exp(tA) from the spectral mapping theorem is the one
 read off the spectrum of the computed exponential.
 Weighted shifts with a convex exponent phi have known truth: entry times
 phi^-1(r), cut off at L, and reciprocal-log criteria that converge exactly
-when the integral of phi^-p does.  A model's spec string parses back to
-itself.
+when the integral of phi^-p does.  The quadrature's settled tails are
+checked against known answers: power-law integrals in closed form, and a
+Jordan block's criterion against a 40-digit quadrature of its exact log
+curve; no weight whose integral diverges on a matrix reads a value.  A
+model's spec string parses back to itself.
 """
 
 import itertools
@@ -449,6 +452,63 @@ def test_no_criterion_reads_divergent_where_its_integral_converges(m):
         q = m.power * e.p
         if m.converges(e.p) and (m.L < math.inf or not 1.0 < q < 1.05):
             assert e.kind != ss.DIVERGENT, (m.label, e)
+
+
+# ---------------------------------------------------------------------------
+# the settled quadrature tail: values against known integrals
+
+
+@settings(max_examples=60, deadline=None)
+@given(c=st.floats(0.2, 5.0), alpha=st.floats(1.0, 2.0), p=st.sampled_from([0.5, 1.0, 1.5, 2.0]),
+       a=st.floats(0.5, 4.0))
+@example(c=1.0, alpha=1.0, p=1.0, a=1.0)
+def test_power_law_tail_is_within_tolerance(c, alpha, p, a):
+    # int_a^inf (c t^alpha)^-p dt = c^-p a^(1 - alpha p) / (alpha p - 1) when
+    # alpha p > 1, else infinite.  Past a the increments over doubled
+    # horizons are exactly geometric, so a settled tail estimate is the truth
+    q = alpha * p
+    spec = ss.QuadratureSpec(a)
+    res = ss.integrate_adaptive(lambda t: (c * t**alpha) ** -p, spec)
+    if q <= 1.0:
+        assert res.kind != ss.VALUE
+        return
+    if p >= 1.5:
+        assert res.is_value
+    if res.is_value:
+        exact = c**-p * a ** (1.0 - q) / (q - 1.0)
+        assert abs(res.value - exact) <= max(spec.abs_tol, spec.rel_tol * exact)
+
+
+@settings(max_examples=8, deadline=None)
+@given(c=st.floats(-6.1, -5.9), b=st.floats(13.0, 15.0))
+@example(c=-1.0, b=10.0)
+@example(c=-5.998, b=13.86)
+def test_jordan_block_criterion_matches_its_closed_form_curve(c, b):
+    # for A = [[c, b], [0, c]], -log||exp(tA)|| = -ct - asinh(bt/2) exactly;
+    # (ii) at p = 1.5 is within 1e-9 of a 40-digit quadrature of that curve
+    # from the report's lower limit (1.8e-10 on the second example)
+    mp = pytest.importorskip("mpmath")
+    rep = ss.pazy_criteria(ss.MatrixSemigroup([[c, b], [0.0, c]]).trajectory())
+    (entry,) = [e for e in rep.entries if e.criterion == "ii" and e.p == 1.5]
+    assert entry.kind == ss.VALUE
+    with mp.workdps(40):
+        lower = mp.mpf(rep.a)
+        # the integrand is (t - t_0)^-1.5 like just past t_0: split toward it
+        edges = [lower] + [lower + mp.mpf(10) ** k for k in range(-6, 4)] + [mp.inf]
+        reference = float(mp.quad(lambda t: (-c * t - mp.asinh(b * t / 2)) ** -1.5, edges))
+    assert abs(entry.value - reference) <= 1e-9 * reference
+
+
+@settings(max_examples=20, deadline=None)
+@given(a=stable_generators())
+@example(a=J10)
+def test_no_divergent_inverse_log_weight_reads_value_on_a_matrix(a):
+    # x = -log||exp(tA)|| grows linearly on a stable matrix, so x^-p with
+    # p <= 1 has no finite tail integral
+    rep = ss.pazy_criteria(ss.MatrixSemigroup(a).trajectory())
+    for e in rep.entries:
+        if e.weight.startswith("inverse-log-power") and e.p <= 1.0:
+            assert e.kind != ss.VALUE, e
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@ import shutil
 import subprocess
 import sys
 
+from semistab import __version__
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -34,5 +36,6 @@ def test_a_changed_report_is_named(tmp_path):
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert proc.stdout.splitlines() == [
         "differs: scalar-decay nu=2: json",
+        f'  tool.version: "{__version__}" -> "changed-{__version__}"',
         "1 specs, 1 differ; sweep identical; help identical",
     ]

@@ -9,8 +9,9 @@ own directory on PYTHONPATH, under a temporary directory: one
 over every spec, then ``analyze --help`` and ``sweep --help``.  For each
 analysis the JSON report, the entry CSV, stdout, stderr and the exit code
 are compared; for the sweep its CSV, stdout, stderr and exit code.  Every
-spec whose outputs differ is named, and the exit code is 1 on any
-difference, else 0.
+spec whose outputs differ is named, with up to five of its JSON leaves
+that moved, as ``pazy.criteria[1].value: 3270.0870796 -> 3270.08707929``,
+and the exit code is 1 on any difference, else 0.
 
 The specs are those of the three galleries in ``perfbench/gallery.py`` at
 each seed, deduplicated in order, plus a few fixed specs that reach the
@@ -41,6 +42,9 @@ EXTRA_SPECS = (
     "fractional-integration n=400",
     "nilpotent-shift L=1",
 )
+
+#: Differing JSON leaves printed per spec.
+MAX_LEAVES = 5
 
 # Runs in the side's interpreter, in its output directory: argv[1] is a JSON
 # file of specs, and the outputs go to results.json there.
@@ -97,6 +101,30 @@ def differing(a, b):
     return [key for key in sorted(set(a) | set(b)) if a.get(key) != b.get(key)]
 
 
+def _leaves(node, path=""):
+    """(path, value) of every leaf of a parsed JSON document, as ``pazy.criteria[1].value``."""
+    if isinstance(node, dict):
+        items = ((f"{path}.{key}" if path else key, value) for key, value in node.items())
+    elif isinstance(node, list):
+        items = ((f"{path}[{i}]", value) for i, value in enumerate(node))
+    else:
+        yield path, node
+        return
+    for sub, value in items:
+        yield from _leaves(value, sub)
+
+
+def moved_leaves(text_a, text_b):
+    """``path: a -> b`` for each JSON leaf that differs between two reports, in document order."""
+    a, b = (dict(_leaves(json.loads(text))) if text else {} for text in (text_a, text_b))
+    lines = []
+    for path in dict.fromkeys([*a, *b]):
+        va, vb = (json.dumps(side[path]) if path in side else "(absent)" for side in (a, b))
+        if va != vb:
+            lines.append(f"{path}: {va} -> {vb}")
+    return lines
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("src_a", help="directory holding the first side's semistab package")
@@ -123,10 +151,19 @@ def main(argv=None):
                 results.append(json.load(fh))
 
     a, b = results
-    diffs = [(spec, differing(ra, rb)) for spec, ra, rb in zip(specs, a["analyze"], b["analyze"])]
-    diffs = [(spec, fields) for spec, fields in diffs if fields]
-    for spec, fields in diffs:
+    diffs = []
+    for spec, ra, rb in zip(specs, a["analyze"], b["analyze"]):
+        fields = differing(ra, rb)
+        if not fields:
+            continue
+        diffs.append(spec)
         print(f"differs: {spec}: {', '.join(fields)}")
+        if "json" in fields:
+            moved = moved_leaves(ra["json"], rb["json"])
+            for line in moved[:MAX_LEAVES]:
+                print(f"  {line}")
+            if len(moved) > MAX_LEAVES:
+                print(f"  ... and {len(moved) - MAX_LEAVES} more")
     sweep = differing(a["sweep"], b["sweep"])
     if sweep:
         print(f"differs: sweep: {', '.join(sweep)}")
