@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InvalidArgument
 from .entrytime import STATUS_HORIZON, STATUS_WIDENED
-from .numerics import NORM_FLOOR, _eigenvalues, growth_bounded_search, log_above_floor
+from .numerics import LOG_FLOOR, _eigenvalues, above_floor, growth_bounded_search
 
 VERDICT_UNSTABLE = "unstable"
 VERDICT_STABLE = "stable"
@@ -236,14 +236,14 @@ def default_growth_grid(traj, table):
 
     Extends past ``table.t_hi`` so the log-slope has settled;
     for curves that decay beyond the floating-point floor the grid ends at
-    the first of 24 geometric horizon candidates where the norm is at
-    NORM_FLOOR, which is what lets superexponential decay register as -inf.
-    The candidates are read in one ``evaluate_many`` call.
+    the first of 24 geometric horizon candidates where the log norm is at
+    LOG_FLOOR, which is what lets superexponential decay register as -inf.
+    The candidates are read in one ``log_evaluate_many`` call.
     """
     t_hi = max(table.t_hi, 1.0)
     cap = 4.0 * t_hi + 100.0
     cands = np.geomspace(t_hi + 1.0, cap, 24)
-    below = np.flatnonzero(traj.evaluate_many(cands) <= NORM_FLOOR)
+    below = np.flatnonzero(traj.log_evaluate_many(cands) <= LOG_FLOOR)
     t_end = float(cands[below[0]]) if below.size else cap
     return np.linspace(t_end / 513, t_end, 513)
 
@@ -251,25 +251,27 @@ def default_growth_grid(traj, table):
 def growth_characteristic(traj, table, t_grid, *, th=None):
     """Compute the three growth-rate routes on the given grid.
 
-    The last grid point is evaluated first.  When its norm is at NORM_FLOOR
-    and every grid time is positive and finite, log||T(t)||/t is -inf there,
-    so both grid routes are -inf whatever the other points hold, and no
-    other point is evaluated; default grids on curves that underflow end at
-    such a point.  Otherwise the rest of the grid is read in one more call.
-    The grid must reach ``table.t_hi``.
+    Every grid time must be positive and finite, and the grid must reach
+    ``table.t_hi``.  The last grid point is evaluated first.  When its log
+    norm is at LOG_FLOOR, log||T(t)||/t is -inf there, so both grid routes
+    are -inf whatever the other points hold, and no other point is
+    evaluated; default grids on curves that underflow end at such a point.
+    Otherwise the rest of the grid is read in one more call.
     """
     th = th or ClassifyThresholds()
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size == 0:
         raise InvalidArgument("t_grid must be nonempty")
+    if not (t_grid > 0.0).all() or not np.isfinite(t_grid).all():
+        raise InvalidArgument("every grid time must be positive and finite")
     if float(t_grid.max()) < table.t_hi:
         raise InvalidArgument("max grid point must reach table.t_hi, the last finite entry time")
-    last = traj.evaluate_many(t_grid[-1:])
-    if last[0] <= NORM_FLOOR and 0.0 < t_grid.min() <= t_grid.max() < math.inf:
+    last = traj.log_evaluate_many(t_grid[-1:])
+    if last[0] <= LOG_FLOOR:
         omega_large = omega_inf = -math.inf
     else:
-        vals = np.concatenate([traj.evaluate_many(t_grid[:-1]), last])
-        omega = log_above_floor(vals) / t_grid
+        logs = np.concatenate([traj.log_evaluate_many(t_grid[:-1]), last])
+        omega = above_floor(logs) / t_grid
         omega_large = float(omega[-1])
         omega_inf = float(omega.min())
     if omega_large <= _OMEGA_FLOOR:
@@ -340,10 +342,10 @@ class IndexEstimates:
 def _overshoot_maxima(traj, t, nu_grid):
     """First grid index and value of max log||T(t)|| + nu*t, for each nu.
 
-    The maxima run over the points of the grid ``t`` whose norm exceeds
-    NORM_FLOOR; ties go to the first index, as :func:`numpy.argmax` breaks
-    them.  :func:`growth_bounded_search` keeps a gap with head h and right
-    end b while h >= log(NORM_FLOOR) and, for some nu, h + nu*t_{b-1}
+    The maxima run over the points of the grid ``t`` whose log norm
+    exceeds LOG_FLOOR; ties go to the first index, as :func:`numpy.argmax`
+    breaks them.  :func:`growth_bounded_search` keeps a gap with head h and
+    right end b while h >= LOG_FLOOR and, for some nu, h + nu*t_{b-1}
     reaches the best value so far (equality counts, for the tie rule).  No
     point of a rejected gap exceeds both the floor and a best value, and
     the best values only rise, so the result is the dense grid's, bit for
@@ -352,12 +354,11 @@ def _overshoot_maxima(traj, t, nu_grid):
     """
     best = [-math.inf] * len(nu_grid)     # for each nu, the best value so far
     at = [-1] * len(nu_grid)              # and its grid index
-    log_floor = np.log(NORM_FLOOR)
 
-    def keep(new, vals, hi, head):
+    def keep(new, logs, hi, head):
         # one pass per nu over the new points, then over the open gaps
         m = new.size
-        base = np.concatenate([log_above_floor(vals), head])
+        base = np.concatenate([above_floor(logs), head])
         times = np.concatenate([t[new], t[hi - 1]])
         reach = np.zeros(hi.size, dtype=bool)
         for j, nu in enumerate(nu_grid):
@@ -367,7 +368,7 @@ def _overshoot_maxima(traj, t, nu_grid):
             if value > best[j] or (value == best[j] and new[i] < at[j]):
                 best[j], at[j] = value, int(new[i])
             reach |= score[m:] >= best[j]
-        return reach & (head >= log_floor)
+        return reach & (head >= LOG_FLOOR)
 
     growth_bounded_search(traj, t.size, t.__getitem__, bool((t[1:] >= t[:-1]).all()), keep)
     if at[0] < 0:

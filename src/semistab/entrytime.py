@@ -6,18 +6,19 @@ time u_r = t_{r+1} - t_r measures how long the curve needs to gain one more
 factor of 1/e.  The u_r sequence is nonincreasing, and its limit behaviour
 determines the stability class (see :mod:`semistab.classify`).
 
-Equivalently, t_r is where the envelope M(t) = sup_{s>=t} ||T(s)|| drops
-through exp(-r).  One search serves every r.  A scan samples the curve at
-t = 0 and at horizon points that double from horizon_start; a general curve
-is also sampled on the grid_step lattice.  The reverse cumulative maximum of
-the samples is a discrete M, and the last sample at or above exp(-r) and the
-sample after it bracket t_r.  A bracket is final once a sustained
-below-threshold window follows it; otherwise the horizon doubles.  A
-contraction (growth rate omega <= 0, norm nonincreasing) is its own
-envelope, so its horizon points suffice and one sample below a threshold
-certifies the crossing.  Any other curve with a finite growth rate omega
-(||T(t+s)|| <= exp(omega*s) ||T(t)||, as a matrix semigroup states) has
-its lattice searched coarse to fine by
+Equivalently, t_r is where the envelope M(t) = sup_{s>=t} log||T(s)||
+drops through the exact threshold -r: every comparison reads the
+trajectory's log curve.  One search serves every r.  A scan samples the
+curve at t = 0 and at horizon points that double from horizon_start; a
+general curve is also sampled on the grid_step lattice.  The reverse
+cumulative maximum of the samples is a discrete M, and the last sample at
+or above -r and the sample after it bracket t_r.  A bracket is final once
+a sustained below-threshold window follows it; otherwise the horizon
+doubles.  A contraction (growth rate omega <= 0, norm nonincreasing) is
+its own envelope, so its horizon points suffice and one sample below a
+threshold certifies the crossing.  Any other curve with a finite growth
+rate omega (||T(t+s)|| <= exp(omega*s) ||T(t)||, as a matrix semigroup
+states) has its lattice searched coarse to fine by
 :func:`growth_bounded_search`, as the overshoot suprema are: only gaps
 that may hold an anchor are refined, and the brackets are those of the
 full lattice, bit for bit.  All open brackets are then bisected in
@@ -33,15 +34,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument
-from .numerics import NORM_FLOOR, growth_bounded_search
+from .numerics import LOG_FLOOR, growth_bounded_search
 
 STATUS_EXACT = "exact"
 STATUS_BISECTED = "bisected"
 STATUS_HORIZON = "horizon"
 STATUS_WIDENED = "widened"
 
-# relative slack of the exact-from-zero test in _EnvelopeScan.bracket.  The
-# sparse lattice adds a candidate just above threshold * (1 + _EXACT_SLACK),
+# slack, in log norm, of the exact-from-zero test in _EnvelopeScan.bracket.
+# The sparse lattice adds a candidate just above threshold + _EXACT_SLACK,
 # so it passes that test exactly when the full lattice does.
 _EXACT_SLACK = 1e-12
 
@@ -60,7 +61,7 @@ class SearchConfig:
     finite.  ``time_tol`` must be at least two ulps of ``horizon_cap``: no
     bracket passes the cap, so every bisection midpoint then lies strictly
     inside its bracket.  The value treated as an exact zero is not a knob:
-    it is :data:`semistab.numerics.NORM_FLOOR`.
+    it is :data:`semistab.numerics.NORM_FLOOR`, log :data:`~.numerics.LOG_FLOOR`.
     """
 
     time_tol: float = 1e-8
@@ -112,7 +113,7 @@ def vector_entry_time(model, x, r, cfg=None):
 def _check_r(r):
     if not (0 <= r < math.inf and int(r) == r):
         raise InvalidArgument(f"r must be a nonnegative integer, got {r}")
-    if math.exp(-float(r)) <= NORM_FLOOR:
+    if -float(r) <= LOG_FLOOR:
         raise InvalidArgument(f"threshold exp(-{r}) is below the norm floor")
 
 
@@ -120,11 +121,12 @@ def _entry_times(traj, rs, cfg):
     """Entry times for the increasing r values ``rs``, from one search.
 
     One envelope scan brackets every threshold, then one lockstep bisection
-    narrows all open brackets together.  A bracket whose upper end has
-    dropped to an exact zero marks an extinction plateau: every later
-    threshold is entered at that same time, exactly.
+    narrows all open brackets together.  The thresholds are the log norms
+    -r.  A bracket whose upper end has dropped to the floor marks an
+    extinction plateau: every later threshold is entered at that same time,
+    exactly.
     """
-    thresholds = np.array([math.exp(-r) for r in rs])
+    thresholds = -np.array(rs, dtype=float)
     scan = _EnvelopeScan(traj, cfg, thresholds)
     status, lo, hi, f_hi = zip(*(scan.bracket(thr) for thr in thresholds))
     lo, hi, f_hi = np.array(lo), np.array(hi), np.array(f_hi)
@@ -133,7 +135,7 @@ def _entry_times(traj, rs, cfg):
     tols = {STATUS_EXACT: 0.0, STATUS_HORIZON: math.inf, STATUS_BISECTED: cfg.time_tol,
             STATUS_WIDENED: max(cfg.time_tol, cfg.grid_step)}
     entries = [EntryTime(float(t), s, tols[s]) for t, s in zip(0.5 * (lo + hi), status)]
-    extinct = rows[f_hi[rows] <= NORM_FLOOR]
+    extinct = rows[f_hi[rows] <= LOG_FLOOR]
     if extinct.size:
         k = extinct[0]
         entries[k + 1:] = [EntryTime(entries[k].time, STATUS_EXACT, 0.0)] * (len(entries) - k - 1)
@@ -143,9 +145,9 @@ def _entry_times(traj, rs, cfg):
 def _bisect(traj, thresholds, lo, hi, f_hi, rows, time_tol):
     """Narrow the brackets ``rows`` of lo, hi in place to width time_tol.
 
-    Each bracket has f(lo) >= threshold > f(hi); every round evaluates the
-    midpoints of all brackets still wider than time_tol in one call, and
-    f_hi follows hi.  Rows that share a bracket, as several thresholds do
+    Each bracket has f(lo) >= threshold > f(hi), f the log curve and the
+    threshold -r; every round evaluates the midpoints of all brackets
+    still wider than time_tol in one call, and f_hi follows hi.  Rows that share a bracket, as several thresholds do
     between two horizon points or past an extinction plateau's crossing,
     sit next to each other, so each distinct midpoint is evaluated once.
     Brackets halve in lockstep, so rows whose brackets have parted never
@@ -166,7 +168,8 @@ def _bisect(traj, thresholds, lo, hi, f_hi, rows, time_tol):
         if shared:
             first = np.concatenate([[True], mid[1:] != mid[:-1]])
             shared = not first.all()
-        vals = traj.evaluate_many(mid[first])[np.cumsum(first) - 1] if shared else traj.evaluate_many(mid)
+        vals = (traj.log_evaluate_many(mid[first])[np.cumsum(first) - 1] if shared
+                else traj.log_evaluate_many(mid))
         above = vals >= thr
         a = np.where(above, mid, a)
         b = np.where(above, b, mid)
@@ -174,13 +177,13 @@ def _bisect(traj, thresholds, lo, hi, f_hi, rows, time_tol):
 
 
 class _EnvelopeScan:
-    """Samples of a trajectory shared by every threshold, and their envelope.
+    """Log norm samples of a trajectory shared by every threshold, and their envelope.
 
     The samples always include t = 0 and the horizon points, which double
     from horizon_start up to horizon_cap.  A general curve is also sampled
     on the grid_step lattice up to the current horizon, each point once.
     The reverse cumulative maximum of the samples is a discrete envelope
-    M(t) = sup_{s>=t} ||T(s)||, so the last sample at or above exp(-r) is
+    M(t) = sup_{s>=t} log||T(s)||, so the last sample at or above -r is
     where M drops through the threshold: that anchor and the next sample
     bracket t_r.  The anchor is final once horizon_start of quiet lattice
     follows it; otherwise the horizon doubles.  Before a window is scanned
@@ -208,11 +211,11 @@ class _EnvelopeScan:
         self.horizon = 0.0
         self.k_done = 0  # lattice points k <= k_done are sampled or skipped
         self.ts = np.zeros(1)
-        self.vals = np.array([traj.evaluate(0.0)])
+        self.vals = traj.log_evaluate_many(np.zeros(1))
         self.neg_envelope = -self.vals  # ascending, for searchsorted
 
     def bracket(self, threshold):
-        """``(status, lo, hi, f(hi))`` for one threshold; lo == hi when already exact.
+        """``(status, lo, hi, f(hi))`` for one log threshold; lo == hi when already exact.
 
         Thresholds are bracketed in decreasing order, as they were given.
         """
@@ -233,7 +236,7 @@ class _EnvelopeScan:
                 status = STATUS_WIDENED
                 break
             self._extend(threshold)
-        if -self.neg_envelope[0] <= threshold * (1.0 + _EXACT_SLACK):
+        if -self.neg_envelope[0] <= threshold + _EXACT_SLACK:
             # the curve never rises above the threshold: inside from t = 0
             return STATUS_EXACT, 0.0, 0.0, math.inf
         hi = min(anchor + cfg.grid_step, self.horizon) if self.on_lattice else float(self.ts[i + 1])
@@ -242,7 +245,7 @@ class _EnvelopeScan:
     def _extend(self, threshold):
         cfg = self.cfg
         horizon = min(2.0 * self.horizon if self.horizon else cfg.horizon_start, cfg.horizon_cap)
-        at_horizon = self.traj.evaluate(horizon)
+        at_horizon = float(self.traj.log_evaluate_many(np.array([horizon]))[0])
         k1 = int(math.floor(horizon / cfg.grid_step))
         ts, vals = [self.ts], [self.vals]
         if self.on_lattice and at_horizon < threshold:
@@ -257,24 +260,23 @@ class _EnvelopeScan:
         self.neg_envelope = -np.maximum.accumulate(self.vals[::-1])[::-1]
 
     def _lattice(self, k0, k1, at_horizon, pending):
-        """Times and norms of the lattice points k0..k1 that a bracket can read.
+        """Times and log norms of the lattice points k0..k1 that a bracket can read.
 
         :func:`growth_bounded_search` keeps a gap (a, b) while it holds a
-        candidate c with S < c <= U = exp(head), S the largest sample at or
+        candidate c with S < c <= U = head, S the largest sample at or
         after b, the horizon's included.  Any other gap cannot hold the last
         point with f >= c: that point lies at or after b when S >= c, and
         nothing inside reaches c when U < c; and S only grows.  So the last
         point with f >= c is evaluated for every candidate c, and so is the
         point after it, whose gap has S < c <= f(a) <= U.  The candidates
         are the pending thresholds, which fixes every anchor and bracket,
-        and the least float above each threshold * (1 + _EXACT_SLACK), so the
+        and the least float above each threshold + _EXACT_SLACK, so the
         sampled maximum fails the exact-from-zero test in :meth:`bracket`
         exactly when the full lattice's does.
         """
         step = self.cfg.grid_step
-        above = np.nextafter(pending * (1.0 + _EXACT_SLACK), math.inf)
+        above = np.nextafter(pending + _EXACT_SLACK, math.inf)
         cands = np.sort(np.concatenate([pending, above]))
-        log_cands = np.log(cands)
 
         ks, vals = np.zeros(0, dtype=np.int64), np.zeros(0)  # every sample so far, in order
 
@@ -285,7 +287,7 @@ class _EnvelopeScan:
             ks, vals = ks[order], vals[order]
             after = np.maximum.accumulate(vals[::-1])[::-1][ks.searchsorted(hi)]
             # the largest candidate at or below U must lie above S
-            n_under = log_cands.searchsorted(head, side="right")
+            n_under = cands.searchsorted(head, side="right")
             return (n_under > 0) & (cands[n_under - 1] > np.maximum(after, at_horizon))
 
         def time_at(i):

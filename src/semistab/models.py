@@ -1,17 +1,18 @@
 """Semigroup models and the norm trajectories they induce.
 
-A :class:`NormTrajectory` is the single abstraction the analysis consumes: a
-curve t -> ||T(t)|| evaluated on arrays of times, plus what is known of it
-(growth rate, error bound, extinction time).  Every model
-computes norms only through its vectorized ``norm_at_many``; a single time
-is a batch of one, so a norm has the same bits whichever path asked for
-it.  Models produce trajectories either from closed forms, which state only
-their log curve, or numerically (matrix generators, the discretized
+A :class:`NormTrajectory` is the single abstraction the analysis consumes:
+one log curve t -> log||T(t)|| evaluated on arrays of times, plus what is
+known of it (growth rate, error bound, extinction time).  Every model
+states that curve once, in its vectorized ``_log_norms``; a norm is its
+exp, and a single time is a batch of one, so a value has the same bits
+whichever path asked for it.  Models produce trajectories either from
+closed forms or numerically (matrix generators, the discretized
 fractional integration operator).  Every closed form is a
 :class:`WeightedShift` with a convex exponent phi, norm exactly
 exp(-phi(t)) up to an optional cutoff L: phi = nu*t (scalar decay), t^2/4
 (Gaussian-weighted shift), 0 and nu*t cut off at L (the cutoff shifts).
-A norm at or below :data:`~.numerics.NORM_FLOOR` counts as exact zero.
+A log of -inf is an exact zero; fractional integration reads every norm
+at or below :data:`~.numerics.NORM_FLOOR` as one.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .errors import InvalidArgument, InvalidModel, NumericsFailure, SpecError
 # kernels where models looks them up, by these names
 from .numerics import (  # noqa: F401
     NORM_FLOOR,
-    log_above_floor,
     matrix_exponential,
     operator_norm,
     operator_norms_batch,
@@ -65,27 +65,25 @@ def _check_times(ts):
 
 
 class NormTrajectory:
-    """A norm curve t -> ||T(t)|| and what is known of it.
+    """A log norm curve t -> log||T(t)|| and what is known of it.
 
-    ``evaluate_many`` maps an ndarray of nonnegative finite times to norms.
-    It is the curve's one evaluation path: ``evaluate(t)`` is a batch of
-    one.  Both, and ``log_evaluate_many``, raise :class:`InvalidArgument`
-    on a negative or non-finite time and :class:`NumericsFailure` on a NaN
-    norm or log norm.
+    ``log_evaluate_many``, the one required keyword, maps an ndarray of
+    nonnegative finite times to log norms, -inf where the norm is exactly
+    zero.  It is the curve's one evaluation path: ``evaluate_many`` is its
+    exp and ``evaluate(t)`` a batch of one.  All three raise
+    :class:`InvalidArgument` on a negative or non-finite time and
+    :class:`NumericsFailure` on a NaN log norm.
     ``growth_rate`` is an omega with ||T(t+s)|| <= exp(omega*s) ||T(t)||
     for all t, s >= 0, or +inf when none is known; it lets the searches
     skip stretches of a rising curve where no sample can matter.  It is
     the curve's one growth fact: ``is_contraction`` is omega <= 0.
     ``extinction_time`` is the time past which the norm is identically zero,
     or None.  ``eval_error_bound`` is zero for exact closed forms and a
-    discretization-error estimate otherwise.  ``log_evaluate_many``, when
-    given, is an exact route to log ||T(t)||.
+    discretization-error estimate otherwise.
     """
 
-    def __init__(self, evaluate_many, *, growth_rate=math.inf,
-                 eval_error_bound=0.0, extinction_time=None, label="",
-                 log_evaluate_many=None):
-        self._evaluate_many = evaluate_many
+    def __init__(self, *, log_evaluate_many, growth_rate=math.inf,
+                 eval_error_bound=0.0, extinction_time=None, label=""):
         self._log_evaluate_many = log_evaluate_many
         self.growth_rate = float(growth_rate)
         if math.isnan(self.growth_rate):
@@ -103,22 +101,11 @@ class NormTrajectory:
         return float(self.evaluate_many(np.array([float(t)]))[0])
 
     def evaluate_many(self, ts):
-        out = np.asarray(self._evaluate_many(_check_times(ts)), dtype=float)
-        if np.isnan(out).any():
-            raise NumericsFailure("norm evaluation returned NaN")
-        return out
+        with np.errstate(over="ignore"):  # a growing semigroup's norm overflows to inf
+            return np.exp(self.log_evaluate_many(ts))
 
     def log_evaluate_many(self, ts):
-        """log ||T(t)|| on an array of times, -inf where extinct.
-
-        Closed-form and matrix models supply an exact log route, which stays
-        meaningful long after the norm itself has underflowed; otherwise this
-        falls back to the logarithm of the evaluated norm with values at or
-        below NORM_FLOOR treated as extinct.  Times are checked as by
-        ``evaluate_many``, and a NaN log raises :class:`NumericsFailure`.
-        """
-        if self._log_evaluate_many is None:
-            return log_above_floor(self.evaluate_many(ts))
+        """log ||T(t)|| on an array of times, -inf where extinct."""
         out = np.asarray(self._log_evaluate_many(_check_times(ts)), dtype=float)
         if np.isnan(out).any():
             raise NumericsFailure("log norm evaluation returned NaN")
@@ -158,14 +145,13 @@ def validate_submultiplicativity(traj, pairs):
 
 
 class SemigroupModel:
-    """Base class: a named model whose norms come from ``norm_at_many``.
+    """Base class: a named model that states its curve in ``_log_norms``.
 
     A model states what is known of its curve as attributes:
-    ``extinction_time``, ``growth_rate``, ``eval_error_bound`` and, where an
-    exact log route exists, a ``_log_norms`` method.  The growth rate
-    defaults to +inf, unknown; no closed form rises, so each states 0.  A
-    closed form states its curve only in ``_log_norms``: its norms are
-    ``exp`` of its log norms, and ``np.exp`` maps 0 to 1 and -inf to 0
+    ``extinction_time``, ``growth_rate``, ``eval_error_bound``, and its log
+    norms in a vectorized ``_log_norms`` method.  The growth rate defaults
+    to +inf, unknown; no closed form rises, so each states 0.  Its norms
+    are ``exp`` of its log norms, and ``np.exp`` maps 0 to 1 and -inf to 0
     exactly.  :meth:`trajectory` builds the curve from these facts once.
     """
 
@@ -173,23 +159,22 @@ class SemigroupModel:
     extinction_time = None
     growth_rate = math.inf
     eval_error_bound = 0.0
-    _log_norms = None
     _traj = None
 
     def norm_at(self, t):
         return float(self.norm_at_many(np.array([_check_time(t)]))[0])
 
     def norm_at_many(self, ts):
-        return np.exp(self._log_norms(ts))
+        with np.errstate(over="ignore"):  # a growing semigroup's norm overflows to inf
+            return np.exp(self._log_norms(ts))
 
     def trajectory(self):
-        """The model's norm curve, built on first use and then shared."""
+        """The model's log norm curve, built on first use and then shared."""
         if self._traj is None:
             self._traj = NormTrajectory(
-                self.norm_at_many, growth_rate=self.growth_rate,
+                log_evaluate_many=self._log_norms, growth_rate=self.growth_rate,
                 eval_error_bound=self.eval_error_bound,
                 extinction_time=self.extinction_time, label=self.spec_string(),
-                log_evaluate_many=self._log_norms,
             )
         return self._traj
 
@@ -285,11 +270,11 @@ class MatrixSemigroup(SemigroupModel):
 
     One route at every time gives the log norm, the spectral shift
     s*t + log ||exp(t*(A - s*I))|| with s = ``abscissa`` = max Re eig(A)
-    (Moler and Van Loan, SIAM Rev. 45, 2003), and :meth:`norm_at_many` is
-    its exp by construction.  The log stays finite long after the norm
-    underflows.  Shifting before scaling and squaring cuts the norm that
-    sets the number of squarings (Higham, SIAM J. Matrix Anal. Appl. 26,
-    2005), so a stiff diag(-1e17, -1) reads its slow mode's exact exp(-t).
+    (Moler and Van Loan, SIAM Rev. 45, 2003), and the norm is its exp by
+    construction.  The log stays finite long after the norm underflows.
+    Shifting before scaling and squaring cuts the norm that sets the number
+    of squarings (Higham, SIAM J. Matrix Anal. Appl. 26, 2005), so a stiff
+    diag(-1e17, -1) reads its slow mode's exact exp(-t).
     Each batch is one stacked exponential and SVD, and a single time a
     batch of one, so each value is a pure function of its own t, the same
     bits in any query order, and models and trajectories may be shared
@@ -355,16 +340,12 @@ class MatrixSemigroup(SemigroupModel):
     def _log_norms(self, ts):
         return self._shifted_logs(ts, operator_norms_batch)
 
-    def norm_at_many(self, ts):
-        with np.errstate(over="ignore"):  # a growing semigroup's norm overflows to inf
-            return np.exp(self._log_norms(ts))
-
     def vector_trajectory(self, x):
         """Norm curve t -> ||exp(t*A) x|| = exp(s*t) ||exp(t*(A - s*I)) x|| for a unit vector x.
 
-        It is read and checked through the semigroup's route, which is also
-        its exact log route.  ||T(t+s)x|| <= ||T(s)|| ||T(t)x||, so the
-        semigroup's rate bounds the orbit.
+        Its log curve is read and checked through the semigroup's route.
+        ||T(t+s)x|| <= ||T(s)|| ||T(t)x||, so the semigroup's rate bounds
+        the orbit.
         """
         x = np.asarray(x, dtype=float)
         if x.shape != (self.a.shape[0],):
@@ -377,13 +358,9 @@ class MatrixSemigroup(SemigroupModel):
             return self._shifted_logs(ts, lambda e: np.hypot.reduce(e @ x, axis=1),
                                       may_vanish=True)
 
-        def many(ts):
-            with np.errstate(over="ignore"):
-                return np.exp(logs(ts))
-
         return NormTrajectory(
-            many, growth_rate=self.growth_rate, eval_error_bound=self.eval_error_bound,
-            label=f"{self.spec_string()} |x orbit", log_evaluate_many=logs,
+            log_evaluate_many=logs, growth_rate=self.growth_rate,
+            eval_error_bound=self.eval_error_bound, label=f"{self.spec_string()} |x orbit",
         )
 
     def spec_string(self):
@@ -406,7 +383,8 @@ class FractionalIntegration(SemigroupModel):
     the operator norm of exactly the matrix :meth:`kernel_matrix` returns,
     to about 1e-14 relative, and a pure function of t, the same bits on the
     batch and the point path in any query order.  A single time is a batch
-    of one.  The reference curve 1/(t*Gamma(t)) is available as
+    of one.  The log of a norm at or below NORM_FLOOR reads -inf.  The
+    reference curve 1/(t*Gamma(t)) is available as
     :func:`fractional_reference`.
     """
 
@@ -449,17 +427,18 @@ class FractionalIntegration(SemigroupModel):
         t = _check_time(t)
         return self._kernels(np.array([t]), np.array([self._gamma(t)]))[0]
 
-    def norm_at_many(self, ts):
+    def _log_norms(self, ts):
         ts = np.asarray(ts, dtype=float)
         flat = ts.ravel()
-        out = np.where(flat == 0.0, 1.0, 0.0)
+        norms = np.where(flat == 0.0, 1.0, 0.0)
         denom = np.array([self._gamma(t) for t in flat])
         live = np.flatnonzero((flat > 0.0) & np.isfinite(denom))
         chunk = max(1, _STACK_BYTES // (8 * self.n * self.n))
         for lo in range(0, live.size, chunk):
             idx = live[lo:lo + chunk]
-            out[idx] = operator_norms_lanczos(self._kernels(flat[idx], denom[idx]))
-        return out.reshape(ts.shape)
+            norms[idx] = operator_norms_lanczos(self._kernels(flat[idx], denom[idx]))
+        with np.errstate(divide="ignore"):
+            return np.log(np.where(norms > NORM_FLOOR, norms, 0.0)).reshape(ts.shape)
 
     @cached_property
     def growth_rate(self):

@@ -25,6 +25,8 @@ from .errors import InvalidArgument, InvalidModel, NumericsFailure
 #: Finite time extinction (norm identically zero from some time on) and
 #: superstability (faster than every exponential, yet positive) part here.
 NORM_FLOOR = 1e-300
+#: log(NORM_FLOOR): the stages read log norms and compare them with this.
+LOG_FLOOR = math.log(NORM_FLOOR)
 
 #: First-pass stride of :func:`growth_bounded_search`.
 SEARCH_STRIDE = 32
@@ -33,10 +35,9 @@ SEARCH_STRIDE = 32
 LOG_SLACK = 1e-9
 
 
-def log_above_floor(vals):
-    """log of an array of norms, -inf at or below NORM_FLOOR, where the curve is extinct."""
-    with np.errstate(divide="ignore"):
-        return np.log(np.where(vals > NORM_FLOOR, vals, 0.0))
+def above_floor(logs):
+    """log norms, -inf at or below LOG_FLOOR, where the curve counts as extinct."""
+    return np.where(logs > LOG_FLOOR, logs, -np.inf)
 
 
 def growth_bounded_search(traj, size, time_at, increasing, keep):
@@ -51,8 +52,8 @@ def growth_bounded_search(traj, size, time_at, increasing, keep):
     and every SEARCH_STRIDE-th point.  Inside a gap (a, b) between evaluated
     points, log||T|| is then at most the gap's head log||T(t_a)|| +
     LOG_SLACK + rate * (t_{b-1} - t_a), -inf when T(t_a) is exactly zero.
-    After each round, ``keep(new, vals, hi, head)`` gets the grid indices
-    evaluated in it and their norms, and the right ends and heads of the
+    After each round, ``keep(new, logs, hi, head)`` gets the grid indices
+    evaluated in it and their log norms, and the right ends and heads of the
     open gaps, and says which gaps may hold a point it needs; a rejected gap
     is never offered again.  The next round evaluates the midpoints of the
     kept gaps in one call.  With an infinite rate, or a grid that ever
@@ -63,9 +64,7 @@ def growth_bounded_search(traj, size, time_at, increasing, keep):
     todo = np.append(np.arange(0, size - 1, SEARCH_STRIDE if bounded else 1), size - 1)[:size]
     lo, hi, log_lo = todo[:-1], todo[1:], None
     while todo.size:
-        vals = traj.evaluate_many(time_at(todo))
-        with np.errstate(divide="ignore"):
-            log_new = np.log(vals)
+        log_new = traj.log_evaluate_many(time_at(todo))
         # the left ends: the first-pass points, then each kept gap's own
         # left end followed by its midpoint
         log_lo = log_new[:-1] if log_lo is None else np.stack([log_lo, log_new], 1).ravel()
@@ -73,7 +72,7 @@ def growth_bounded_search(traj, size, time_at, increasing, keep):
         # infinite rate is never read
         wide = hi - lo > 1
         lo, hi, log_lo = lo[wide], hi[wide], log_lo[wide]
-        kept = keep(todo, vals, hi, log_lo + LOG_SLACK + rate * (time_at(hi - 1) - time_at(lo)))
+        kept = keep(todo, log_new, hi, log_lo + LOG_SLACK + rate * (time_at(hi - 1) - time_at(lo)))
         # >> 1 rather than // 2: numpy's integer floor-division loop alone
         # raised the closed-form benchmark's peak RSS by about 0.3 MiB
         lo, hi, log_lo = lo[kept], hi[kept], log_lo[kept]

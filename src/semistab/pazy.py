@@ -108,9 +108,11 @@ def _curve(traj):
 def pazy_integral(traj, weight, a, quad=None, *, check_applicable=True):
     """Integrate the weighted norm curve from ``a`` to infinity.
 
-    The integrand is zero wherever the norm has sunk to NORM_FLOOR (an
-    extinct trajectory contributes nothing past its extinction time, where
-    the integration is cut off exactly).  A reciprocal-log weight is probed
+    The integrand is zero only where the model's log norm is -inf: past a
+    cutoff, where the integration is cut off exactly at the extinction
+    time, and where a fractional-integration norm is at or below
+    NORM_FLOOR.  Closed forms and matrices keep x finite at every finite
+    time, however small the norm.  A reciprocal-log weight is probed
     at 33 points of [a, a + 1] first: where it is infinite there, at a norm
     of 1 or above, or where x = -log||T(t)|| is so small that x^-p
     overflows, the integral returns the distinct ``inapplicable`` verdict.

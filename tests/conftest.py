@@ -17,21 +17,16 @@ TH = ss.ClassifyThresholds()
 
 
 class _Counting(ss.NormTrajectory):
-    """``traj`` read through, with single and batch calls counted apart."""
+    """``traj`` read through, with the calls and points of its one log path counted."""
 
     def __init__(self, traj, calls, growth_rate):
-        super().__init__(traj.evaluate_many, growth_rate=growth_rate)
-        self._traj = traj
+        super().__init__(log_evaluate_many=traj.log_evaluate_many, growth_rate=growth_rate)
         self.calls = calls
 
-    def evaluate(self, t):
-        self.calls["evaluate"] += 1
-        return self._traj.evaluate(t)
-
-    def evaluate_many(self, ts):
-        self.calls["evaluate_many"] += 1
+    def log_evaluate_many(self, ts):
+        self.calls["calls"] += 1
         self.calls["points"] += np.size(ts)
-        return self._traj.evaluate_many(ts)
+        return super().log_evaluate_many(ts)
 
 
 def counting(traj, growth_rate=None):
@@ -40,12 +35,13 @@ def counting(traj, growth_rate=None):
     ``growth_rate`` overrides the curve's own rate, and with it whether the
     curve is a contraction; ``growth_rate=math.inf`` takes away a curve's
     bound, so its searches evaluate every lattice or grid point.  The
-    counting curve has no exact log route, extinction time or error bound,
-    so every norm it gives is one of the counted calls.
+    counting curve has no extinction time or error bound, and norms are
+    exp of its log curve, so every value it gives is one of the counted
+    calls.
     """
     if growth_rate is None:
         growth_rate = traj.growth_rate
-    calls = {"evaluate": 0, "evaluate_many": 0, "points": 0}
+    calls = {"calls": 0, "points": 0}
     return _Counting(traj, calls, growth_rate), calls
 
 

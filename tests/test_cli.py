@@ -127,7 +127,7 @@ class TestAnalyze:
         assert "error" in capsys.readouterr().err
 
     def test_nan_norm_exits_3(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(FractionalIntegration, "norm_at_many",
+        monkeypatch.setattr(FractionalIntegration, "_log_norms",
                             lambda self, ts: np.full(np.shape(ts), np.nan))
         code = run(["analyze", "--model", "fractional-integration n=16",
                     "--out", str(tmp_path / "nan")])
@@ -408,7 +408,7 @@ class TestSweep:
             ["ok", "stable"]]
 
     def test_numerics_failure_gives_only_its_error_row(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(FractionalIntegration, "norm_at_many",
+        monkeypatch.setattr(FractionalIntegration, "_log_norms",
                             lambda self, ts: np.full(np.shape(ts), np.nan))
         out = tmp_path / "nan.csv"
         code = run(["sweep", "--models", "gaussian-shift;fractional-integration n=16",

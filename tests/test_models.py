@@ -170,9 +170,9 @@ class TestFlags:
 
     def test_matrix_trajectory_evaluates_no_norm(self, monkeypatch):
         calls = []
-        many = ss.MatrixSemigroup.norm_at_many
-        monkeypatch.setattr(ss.MatrixSemigroup, "norm_at_many",
-                            lambda self, ts: calls.append(ts) or many(self, ts))
+        logs = ss.MatrixSemigroup._log_norms
+        monkeypatch.setattr(ss.MatrixSemigroup, "_log_norms",
+                            lambda self, ts: calls.append(ts) or logs(self, ts))
         for a in ([[-1.0, 10.0], [0.0, -1.0]], np.diag([-1.0, -2.0])):
             ss.MatrixSemigroup(a).trajectory()
         assert calls == []
@@ -207,13 +207,23 @@ class TestFlags:
 
     def test_growth_rate_is_the_only_growth_fact(self):
         # a curve or model that states no rate is not a contraction
-        assert ss.NormTrajectory(np.exp).growth_rate == math.inf
-        assert not ss.NormTrajectory(np.exp).is_contraction
+        assert ss.NormTrajectory(log_evaluate_many=np.negative).growth_rate == math.inf
+        assert not ss.NormTrajectory(log_evaluate_many=np.negative).is_contraction
         assert models.SemigroupModel.growth_rate == math.inf
         for rate, flag in [(-1.0, True), (0.0, True), (1e-300, False), (4.0, False)]:
-            assert ss.NormTrajectory(np.exp, growth_rate=rate).is_contraction is flag
+            assert ss.NormTrajectory(log_evaluate_many=np.negative,
+                                     growth_rate=rate).is_contraction is flag
         with pytest.raises(AttributeError):
-            ss.NormTrajectory(np.exp).is_contraction = True
+            ss.NormTrajectory(log_evaluate_many=np.negative).is_contraction = True
+
+    def test_curve_is_stated_only_as_its_log(self):
+        # a norm callable passed positionally is refused, not read as logs
+        with pytest.raises(TypeError):
+            ss.NormTrajectory(np.exp)
+        traj = ss.NormTrajectory(log_evaluate_many=np.negative)
+        ts = np.array([0.0, 1.0, 800.0])
+        assert np.array_equal(traj.evaluate_many(ts), np.exp(-ts))
+        assert traj.evaluate(1.0) == math.exp(-1.0)
 
     def test_fractional_rate_is_sampled_once_on_first_use(self, monkeypatch):
         calls = []
@@ -228,7 +238,7 @@ class TestFlags:
 
     def test_rejects_nan_growth_rate(self):
         with pytest.raises(InvalidArgument):
-            ss.NormTrajectory(np.exp, growth_rate=math.nan)
+            ss.NormTrajectory(log_evaluate_many=np.negative, growth_rate=math.nan)
 
 
 def _sampled_flag(model):
@@ -421,7 +431,8 @@ class TestSubmultiplicativity:
         exact = model.trajectory()
         sums = [s + t for s, t in self.GRID]
         bumped = ss.NormTrajectory(
-            lambda ts: model.norm_at_many(ts) * np.where(np.isin(ts, sums), 1.0 + 1e-7, 1.0),
+            log_evaluate_many=lambda ts: model._log_norms(ts) + np.where(
+                np.isin(ts, sums), math.log1p(1e-7), 0.0),
             growth_rate=0.0, eval_error_bound=exact.eval_error_bound,
         )
         assert ss.validate_submultiplicativity(exact, self.GRID).passed

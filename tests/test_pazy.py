@@ -86,7 +86,6 @@ class TestPazyCriteria:
             return g
 
         traj = NormTrajectory(
-            record(model.norm_at_many),
             log_evaluate_many=record(lambda ts: -np.asarray(ts) ** 2 / 4.0),
             growth_rate=0.0,
         )
@@ -100,12 +99,13 @@ class TestPazyCriteria:
         base = model.trajectory()
         points = []
 
-        def many(ts):
+        def logs(ts):
             points.append(np.size(ts))
-            return model.norm_at_many(ts)
+            return model._log_norms(ts)
 
         traj = NormTrajectory(
-            many, growth_rate=base.growth_rate, eval_error_bound=base.eval_error_bound,
+            log_evaluate_many=logs, growth_rate=base.growth_rate,
+            eval_error_bound=base.eval_error_bound,
         )
         rep = ss.pazy_criteria(traj, t0=0.0)
         assert "iii" in rep.fired
@@ -118,7 +118,7 @@ class TestPazyCriteria:
         rep = ss.pazy_criteria(wrapped, t0=0.0)
         assert "iii" in rep.fired
         assert calls["points"] == 1608
-        assert calls["evaluate_many"] <= 60
+        assert calls["calls"] <= 60
 
     def test_gaussian_superstability_fires(self, gaussian):
         traj, _ = gaussian
@@ -145,8 +145,8 @@ class TestPazyCriteria:
             calls.append(np.asarray(ts, dtype=float))
             return model._log_norms(ts)
 
-        traj = NormTrajectory(model.norm_at_many, log_evaluate_many=logs,
-                              growth_rate=base.growth_rate, eval_error_bound=base.eval_error_bound)
+        traj = NormTrajectory(log_evaluate_many=logs, growth_rate=base.growth_rate,
+                              eval_error_bound=base.eval_error_bound)
         return ss.pazy_criteria(traj, t0=t0), calls
 
     def test_j10_log_route_budget(self, matrix_j10):

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import shutil
 import subprocess
@@ -39,3 +40,46 @@ def test_a_changed_report_is_named(tmp_path):
         f'  tool.version: "{__version__}" -> "changed-{__version__}"',
         "1 specs, 1 differ; sweep identical; help identical",
     ]
+
+
+def _report_diff_module():
+    spec = importlib.util.spec_from_file_location(
+        "_report_diff", os.path.join(ROOT, "tools", "report_diff.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_moved_entry_rows_are_named(tmp_path):
+    # the same tree with another name for the exact status writes another
+    # entry CSV, and the row that moved is printed under the JSON leaves
+    other = tmp_path / "src"
+    shutil.copytree(os.path.join(ROOT, "src"), other,
+                    ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    module = other / "semistab" / "entrytime.py"
+    text = module.read_text()
+    assert 'STATUS_EXACT = "exact"\n' in text
+    module.write_text(text.replace('STATUS_EXACT = "exact"\n', 'STATUS_EXACT = "exactly"\n', 1))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "tools", "report_diff.py"), os.path.join(ROOT, "src"),
+         str(other), "--specs", "scalar-decay nu=2"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == [
+        "differs: scalar-decay nu=2: entry.csv, json",
+        "  entry.statuses.exact: 1 -> (absent)",
+        "  entry.statuses.exactly: (absent) -> 1",
+        "  entry.csv r=0: 0,0.500000003725,exact -> 0,0.500000003725,exactly",
+        "differs: sweep: csv",
+        "1 specs, 1 differ; sweep differs; help identical",
+    ]
+
+
+def test_moved_rows_show_t_and_u():
+    moved_rows = _report_diff_module().moved_rows
+    a = "r,t_r,u_r,status\n0,0,12,exact\n1,12,0.1655,bisected\n2,12.1655,,bisected\n"
+    b = "r,t_r,u_r,status\n0,0,12.1,exact\n1,12.1,0.0655,bisected\n2,12.1655,,bisected\n"
+    assert moved_rows(a, b) == ["entry.csv r=0: 0,12 -> 0,12.1", "entry.csv r=1: 12,0.1655 -> 12.1,0.0655"]
+    assert moved_rows(a, a) == []
+    assert moved_rows(a, None)[0] == "entry.csv r=0: 0,12,exact -> (absent)"

@@ -11,14 +11,18 @@ analysis the JSON report, the entry CSV, stdout, stderr and the exit code
 are compared; for the sweep its CSV, stdout, stderr and exit code.  Every
 spec whose outputs differ is named, with up to five of its JSON leaves
 that moved, as ``pazy.criteria[1].value: 3270.0870796 -> 3270.08707929``,
-and the exit code is 1 on any difference, else 0.
+and up to five of its entry-CSV rows that moved, as
+``entry.csv r=36: 11.9999999963,0.165525063872 -> 12.0000000037,0.165525056422``
+(t_r and u_r, and the status too where it moved).  The exit code is 1 on
+any difference, else 0.
 
 The specs are those of the three galleries in ``perfbench/gallery.py`` at
 each seed, deduplicated in order, plus a few fixed specs that reach the
 other outcomes: a transient, a rotation, an unstable Jordan block, a stiff
 diagonal generator whose slow mode the spectral shift reads exactly, a
 stiff generator with a non-normal slow block (exit 3), a large fractional
-discretization and an extinction plateau.  ``--specs`` replaces all of them.
+discretization, an extinction plateau and the pure exponential that the
+benchmark analyzes to warm up.  ``--specs`` replaces all of them.
 """
 
 from __future__ import annotations
@@ -41,9 +45,10 @@ EXTRA_SPECS = (
     "matrix [[-1e17,0,0],[0,-1,1],[0,0,-2]]",
     "fractional-integration n=400",
     "nilpotent-shift L=1",
+    "scalar-decay nu=1",
 )
 
-#: Differing JSON leaves printed per spec.
+#: Differing JSON leaves, and differing entry-CSV rows, printed per spec.
 MAX_LEAVES = 5
 
 # Runs in the side's interpreter, in its output directory: argv[1] is a JSON
@@ -125,6 +130,28 @@ def moved_leaves(text_a, text_b):
     return lines
 
 
+def moved_rows(csv_a, csv_b):
+    """``entry.csv r=R: t,u -> t,u`` for each entry-CSV row that differs, in r order."""
+    a, b = ({row.split(",", 1)[0]: row.split(",")[1:] for row in (text or "").splitlines()[1:]}
+            for text in (csv_a, csv_b))
+    lines = []
+    for r in dict.fromkeys([*a, *b]):
+        ra, rb = a.get(r), b.get(r)
+        if ra != rb:
+            # t_r and u_r, and the status too where it moved
+            n = 2 if ra and rb and ra[2] == rb[2] else 3
+            va, vb = (",".join(row[:n]) if row else "(absent)" for row in (ra, rb))
+            lines.append(f"entry.csv r={r}: {va} -> {vb}")
+    return lines
+
+
+def _print_capped(lines):
+    for line in lines[:MAX_LEAVES]:
+        print(f"  {line}")
+    if len(lines) > MAX_LEAVES:
+        print(f"  ... and {len(lines) - MAX_LEAVES} more")
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("src_a", help="directory holding the first side's semistab package")
@@ -159,11 +186,9 @@ def main(argv=None):
         diffs.append(spec)
         print(f"differs: {spec}: {', '.join(fields)}")
         if "json" in fields:
-            moved = moved_leaves(ra["json"], rb["json"])
-            for line in moved[:MAX_LEAVES]:
-                print(f"  {line}")
-            if len(moved) > MAX_LEAVES:
-                print(f"  ... and {len(moved) - MAX_LEAVES} more")
+            _print_capped(moved_leaves(ra["json"], rb["json"]))
+        if "entry.csv" in fields:
+            _print_capped(moved_rows(ra["entry.csv"], rb["entry.csv"]))
     sweep = differing(a["sweep"], b["sweep"])
     if sweep:
         print(f"differs: sweep: {', '.join(sweep)}")
