@@ -22,8 +22,14 @@ states) has its lattice searched coarse to fine by
 :func:`growth_bounded_search`, as the overshoot suprema are: only gaps
 that may hold an anchor are refined, and the brackets are those of the
 full lattice, bit for bit.  All open brackets are then bisected in
-lockstep, one batched evaluation per round.  Trajectories that never
-settle below the threshold before the horizon cap are reported as +inf.
+lockstep, one batched evaluation per round.  On a contraction each read
+decides the side of every midpoint before or after it, for every
+threshold, so a round reads only the midpoints still open, together with
+one Illinois point per crossing that is not yet pinned to time_tol/4;
+wherever the computed curve is nonincreasing the brackets are those of
+plain bisection, bit for bit, and a crossing takes a handful of norms
+instead of one per halving.  Trajectories that never settle below the
+threshold before the horizon cap are reported as +inf.
 """
 
 from __future__ import annotations
@@ -45,6 +51,8 @@ STATUS_WIDENED = "widened"
 # The sparse lattice adds a candidate just above threshold + _EXACT_SLACK,
 # so it passes that test exactly when the full lattice does.
 _EXACT_SLACK = 1e-12
+
+_NO_TIMES = np.zeros(0)
 
 
 @dataclass(frozen=True)
@@ -128,10 +136,10 @@ def _entry_times(traj, rs, cfg):
     """
     thresholds = -np.array(rs, dtype=float)
     scan = _EnvelopeScan(traj, cfg, thresholds)
-    status, lo, hi, f_hi = zip(*(scan.bracket(thr) for thr in thresholds))
-    lo, hi, f_hi = np.array(lo), np.array(hi), np.array(f_hi)
+    status, lo, hi, f_lo, f_hi = zip(*(scan.bracket(thr) for thr in thresholds))
+    lo, hi, f_lo, f_hi = np.array(lo), np.array(hi), np.array(f_lo), np.array(f_hi)
     rows = np.flatnonzero([s in (STATUS_BISECTED, STATUS_WIDENED) for s in status])
-    _bisect(traj, thresholds, lo, hi, f_hi, rows, cfg.time_tol)
+    _bisect(traj, thresholds, lo, hi, f_lo, f_hi, rows, cfg.time_tol)
     tols = {STATUS_EXACT: 0.0, STATUS_HORIZON: math.inf, STATUS_BISECTED: cfg.time_tol,
             STATUS_WIDENED: max(cfg.time_tol, cfg.grid_step)}
     entries = [EntryTime(float(t), s, tols[s]) for t, s in zip(0.5 * (lo + hi), status)]
@@ -142,38 +150,200 @@ def _entry_times(traj, rs, cfg):
     return entries
 
 
-def _bisect(traj, thresholds, lo, hi, f_hi, rows, time_tol):
+def _bisect(traj, thresholds, lo, hi, f_lo, f_hi, rows, time_tol):
     """Narrow the brackets ``rows`` of lo, hi in place to width time_tol.
 
     Each bracket has f(lo) >= threshold > f(hi), f the log curve and the
-    threshold -r; every round evaluates the midpoints of all brackets
-    still wider than time_tol in one call, and f_hi follows hi.  Rows that share a bracket, as several thresholds do
-    between two horizon points or past an extinction plateau's crossing,
-    sit next to each other, so each distinct midpoint is evaluated once.
-    Brackets halve in lockstep, so rows whose brackets have parted never
-    share one again: once a round finds every midpoint distinct, later
-    rounds skip the test.
+    threshold -r, and f_lo, f_hi hold those values.  Every round halves all
+    brackets still wider than time_tol at their midpoints, with one batched
+    call, and finished rows leave the loop.
+
+    On a general curve every midpoint is evaluated, and f_hi follows hi.
+    Rows that share a bracket, as several thresholds do between two horizon
+    points or past an extinction plateau's crossing, sit next to each
+    other, so each distinct midpoint is evaluated once.  Brackets halve in
+    lockstep, so rows whose brackets have parted never share one again:
+    once a round finds every midpoint distinct, later rounds skip the test.
+
+    On a contraction (growth rate <= 0) the curve never rises, so a read
+    decides the side of every midpoint before or after it, for every row
+    (see :class:`_KnownOutcomes`).  Only the midpoints that the reads so far
+    leave open are evaluated, each by its own read, and the same call reads
+    an Illinois point inside each crossing's interval until it is pinned.
+    Wherever the computed curve is nonincreasing, the assumption the
+    contraction scan makes too, every known outcome is the evaluated one,
+    so the midpoints, brackets and entry times are those of plain
+    bisection, bit for bit.  A curve computed with rounding (a nonzero
+    eval_error_bound: matrices, fractional integration) may rise by a
+    rounding error where it is flat to the last bits, as at a crossing that
+    is itself a midpoint, so its reads decide only midpoints at least
+    time_tol/8 away and nearer ones are read; an exact closed form needs no
+    such margin.  f_hi then holds f(hi) where hi was read, and elsewhere a
+    read on the same side of LOG_FLOOR as f(hi), which is all the plateau
+    test reads; the upper ends that no read decides are evaluated in one
+    last call.
     """
+    guard = time_tol / 8.0 if traj.eval_error_bound else 0.0
+    known = _KnownOutcomes(thresholds[rows], lo[rows], hi[rows], f_lo[rows], f_hi[rows],
+                           time_tol, guard, traj.extinction_time) if traj.is_contraction else None
+    every = rows
     thr, a, b, fb = thresholds[rows], lo[rows], hi[rows], f_hi[rows]
     shared = True
     while True:
         wide = b - a > time_tol
-        if not wide.all():
+        if np.count_nonzero(wide) < wide.size:
             done = rows[~wide]
-            lo[done], hi[done], f_hi[done] = a[~wide], b[~wide], fb[~wide]
+            lo[done], hi[done] = a[~wide], b[~wide]
+            f_hi[done] = known.upper_ends(b[~wide], ~wide) if known else fb[~wide]
             rows, thr, a, b, fb = rows[wide], thr[wide], a[wide], b[wide], fb[wide]
+            if known:
+                known.keep(wide)
         if not rows.size:
-            return
+            break
         mid = 0.5 * (a + b)
-        if shared:
-            first = np.concatenate([[True], mid[1:] != mid[:-1]])
-            shared = not first.all()
-        vals = (traj.log_evaluate_many(mid[first])[np.cumsum(first) - 1] if shared
-                else traj.log_evaluate_many(mid))
-        above = vals >= thr
-        a = np.where(above, mid, a)
-        b = np.where(above, b, mid)
-        fb = np.where(above, fb, vals)
+        if known:
+            # a midpoint that no read decides is open, and read
+            above, below = mid <= known.above_to, mid >= known.below_from
+            unknown, probes = above == below, known.probes()
+            if probes.size or np.count_nonzero(unknown):
+                m = mid[unknown]
+                first = np.ones(m.size, dtype=bool)
+                first[1:] = m[1:] != m[:-1]
+                ts = np.concatenate([m[first], probes])
+                vals = traj.log_evaluate_many(ts)
+                above[unknown] = vals[np.cumsum(first) - 1] >= thr[unknown]
+                known.learn(ts, vals, probes.size)
+            below = ~above
+        else:
+            if shared:
+                first = np.concatenate([[True], mid[1:] != mid[:-1]])
+                shared = not first.all()
+            vals = (traj.log_evaluate_many(mid[first])[np.cumsum(first) - 1] if shared
+                    else traj.log_evaluate_many(mid))
+            above = vals >= thr
+            below = ~above
+            np.putmask(fb, below, vals)
+        np.putmask(a, above, mid)
+        np.putmask(b, below, mid)
+    if known:
+        open_ = every[np.isnan(f_hi[every])]
+        if open_.size:
+            f_hi[open_] = known.resolve(hi[open_], traj)
+
+
+class _KnownOutcomes:
+    """What the reads of a nonincreasing curve prove, row by row.
+
+    A read at s with f(s) >= -r proves f >= -r on [0, s], and one with
+    f(s) < -r proves f < -r from s on, so every read informs every row.
+    Each row keeps its certified interval (lo, hi), from the last read at
+    or above its threshold to the first read below it, the scan's bracket
+    ends first, with x = -f at both ends.  A midpoint at or before lo lies
+    above the threshold, one at or after hi below it, and only one strictly
+    inside is open; with a ``guard`` the decided zones end that far short
+    of lo and hi.  The ends are the latest and the earliest read on each
+    side, so each is a read on its own side even should the reads rise.
+
+    While an interval is wider than time_tol/4 its row also reads one
+    Illinois point inside it (Dowell and Jarratt, BIT 11, 1971): regula
+    falsi on g = f + r, where an end kept while the other moves twice
+    running has its g halved.  The point is held time_tol/8 inside either
+    end, so a crossing met exactly pins with one more read.  A row whose hi
+    reads -inf has no secant; bisection's open midpoints narrow it.  A
+    curve that states its extinction time E is read at E and at the float
+    before it in the first round, which pins every plateau row at once.
+    Every step scales with the time unit: the reads of T(ct) are those of
+    T(t) over c, for c a power of 2.  Nothing here sorts: a first sort
+    maps a further block of numpy's code into memory.
+    """
+
+    def __init__(self, thr, lo, hi, f_lo, f_hi, time_tol, guard=0.0, extinction_time=None):
+        self.r, self.lo, self.hi, self.x_lo, self.x_hi = -thr, lo, hi, -f_lo, -f_hi
+        # x at the scan's upper end, a read at or after every later upper end
+        self.x_scan = self.x_hi
+        # Illinois: how often each end's g has been halved, and whether the
+        # last probing round moved that end alone
+        self.halved_lo, self.halved_hi = np.zeros((2, thr.size), dtype=np.int64)
+        self.lo_alone, self.hi_alone = np.zeros((2, thr.size), dtype=bool)
+        self.index = np.arange(thr.size)
+        self.step, self.guard = time_tol / 8.0, guard
+        self.above_to, self.below_from = lo - guard, hi + guard
+        self.pinning = True
+        self.seen = [(lo, self.x_lo), (hi, self.x_hi)]
+        e = math.inf if extinction_time is None else float(extinction_time)
+        self.seeds = (np.array([math.nextafter(e, 0.0), e]) if np.any((lo < e) & (e <= hi))
+                      else _NO_TIMES)
+
+    def keep(self, rows):
+        for name in ("r", "lo", "hi", "x_lo", "x_hi", "x_scan", "halved_lo", "halved_hi",
+                     "lo_alone", "hi_alone"):
+            setattr(self, name, getattr(self, name)[rows])
+        self.above_to, self.below_from = self.lo - self.guard, self.hi + self.guard
+        self.index = np.arange(self.r.size)
+
+    def probes(self):
+        """One Illinois point inside each interval still wider than time_tol/4."""
+        if self.seeds.size:
+            seeds, self.seeds = self.seeds, _NO_TIMES
+            return np.concatenate([seeds, self.probes()])
+        if not self.pinning:
+            return _NO_TIMES
+        lo, hi = self.lo, self.hi
+        wide = hi - lo > 2.0 * self.step
+        if not np.count_nonzero(wide):
+            self.pinning = False
+            return _NO_TIMES
+        g_lo = np.ldexp(self.r - self.x_lo, -self.halved_lo)
+        g_hi = np.ldexp(self.r - self.x_hi, -self.halved_hi)
+        p = lo + (hi - lo) * (g_lo / (g_lo - g_hi))
+        p = np.minimum(np.maximum(p, lo + self.step), hi - self.step)
+        return p[wide & (g_hi > -math.inf) & (lo < p) & (p < hi)]
+
+    def learn(self, ts, vals, probed):
+        """Narrow every interval with the reads ``vals`` at ``ts``."""
+        x = np.negative(vals)
+        self.seen.append((ts, x))
+        above = x <= self.r[:, None]
+        t_above, t_below = np.where(above, ts, -math.inf), np.where(above, math.inf, ts)
+        i, j = t_above.argmax(1), t_below.argmin(1)
+        up, down = t_above[self.index, i] > self.lo, t_below[self.index, j] < self.hi
+        if probed:
+            self.halved_lo = (self.halved_lo + (down & self.hi_alone)) * ~up
+            self.halved_hi = (self.halved_hi + (up & self.lo_alone)) * ~down
+            self.lo_alone, self.hi_alone = up & ~down, down & ~up
+        self.lo, self.x_lo = np.where(up, ts[i], self.lo), np.where(up, x[i], self.x_lo)
+        self.hi, self.x_hi = np.where(down, ts[j], self.hi), np.where(down, x[j], self.x_hi)
+        self.above_to, self.below_from = self.lo - self.guard, self.hi + self.guard
+
+    def upper_ends(self, ends, rows):
+        """f at the final upper ends of the rows ``rows``, or a read on its side of LOG_FLOOR.
+
+        An end lies at or after its row's hi, whose read bounds f there
+        from above, and at or before the scan's upper end, whose read
+        bounds it from below.  NaN where neither decides.
+        """
+        hi, x_hi, x_scan = self.hi[rows], self.x_hi[rows], self.x_scan[rows]
+        out = np.where((ends == hi) | (x_hi >= -LOG_FLOOR), -x_hi, -x_scan)
+        out[(ends > hi) & (x_hi < -LOG_FLOOR) & (x_scan >= -LOG_FLOOR)] = math.nan
+        return out
+
+    def resolve(self, ends, traj):
+        """f at ends no row's own reads decide, as just before a cutoff, or a read on its side.
+
+        The first read at or after each end bounds f there from below and
+        the last read before it from above; f at the ends still open is
+        evaluated in one call.
+        """
+        t = np.concatenate([t for t, _ in self.seen])
+        x = np.concatenate([x for _, x in self.seen])
+        after = np.where(t >= ends[:, None], t, math.inf).argmin(1)
+        before = np.where(t < ends[:, None], t, -math.inf).argmax(1)
+        from_after = (t[after] == ends) | (x[after] < -LOG_FLOOR)
+        out = np.where(from_after, -x[after], -x[before])
+        missing = ~from_after & (x[before] < -LOG_FLOOR)
+        if np.count_nonzero(missing):
+            out[missing] = traj.log_evaluate_many(ends[missing])
+        return out
 
 
 class _EnvelopeScan:
@@ -215,7 +385,7 @@ class _EnvelopeScan:
         self.neg_envelope = -self.vals  # ascending, for searchsorted
 
     def bracket(self, threshold):
-        """``(status, lo, hi, f(hi))`` for one log threshold; lo == hi when already exact.
+        """``(status, lo, hi, f(lo), f(hi))`` for one log threshold; lo == hi when already exact.
 
         Thresholds are bracketed in decreasing order, as they were given.
         """
@@ -225,7 +395,7 @@ class _EnvelopeScan:
             i = int(self.neg_envelope.searchsorted(-threshold, side="right")) - 1
             anchor = float(self.ts[i]) if i >= 0 else 0.0
             if i >= 0 and anchor >= cfg.horizon_cap:
-                return STATUS_HORIZON, math.inf, math.inf, math.inf
+                return STATUS_HORIZON, math.inf, math.inf, math.inf, math.inf
             quiet = self.horizon - anchor
             if quiet > 0.0 and quiet >= self.window:
                 status = STATUS_BISECTED
@@ -238,9 +408,9 @@ class _EnvelopeScan:
             self._extend(threshold)
         if -self.neg_envelope[0] <= threshold + _EXACT_SLACK:
             # the curve never rises above the threshold: inside from t = 0
-            return STATUS_EXACT, 0.0, 0.0, math.inf
+            return STATUS_EXACT, 0.0, 0.0, math.inf, math.inf
         hi = min(anchor + cfg.grid_step, self.horizon) if self.on_lattice else float(self.ts[i + 1])
-        return status, anchor, hi, float(self.vals[i + 1])
+        return status, anchor, hi, float(self.vals[i]), float(self.vals[i + 1])
 
     def _extend(self, threshold):
         cfg = self.cfg

@@ -174,6 +174,8 @@ class TestAnalyze:
     def test_numpy_ma_stays_unimported(self, tmp_path):
         # np.unique imports numpy.ma (1.6 MiB) on first use; an analysis
         # needs none of it.  A fresh interpreter, since pytest imports it.
+        # The cutoff and the fractional curve take the extinction seeds, the
+        # plateau rows and the Illinois probes of the entry search.
         src = os.path.dirname(os.path.dirname(semistab.__file__))
         script = (
             "import sys\n"
@@ -186,7 +188,7 @@ class TestAnalyze:
             [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
         proc = subprocess.run(
             [sys.executable, "-c", script, str(tmp_path), "scalar-decay nu=2",
-             "matrix [[-6,14],[0,-6]]"],
+             "matrix [[-6,14],[0,-6]]", "nilpotent-shift L=1.3", "fractional-integration n=16"],
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import semistab as ss
 from semistab import InvalidArgument, SearchConfig, entrytime
 from semistab.entrytime import STATUS_BISECTED, STATUS_EXACT, STATUS_HORIZON
 
-from conftest import counting
+from conftest import convex_exponents, counting
 
 CFG = SearchConfig()
 
@@ -215,7 +216,7 @@ class TestVectorEntryTime:
             assert vt.time <= op.time + CFG.time_tol
 
 
-def _bisect_every_row(traj, thresholds, lo, hi, f_hi, rows, time_tol):
+def _bisect_every_row(traj, thresholds, lo, hi, f_lo, f_hi, rows, time_tol):
     """Reference lockstep bisection: every row evaluates its own midpoint."""
     thr, a, b, fb = thresholds[rows], lo[rows], hi[rows], f_hi[rows]
     while True:
@@ -230,6 +231,38 @@ def _bisect_every_row(traj, thresholds, lo, hi, f_hi, rows, time_tol):
         vals = traj.log_evaluate_many(mid)
         above = vals >= thr
         a, b, fb = np.where(above, mid, a), np.where(above, b, mid), np.where(above, fb, vals)
+
+
+@st.composite
+def dissipative_generators(draw):
+    """2x2-4x4 generators -B B^T - I/20 + (K - K^T): a negative definite symmetric part."""
+    n = draw(st.integers(2, 4))
+    b, k = (np.reshape(draw(st.lists(st.floats(-bound, bound), min_size=n * n, max_size=n * n)),
+                       (n, n)) for bound in (2.0, 5.0))
+    return -(b @ b.T) - 0.05 * np.eye(n) + (k - k.T)
+
+
+_SMALL_FRACTIONAL = [ss.FractionalIntegration(16), ss.FractionalIntegration(24)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=st.one_of(convex_exponents().map(lambda m: m.model()),
+                       dissipative_generators().map(ss.MatrixSemigroup),
+                       st.sampled_from(_SMALL_FRACTIONAL)))
+@example(model=ss.MatrixSemigroup(np.array([[-0.05, -1.0], [1.0, -0.05]])))
+def test_known_outcomes_give_the_bisection_table(model):
+    # on a contraction the midpoints that reads already decide are not
+    # read, yet every bracket, t_r and status is the one bisecting every
+    # row gives; cutoffs cover the plateau rows and the extinction seeds.
+    # The example crosses -27 and -29 exactly at the midpoints t = 540 and
+    # 580, where its computed log rises by rounding: a probe a few ulps
+    # past 540 read above -27 while t = 540 itself reads below
+    traj = model.trajectory()
+    assert traj.is_contraction
+    table = ss.entry_time_table(traj, 40)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(entrytime, "_bisect", _bisect_every_row)
+        assert repr(table) == repr(ss.entry_time_table(traj, 40))
 
 
 class TestInvariants:
@@ -295,18 +328,48 @@ class TestInvariants:
         assert repr(table) == repr(ss.entry_time_table(wrapped, 40))
 
     @pytest.mark.parametrize("model, most", [
-        (ss.GaussianShift(), 1066), (ss.ScalarDecay(2.76), 1087), (ss.FractionalIntegration(64), 1101),
+        (ss.GaussianShift(), 265), (ss.ScalarDecay(2.76), 100), (ss.FractionalIntegration(64), 295),
     ], ids=["gaussian", "scalar-decay nu=2.76", "fractional n=64"])
     def test_bisection_evaluates_each_midpoint_once(self, model, most, monkeypatch):
-        # thresholds whose crossings share a bracket, as between two horizon
-        # points, share its midpoints until they part: each midpoint is one
-        # norm, where every row taking its own read 1,271; the table is the
-        # same.  The counts include the reads at t = 0 and at each horizon
+        # on a contraction every read decides the side of every midpoint
+        # before or after it, for every row, so bisection reads only the
+        # midpoints left open, and an Illinois point per row pins each
+        # crossing: 255, 93 and 282 norms, where reading each distinct
+        # midpoint once took 1,066, 1,087 and 1,101, and every row taking
+        # its own 1,271; the table is the same.  The counts include the
+        # reads at t = 0 and at each horizon
         wrapped, calls = counting(model.trajectory())
         table = ss.entry_time_table(wrapped, 40)
         assert calls["points"] <= most, calls
         monkeypatch.setattr(entrytime, "_bisect", _bisect_every_row)
         assert repr(table) == repr(ss.entry_time_table(wrapped, 40))
+
+    def test_a_stated_extinction_time_pins_the_plateau(self, monkeypatch):
+        # the curve is read at its extinction time and at the float before
+        # it in the first round, so the plateau rows bisect without a read
+        # from then on: t = 0, the first horizon, those two and the first
+        # midpoint, where bisection takes 33
+        model = ss.NilpotentShift(1.0)
+        points = []
+
+        def logs(ts):
+            points.extend(ts)
+            return model.trajectory().log_evaluate_many(ts)
+
+        stated = ss.NormTrajectory(log_evaluate_many=logs, growth_rate=0.0, extinction_time=1.0)
+        table = ss.entry_time_table(stated, 40)
+        assert sorted(points) == [0.0, math.nextafter(1.0, 0.0), 1.0, 8.0, 16.0]
+        monkeypatch.setattr(entrytime, "_bisect", _bisect_every_row)
+        assert repr(table) == repr(ss.entry_time_table(stated, 40))
+
+    def test_reads_that_rise_still_bound_each_crossing(self):
+        # should a contraction's reads rise, each row's interval still runs
+        # from its last read at or above the threshold to its first below it
+        known = entrytime._KnownOutcomes(-np.array([1.0, 2.0]), np.zeros(2), np.full(2, 4.0),
+                                         np.zeros(2), np.full(2, -4.0), 1e-8)
+        known.learn(np.array([1.0, 1.5, 2.0, 3.0]), np.array([-1.5, -0.5, -2.5, -1.8]), False)
+        assert known.lo.tolist() == [1.5, 3.0]
+        assert known.hi.tolist() == [1.0, 2.0]
 
     def test_search_config_validation(self):
         with pytest.raises(InvalidArgument):

@@ -376,6 +376,44 @@ def test_scalar_decay_scaling_divides_entry_times(c):
     _assert_nu_scaled((trajs[0], base), (trajs[1], scaled), c)
 
 
+ROTATION = np.array([[-3.0, 5.0], [-5.0, -3.0]])
+
+
+def _rescaled_config(cfg, c):
+    """``cfg`` in a time unit c times shorter: its four time fields over c."""
+    return ss.SearchConfig(time_tol=cfg.time_tol / c, grid_step=cfg.grid_step / c,
+                           horizon_start=cfg.horizon_start / c, horizon_cap=cfg.horizon_cap / c)
+
+
+def _time_scaled(case, c):
+    """The model and its curve read at c*t: a convex exponent's shift, or a generator times c."""
+    if isinstance(case, np.ndarray):
+        return ss.MatrixSemigroup(case), ss.MatrixSemigroup(c * case)
+    scaled = ss.WeightedShift(phi=lambda t: case.phi(c * t),
+                              L=case.L / c if case.L < math.inf else None)
+    return case.model(), scaled
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.one_of(convex_exponents(), st.sampled_from([J10, ROTATION])),
+       k=st.integers(-8, 8))
+@example(case=J10, k=6)
+@example(case=ROTATION, k=-6)
+@example(case=piecewise_exponent((0.0, 1.0), (0.3, 2.0), L=2.2), k=3)
+def test_time_rescaling_divides_entry_tables(case, k):
+    # T_c(t) = T(c*t) with c = 2^k, searched with every time field of the
+    # config over c, is the same search in another time unit: each t_r
+    # divides by c bit for bit, and every status stays, Illinois probes,
+    # lattice scans and extinction seeds included
+    c = 2.0 ** k
+    base, scaled = _time_scaled(case, c)
+    cfg = ss.SearchConfig()
+    want = ss.entry_time_table(base.trajectory(), 40, cfg)
+    got = ss.entry_time_table(scaled.trajectory(), 40, _rescaled_config(cfg, c))
+    assert list(got.t) == [t / c for t in want.t]
+    assert [e.status for e in got.statuses] == [e.status for e in want.statuses]
+
+
 def test_entry_times_ordered(gaussian, scalar2, nilpotent, damped, matrix_j10,
                              matrix_nilpotent_gen, fractional_64):
     tables = [gaussian[1], scalar2[1], nilpotent[1], damped[1], matrix_j10[2],

@@ -83,3 +83,38 @@ def test_moved_rows_show_t_and_u():
     assert moved_rows(a, b) == ["entry.csv r=0: 0,12 -> 0,12.1", "entry.csv r=1: 12,0.1655 -> 12.1,0.0655"]
     assert moved_rows(a, a) == []
     assert moved_rows(a, None)[0] == "entry.csv r=0: 0,12,exact -> (absent)"
+
+
+def test_moved_stderr_lines_are_named(tmp_path):
+    # the same tree with another wording of a spec error writes another
+    # stderr, for the analysis and for the sweep, and both lines are printed
+    other = tmp_path / "src"
+    shutil.copytree(os.path.join(ROOT, "src"), other,
+                    ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    module = other / "semistab" / "models.py"
+    text = module.read_text()
+    assert 'f"unknown model kind {kind!r}"' in text
+    module.write_text(text.replace('unknown model kind {kind!r}', 'no model kind {kind!r}', 1))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "tools", "report_diff.py"), os.path.join(ROOT, "src"),
+         str(other), "--specs", "bogus x=1"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == [
+        "differs: bogus x=1: stderr",
+        "  stderr: error: unknown model kind 'bogus' (at position 0)"
+        " -> error: no model kind 'bogus' (at position 0)",
+        "differs: sweep: stderr",
+        "  stderr: bogus x=1: unknown model kind 'bogus' (at position 0)"
+        " -> bogus x=1: no model kind 'bogus' (at position 0)",
+        "1 specs, 1 differ; sweep differs; help identical",
+    ]
+
+
+def test_moved_lines_pair_the_nth_lines():
+    moved_lines = _report_diff_module().moved_lines
+    assert moved_lines("stderr", "a\nb\n", "a\nc\n") == ["stderr: b -> c"]
+    assert moved_lines("stdout", "a\n", "a\nb\n") == ["stdout: (absent) -> b"]
+    assert moved_lines("exit", 0, 3) == ["exit: 0 -> 3"]
+    assert moved_lines("stderr", "same\n", "same\n") == []

@@ -11,10 +11,13 @@ analysis the JSON report, the entry CSV, stdout, stderr and the exit code
 are compared; for the sweep its CSV, stdout, stderr and exit code.  Every
 spec whose outputs differ is named, with up to five of its JSON leaves
 that moved, as ``pazy.criteria[1].value: 3270.0870796 -> 3270.08707929``,
-and up to five of its entry-CSV rows that moved, as
+up to five of its entry-CSV rows that moved, as
 ``entry.csv r=36: 11.9999999963,0.165525063872 -> 12.0000000037,0.165525056422``
-(t_r and u_r, and the status too where it moved).  The exit code is 1 on
-any difference, else 0.
+(t_r and u_r, and the status too where it moved), and up to five moved
+lines each of its exit code, stderr and stdout, the n-th line against the
+n-th, as ``stderr: numerics failure: ... at t = 8 -> numerics failure: ...
+at t = 1.2`` or ``exit: 0 -> 3``; the sweep's are named the same way.  The
+exit code is 1 on any difference, else 0.
 
 The specs are those of the three galleries in ``perfbench/gallery.py`` at
 each seed, deduplicated in order, plus a few fixed specs that reach the
@@ -145,6 +148,28 @@ def moved_rows(csv_a, csv_b):
     return lines
 
 
+def moved_lines(name, text_a, text_b):
+    """``name: a -> b`` for each line of two outputs that differs, n-th line against n-th."""
+    a, b = (str(text).splitlines() for text in (text_a, text_b))
+    lines = []
+    for i in range(max(len(a), len(b))):
+        va, vb = (side[i] if i < len(side) else "(absent)" for side in (a, b))
+        if va != vb:
+            lines.append(f"{name}: {va} -> {vb}")
+    return lines
+
+
+def _print_moved(fields, ra, rb):
+    """The JSON leaves, entry-CSV rows and exit, stderr and stdout lines that moved, capped."""
+    if "json" in fields:
+        _print_capped(moved_leaves(ra["json"], rb["json"]))
+    if "entry.csv" in fields:
+        _print_capped(moved_rows(ra["entry.csv"], rb["entry.csv"]))
+    for field in ("exit", "stderr", "stdout"):
+        if field in fields:
+            _print_capped(moved_lines(field, ra[field], rb[field]))
+
+
 def _print_capped(lines):
     for line in lines[:MAX_LEAVES]:
         print(f"  {line}")
@@ -185,13 +210,11 @@ def main(argv=None):
             continue
         diffs.append(spec)
         print(f"differs: {spec}: {', '.join(fields)}")
-        if "json" in fields:
-            _print_capped(moved_leaves(ra["json"], rb["json"]))
-        if "entry.csv" in fields:
-            _print_capped(moved_rows(ra["entry.csv"], rb["entry.csv"]))
+        _print_moved(fields, ra, rb)
     sweep = differing(a["sweep"], b["sweep"])
     if sweep:
         print(f"differs: sweep: {', '.join(sweep)}")
+        _print_moved(sweep, a["sweep"], b["sweep"])
     help_diff = [command for command, ha, hb in zip(("analyze", "sweep"), a["help"], b["help"])
                  if ha != hb]
     for command in help_diff:
