@@ -20,7 +20,8 @@ class _Counting(ss.NormTrajectory):
     """``traj`` read through, with the calls and points of its one log path counted."""
 
     def __init__(self, traj, calls, growth_rate):
-        super().__init__(log_evaluate_many=traj.log_evaluate_many, growth_rate=growth_rate)
+        super().__init__(log_evaluate_many=traj.log_evaluate_many, growth_rate=growth_rate,
+                         eval_error_bound=traj.eval_error_bound)
         self.calls = calls
 
     def log_evaluate_many(self, ts):
@@ -35,9 +36,9 @@ def counting(traj, growth_rate=None):
     ``growth_rate`` overrides the curve's own rate, and with it whether the
     curve is a contraction; ``growth_rate=math.inf`` takes away a curve's
     bound, so its searches evaluate every lattice or grid point.  The
-    counting curve has no extinction time or error bound, and norms are
-    exp of its log curve, so every value it gives is one of the counted
-    calls.
+    counting curve keeps the curve's error bound, so its searches take the
+    same rounding margin; it states no extinction time, and norms are exp
+    of its log curve, so every value it gives is one of the counted calls.
     """
     if growth_rate is None:
         growth_rate = traj.growth_rate

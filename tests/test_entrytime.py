@@ -334,10 +334,11 @@ class TestInvariants:
         # on a contraction every read decides the side of every midpoint
         # before or after it, for every row, so bisection reads only the
         # midpoints left open, and an Illinois point per row pins each
-        # crossing: 255, 93 and 282 norms, where reading each distinct
+        # crossing: 255, 93 and 294 norms, where reading each distinct
         # midpoint once took 1,066, 1,087 and 1,101, and every row taking
         # its own 1,271; the table is the same.  The counts include the
-        # reads at t = 0 and at each horizon
+        # reads at t = 0 and at each horizon, and fractional integration's
+        # reads keep their rounding margin, as on the model's own trajectory
         wrapped, calls = counting(model.trajectory())
         table = ss.entry_time_table(wrapped, 40)
         assert calls["points"] <= most, calls

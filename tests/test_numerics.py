@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,10 +15,37 @@ from semistab import (
 )
 from semistab.numerics import (
     SEARCH_STRIDE,
+    _expm,
     growth_bounded_search,
     operator_norms_batch,
     operator_norms_lanczos,
 )
+
+
+def _unit_generator(n, skew, rng):
+    """An n x n matrix with ||M||_inf = 1 exactly: integer entries over their
+    largest absolute row sum, drawn until that sum is a power of two; skew
+    gives K - K^T, and for n = 1 the decay -1."""
+    if n == 1:
+        return np.array([[-1.0]]) if skew else np.array([[float(rng.choice([-1, 1]))]])
+    while True:
+        k = rng.integers(-3, 4, (n, n))
+        m = k - k.T if skew else k
+        top = int(np.abs(m).sum(axis=1).max())
+        if top and top & (top - 1) == 0:
+            return m / top
+
+
+def _nilpotent_exponential(nil):
+    """sum over k < n of N^k/k! for strictly upper-triangular N, in exact rationals."""
+    n = len(nil)
+    term = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    total = [row[:] for row in term]
+    for k in range(1, n):
+        term = [[sum(term[i][m] * Fraction(nil[m, j]) for m in range(n)) / k for j in range(n)]
+                for i in range(n)]
+        total = [[total[i][j] + term[i][j] for j in range(n)] for i in range(n)]
+    return np.array([[float(x) for x in row] for row in total])
 
 
 class TestMatrixExponential:
@@ -53,9 +81,67 @@ class TestMatrixExponential:
                     es = matrix_exponential(a, s)
                     et = matrix_exponential(a, t)
                     est = matrix_exponential(a, s + t)
-                    gap = operator_norm(est - es @ et, 1e-10)
-                    bound = 1e-8 * (1.0 + operator_norm(es, 1e-10) * operator_norm(et, 1e-10))
-                    assert gap <= bound
+                    gap, ns, nt = operator_norms_batch(np.stack([est - es @ et, es, et]))
+                    assert gap <= 1e-8 * (1.0 + ns * nt)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_mpmath_across_squaring_counts(self, n):
+        # B = 2^(k-1) f M with ||M||_inf = 1 exactly: f just below 1, 1 and
+        # just above put B's row-sum norm just below, at and just above
+        # 0.5 * 2^k, where the squaring count steps from k to k+1, so the
+        # scaled norm is just below, at and just above 0.5 (0.25 after the
+        # extra squaring).  Skew M (n = 1: -1) keeps exp(B) bounded up to 40
+        # squarings; a general M runs up to 6.  Against a 40-digit mpmath
+        # exponential the error is within 8 n eps max(1, ||B||), the
+        # conditioning of exp at B (worst seen: 2.2 n eps ||B||)
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(n)
+        eps = np.finfo(float).eps
+        for skew, ks in ((True, (0, 1, 2, 3, 5, 8, 13, 21, 30, 40)), (False, range(7))):
+            m = _unit_generator(n, skew, rng)
+            for k in ks:
+                for f, side in ((1.0 - 2.0**-40, -1), (1.0, 0), (1.0 + 2.0**-40, 1)):
+                    b = m * (2.0 ** (k - 1) * f)
+                    norm = np.abs(b).sum(axis=1).max()
+                    assert np.sign(norm - 2.0 ** (k - 1)) == side
+                    with mp.workdps(40):
+                        ref = np.array(mp.expm(mp.matrix(b.tolist())).tolist(), dtype=float)
+                    err = np.abs(_expm(b) - ref).max()
+                    assert err <= 8 * n * eps * max(1.0, norm) * np.abs(ref).max(), (skew, k, side)
+
+    def test_mixed_squaring_counts_give_each_matrix_its_own_bits(self):
+        # norms 0.3 * 2^k for k = 0..30 in shuffled order need 0 to 30
+        # squarings: each matrix gets the bits it gets alone, in any order
+        rng = np.random.default_rng(7)
+        for n in (2, 3, 4):
+            m = rng.uniform(-1.0, 1.0, (n, n))
+            m -= np.linalg.eigvals(m).real.max() * np.eye(n)  # bounded growth
+            m /= np.abs(m).sum(axis=1).max()
+            stack = m * (0.3 * 2.0 ** rng.permutation(31))[:, None, None]
+            out = _expm(stack)
+            assert np.isfinite(out).all()
+            for i in range(len(stack)):
+                assert np.array_equal(_expm(stack[i]), out[i])
+            perm = rng.permutation(len(stack))
+            assert np.array_equal(_expm(stack[perm]), out[perm])
+            assert np.array_equal(_expm(stack[perm[:7]]), out[perm[:7]])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_nilpotent_generator_gives_its_exact_polynomial(self, n):
+        # strictly upper-triangular N has N^n = 0, so exp(N) is the
+        # polynomial sum over k < n of N^k/k!, with no Taylor remainder.  On
+        # dyadic entries every operation up to index 3 is exact, across 0 to
+        # 16 squarings; index 4 rounds 1/6, to within a few units in the last place
+        rng = np.random.default_rng(n)
+        for _ in range(10):
+            for k in range(-6, 16):
+                nil = np.triu(rng.integers(-8, 9, (n, n)), 1) * 2.0 ** (k - 3)
+                exact = _nilpotent_exponential(nil)
+                got = _expm(nil)
+                if n <= 3:
+                    assert np.array_equal(got, exact)
+                else:
+                    np.testing.assert_allclose(got, exact, rtol=4 * np.finfo(float).eps, atol=0.0)
 
     def test_rejects_non_square(self):
         with pytest.raises(InvalidModel):

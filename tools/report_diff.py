@@ -23,9 +23,13 @@ The specs are those of the three galleries in ``perfbench/gallery.py`` at
 each seed, deduplicated in order, plus a few fixed specs that reach the
 other outcomes: a transient, a rotation, an unstable Jordan block, a stiff
 diagonal generator whose slow mode the spectral shift reads exactly, a
-stiff generator with a non-normal slow block (exit 3), a large fractional
-discretization, an extinction plateau and the pure exponential that the
-benchmark analyzes to warm up.  ``--specs`` replaces all of them.
+stiff generator with a non-normal slow block (exit 3), a dense defective
+generator (``DEFECTIVE_4``: P J P^-1 for the 4x4 Jordan block at -0.3 with
+superdiagonal 4 and P = ``default_rng(4).uniform(-1, 1, (4, 4)) + 2I``, at
+12 digits), whose deep tail moves with any change to the exponential, a
+large fractional discretization, an extinction plateau and the pure
+exponential that the benchmark analyzes to warm up.  ``--specs`` replaces
+all of them.
 """
 
 from __future__ import annotations
@@ -46,6 +50,10 @@ EXTRA_SPECS = (
     "matrix [[0,1],[0,0]]",
     "matrix [[-1e17,0],[0,-1]]",
     "matrix [[-1e17,0,0],[0,-1,1],[0,0,-2]]",
+    "matrix [[0.234978928611,5.28381770581,-2.78972247362,4.35219825545],"
+    "[-0.526548667247,-0.309613141219,2.27005647382,1.19075297613],"
+    "[0.980426408977,-0.405227261393,-2.7357830176,6.70588424493],"
+    "[0.074414524056,-0.965357935961,0.347204877085,1.6104172302]]",
     "fractional-integration n=400",
     "nilpotent-shift L=1",
     "scalar-decay nu=1",
