@@ -23,6 +23,7 @@ block echoes it, as it echoes the fixed p grid of criterion (iv).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -321,7 +322,9 @@ def _add_shared(parser):
     parser.add_argument("--quad-rel-tol", dest="quad_rel_tol", type=float, default=1e-9)
 
 
+@functools.cache
 def build_parser():
+    """The ``semistab`` argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="semistab",
         description="Entry-time analysis and stability classification of semigroup norm curves.",

@@ -13,7 +13,6 @@ no analysis path calls it, so results are reproducible bit for bit.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -388,7 +387,10 @@ class QuadratureSpec:
     or divergence.  Convergence is certified once the geometric estimate of
     the rest of the tail is within tolerance, or has settled: it agrees,
     within a quarter of the tolerance, with the last segment's estimate
-    scaled by the ratio of the increments.
+    scaled by the ratio of the increments.  A stack of integrands shares
+    the interval, the tolerances and one mesh; ``max_subdivisions`` bounds,
+    per integrand, the panel splits it asks of the shared mesh, and a split
+    asked for by several integrands counts for each.
     """
 
     lower: float
@@ -449,31 +451,28 @@ _G7_WEIGHTS = np.array([
 ])
 
 
-def _gk15(fv, a, b):
+# Kronrod-15 and embedded Gauss-7 weights as the two columns of one matrix
+_GK_RULES = np.column_stack([_GK_WEIGHTS, np.insert(_G7_WEIGHTS, np.arange(8), 0.0)])
+
+
+def _gk15(fv, a, b, rows):
     """Kronrod-15 sums and |K15 - G7| error estimates of the panels [a[i], b[i]].
 
-    ``fv`` is called once, on the 15 nodes of every panel in one array.
-    Each panel's sums are taken on its own row, so they do not depend on
-    which panels share the call.
+    ``fv`` is called once, on the 15 nodes of every panel in one array, and
+    returns one row of values per integrand.  The sums of the rows ``rows``
+    come back as (rows, panels) arrays, all from one matrix product.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
-    y = np.asarray(fv((c[:, None] + h[:, None] * _GK_NODES).ravel()), dtype=float)
-    y = y.reshape(a.size, _GK_NODES.size)
-    bad = ~np.isfinite(y).all(axis=1)
+    y = fv((c[:, None] + h[:, None] * _GK_NODES).ravel())[rows]
+    y = y.reshape(len(rows), a.size, _GK_NODES.size)
+    bad = ~np.isfinite(y).all(axis=(0, 2))
     if bad.any():
         i = int(np.argmax(bad))
         raise NumericsFailure(
             f"integrand returned a non-finite value on [{float(a[i])}, {float(b[i])}]")
-    ks, errs = [], []
-    for hi, row in zip(h.tolist(), y):
-        k = hi * float(_GK_WEIGHTS @ row)
-        g = hi * float(_G7_WEIGHTS @ row[1::2])
-        ks.append(k)
-        errs.append(abs(k - g))
-    return ks, errs
+    sums = h[:, None] * (y @ _GK_RULES)
+    return sums[..., 0], np.abs(sums[..., 0] - sums[..., 1])
 
 
 def _graded_edges(a, b, grade_lower):
@@ -483,58 +482,67 @@ def _graded_edges(a, b, grade_lower):
     endpoint is invisible to the Kronrod nodes of one wide panel; pre-grading
     guarantees it lands inside a panel of comparable width.
     """
-    if not grade_lower:
-        return [a, b]
-    width = b - a
-    edges = [a]
-    scale = 1e-8
-    while scale < 1.0:
-        edges.append(a + width * scale)
-        scale *= 8.0
-    edges.append(b)
-    return edges
+    scales = 1e-8 * 8.0 ** np.arange(9 if grade_lower else 0)  # 1e-8 * 8^j below 1
+    return np.concatenate([[a], a + (b - a) * scales, [b]])
 
 
-def _refine_finite(fv, a, b, abs_budget, rel_tol, max_splits, grade_lower=True):
-    """Adaptive bisection with a worst-panel-first heap.
+def _refine(fv, a, b, rows, abs_budget, rel_tol, caps, grade_lower=True):
+    """Adaptive bisection of one panel mesh of [a, b], shared by the integrand rows ``rows``.
 
-    Bisection concentrates panels geometrically toward any integrable endpoint
+    A row refines while its error estimate exceeds half of
+    max(abs_budget, rel_tol*|value|), since |K15-G7| is a heuristic that can
+    under-report.  Each round splits the union, over the rows still
+    refining, of the fewest panels, worst first by that row's estimates,
+    whose estimates could close the row's excess; all children are read in
+    one call of ``fv``.  A row whose value is already past
+    DIVERGENCE_THRESHOLD splits only its worst panel, and diverges if it is
+    still past after the round.  A row stops refining once it has asked for
+    ``caps[i]`` splits (a panel asked for by several rows counts for each),
+    or at a panel too narrow to split in double precision.  Bisection
+    concentrates panels geometrically toward any integrable endpoint
     singularity, which is what makes x**p with p in (-1, 0) tractable.
-    Returns (value, error_estimate, splits_used, diverged).
+
+    Returns (values, errors, splits used, diverged), one entry per row; a
+    diverged row keeps the value it diverged at.
     """
-    if b <= a:
-        return 0.0, 0.0, 0, False
-    total, toterr = 0.0, 0.0
-    splits = 0
-    counter = 0  # heap tie-breaker
-    heap = []
     edges = _graded_edges(a, b, grade_lower)
-    for lo, hi, k, e in zip(edges, edges[1:], *_gk15(fv, edges[:-1], edges[1:])):
-        total += k
-        toterr += e
-        counter += 1
-        heapq.heappush(heap, (-e, counter, lo, hi, k, e))
-    # target half the budget: |K15-G7| is a heuristic that can under-report
-    while toterr > 0.5 * max(abs_budget, rel_tol * abs(total)) and splits < max_splits:
-        _, _, a0, b0, k0, e0 = heapq.heappop(heap)
-        width_floor = 1e-15 * max(abs(a0), abs(b0), 1.0)
-        if b0 - a0 <= width_floor:
-            # cannot refine further in double precision; put it back and stop
-            counter += 1
-            heapq.heappush(heap, (-e0, counter, a0, b0, k0, e0))
-            break
-        m = 0.5 * (a0 + b0)
-        (k1, k2), (e1, e2) = _gk15(fv, (a0, m), (m, b0))
-        total += k1 + k2 - k0
-        toterr += e1 + e2 - e0
-        splits += 1
-        counter += 1
-        heapq.heappush(heap, (-e1, counter, a0, m, k1, e1))
-        counter += 1
-        heapq.heappush(heap, (-e2, counter, m, b0, k2, e2))
-        if abs(total) > DIVERGENCE_THRESHOLD:
-            return total, toterr, splits, True
-    return total, toterr, splits, False
+    lo, hi = edges[:-1], edges[1:]
+    k, e = _gk15(fv, lo, hi, rows)
+    value, error = k.sum(axis=1), e.sum(axis=1)
+    used = np.zeros(len(rows), dtype=int)
+    diverged = np.zeros(len(rows), dtype=bool)
+    refining = ~diverged
+    while True:
+        excess = error - 0.5 * np.maximum(abs_budget, rel_tol * np.abs(value))
+        refining &= ~diverged & (excess > 0.0) & (used < caps)
+        r = np.flatnonzero(refining)
+        if r.size == 0:
+            return value, error, used, diverged
+        order = np.argsort(-e[r], axis=1, kind="stable")
+        cum = np.cumsum(np.take_along_axis(e[r], order, axis=1), axis=1)
+        need = np.where(np.abs(value[r]) > DIVERGENCE_THRESHOLD, 1,
+                        (cum < excess[r, None]).sum(axis=1) + 1)
+        need = np.minimum(need, np.minimum(caps[r] - used[r], lo.size))
+        # a row stops at the first panel, worst first, too narrow to split
+        narrow = (hi - lo <= 1e-15 * np.maximum(hi, 1.0))[order]
+        cut = np.where(narrow.any(axis=1), narrow.argmax(axis=1), order.shape[1])
+        take = np.minimum(need, cut)
+        split = np.zeros(lo.size, dtype=bool)
+        split[order[np.arange(order.shape[1]) < take[:, None]]] = True
+        if split.any():
+            mid = 0.5 * (lo[split] + hi[split])
+            new_lo, new_hi = np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
+            live = np.flatnonzero(~diverged)
+            kc, ec = np.zeros((len(rows), new_lo.size)), np.zeros((len(rows), new_lo.size))
+            kc[live], ec[live] = _gk15(fv, new_lo, new_hi, rows[live])
+            keep = ~split
+            k, e = np.hstack([k[:, keep], kc]), np.hstack([e[:, keep], ec])
+            lo, hi = np.concatenate([lo[keep], new_lo]), np.concatenate([hi[keep], new_hi])
+            value[live], error[live] = k[live].sum(axis=1), e[live].sum(axis=1)
+        used[r] += take
+        took = r[take > 0]
+        diverged[took] = np.abs(value[took]) > DIVERGENCE_THRESHOLD
+        refining[r[cut < need]] = False
 
 
 _INITIAL_TAIL_SPAN = 16.0
@@ -544,15 +552,64 @@ _MAX_TAIL_SEGMENTS = 60
 _DECAY_SLACK = 0.01
 
 
+class _Tail:
+    """One row's partial integral over the segments of [lower, inf), until its verdict."""
+
+    def __init__(self, budget):
+        self.total = self.error = 0.0
+        self.budget = budget
+        self.prev_inc = self.prev_tail = self.result = None
+
+    def add(self, inc, inc_err, used, diverged, horizon, tol, first):
+        """Fold in the segment ending at ``horizon``; sets ``result`` once decided.
+
+        The first segment, from the lower limit, can only diverge or spend
+        the budget; the tail rules read the increments of the later ones.
+        """
+        self.budget -= used
+        self.total += inc
+        self.error += inc_err
+        if diverged or (not first and abs(self.total) > DIVERGENCE_THRESHOLD):
+            self.result = IntegralResult(DIVERGENT, value=self.total, horizon=horizon)
+        elif not first:
+            self.result = self._tail_verdict(abs(inc), tol(self.total), horizon)
+        if self.result is None and self.budget <= 0:
+            self.result = IntegralResult(INCONCLUSIVE, value=self.total, error=self.error,
+                                         horizon=horizon)
+
+    def _tail_verdict(self, inc, tol, horizon):
+        """The verdict that the increment ``inc`` over a doubled horizon gives, or None."""
+        prev_inc, prev_tail = self.prev_inc, self.prev_tail
+        self.prev_inc, self.prev_tail = inc, None
+        if prev_inc is None:
+            return IntegralResult(VALUE, value=self.total, error=self.error) if inc == 0.0 else None
+        if inc > tol and inc >= prev_inc * (1.0 - _DECAY_SLACK):
+            return IntegralResult(DIVERGENT, value=self.total, horizon=horizon)
+        ratio = inc / prev_inc if prev_inc > 0.0 else 0.0
+        if ratio >= 0.95:
+            return None
+        self.prev_tail = tail = inc * ratio / (1.0 - ratio) if ratio > 0.0 else 0.0
+        # accept a tail below tolerance, or one that has settled: a geometric
+        # tail shrinks by the ratio per doubled horizon, so the last segment's
+        # estimate foretold this one
+        if tail <= tol or (prev_tail is not None and abs(tail - ratio * prev_tail) <= tol / 4.0):
+            return IntegralResult(VALUE, value=self.total + tail, error=self.error + tail)
+        return None
+
+
 def integrate_adaptive(f, spec):
     """Integrate ``f`` over ``[spec.lower, spec.upper)`` with verdict semantics.
 
-    ``f`` must be vectorized: it maps a 1-d ndarray of abscissae to an array
-    of integrand values of the same shape.  One call takes the nodes of
-    several panels: all initial panels of a segment, or both halves of a
-    split panel.
+    ``f`` must be vectorized: it maps a 1-d ndarray of abscissae, possibly
+    empty, to an array of integrand values of the same shape, or to a
+    (W, N) stack of W integrands.  A stack is integrated in lockstep on one
+    shared panel mesh, and a tuple of W results comes back; a single
+    integrand is the case W = 1, with one result.  Each call of ``f`` takes
+    the nodes of several panels: all initial panels of a segment, or all
+    children of one round of splits.  Each row keeps its own tolerances,
+    tail rules and split budget, and leaves the stack once decided.
 
-    Returns an :class:`IntegralResult`:
+    Returns an :class:`IntegralResult` per row:
 
     * ``value``   -- the partial integrals converged within tolerance.  For
       an infinite upper limit the increments inc_k over doubled horizons
@@ -568,69 +625,45 @@ def integrate_adaptive(f, spec):
     * ``inconclusive`` -- neither verdict could be certified before the
       subdivision or horizon budget ran out (the horizon reached is reported).
 
-    A non-finite integrand value raises :class:`NumericsFailure`.
+    A non-finite value of an undecided row raises :class:`NumericsFailure`.
     """
     if not isinstance(spec, QuadratureSpec):
         raise InvalidArgument("spec must be a QuadratureSpec")
+    shape = np.shape(f(np.empty(0)))
+    n = shape[0] if len(shape) == 2 else 1
+    results = _integrate_rows(lambda ts: np.asarray(f(ts), dtype=float).reshape(n, ts.size), n, spec)
+    return tuple(results) if len(shape) == 2 else results[0]
+
+
+def _integrate_rows(fv, n, spec):
+    """:func:`integrate_adaptive` of the ``n`` rows of ``fv``, as a list of results."""
     if spec.upper == spec.lower:
-        return IntegralResult(VALUE, value=0.0, error=0.0)
+        return [IntegralResult(VALUE, value=0.0, error=0.0)] * n
     tol = lambda total: max(spec.abs_tol, spec.rel_tol * abs(total))
-
     if math.isfinite(spec.upper):
-        val, err, _, diverged = _refine_finite(
-            f, spec.lower, spec.upper, spec.abs_tol, spec.rel_tol, spec.max_subdivisions
-        )
-        if diverged:
-            return IntegralResult(DIVERGENT, value=val, horizon=spec.upper)
-        if err <= 8.0 * tol(val):
-            return IntegralResult(VALUE, value=val, error=err)
-        return IntegralResult(INCONCLUSIVE, value=val, error=err, horizon=spec.upper)
+        vals, errs, _, diverged = _refine(fv, spec.lower, spec.upper, np.arange(n), spec.abs_tol,
+                                          spec.rel_tol, np.full(n, spec.max_subdivisions))
+        return [IntegralResult(DIVERGENT, value=val, horizon=spec.upper) if div
+                else IntegralResult(VALUE, value=val, error=err) if err <= 8.0 * tol(val)
+                else IntegralResult(INCONCLUSIVE, value=val, error=err, horizon=spec.upper)
+                for val, err, div in zip(vals.tolist(), errs.tolist(), diverged.tolist())]
 
-    # semi-infinite: geometric horizon doubling.  Each segment gets a capped
-    # share of the split budget so one stubborn segment cannot starve the
-    # doubling loop that decides the verdict.
-    budget = spec.max_subdivisions
+    # semi-infinite: a graded first segment, then geometric horizon doubling.
+    # Each segment gets a capped share of a row's split budget so one
+    # stubborn segment cannot starve the doubling loop that decides the verdict.
     seg_cap = max(256, spec.max_subdivisions // 8)
-    seg_abs = spec.abs_tol / 8.0
-    horizon = spec.lower + _INITIAL_TAIL_SPAN
-    total, toterr, used, diverged = _refine_finite(
-        f, spec.lower, horizon, seg_abs, spec.rel_tol / 4.0, min(budget, seg_cap)
-    )
-    if diverged:
-        return IntegralResult(DIVERGENT, value=total, horizon=horizon)
-    budget -= used
-    prev_inc = prev_tail = None
-    for _ in range(_MAX_TAIL_SEGMENTS):
-        if budget <= 0:
-            return IntegralResult(INCONCLUSIVE, value=total, error=toterr, horizon=horizon)
-        nxt = horizon * 2.0
-        inc, inc_err, used, diverged = _refine_finite(
-            f, horizon, nxt, seg_abs, spec.rel_tol / 4.0, min(budget, seg_cap),
-            grade_lower=False,
-        )
-        budget -= used
-        total += inc
-        toterr += inc_err
-        horizon = nxt
-        if diverged or abs(total) > DIVERGENCE_THRESHOLD:
-            return IntegralResult(DIVERGENT, value=total, horizon=horizon)
-        inc = abs(inc)
-        if prev_inc is not None:
-            if inc > tol(total) and inc >= prev_inc * (1.0 - _DECAY_SLACK):
-                return IntegralResult(DIVERGENT, value=total, horizon=horizon)
-            ratio = inc / prev_inc if prev_inc > 0.0 else 0.0
-            tail = None
-            if ratio < 0.95:
-                tail = inc * ratio / (1.0 - ratio) if ratio > 0.0 else 0.0
-                # accept a tail below tolerance, or one that has settled: a
-                # geometric tail shrinks by the ratio per doubled horizon, so
-                # the last segment's estimate foretold this one
-                settled = (prev_tail is not None
-                           and abs(tail - ratio * prev_tail) <= tol(total) / 4.0)
-                if tail <= tol(total) or settled:
-                    return IntegralResult(VALUE, value=total + tail, error=toterr + tail)
-            prev_tail = tail
-        elif inc == 0.0:
-            return IntegralResult(VALUE, value=total, error=toterr)
-        prev_inc = inc
-    return IntegralResult(INCONCLUSIVE, value=total, error=toterr, horizon=horizon)
+    tails = [_Tail(spec.max_subdivisions) for _ in range(n)]
+    lo, hi = spec.lower, spec.lower + _INITIAL_TAIL_SPAN
+    for segment in range(_MAX_TAIL_SEGMENTS + 1):
+        rows = np.array([i for i, tail in enumerate(tails) if tail.result is None], dtype=int)
+        if rows.size == 0:
+            break
+        caps = np.minimum([tails[i].budget for i in rows], seg_cap)
+        out = _refine(fv, lo, hi, rows, spec.abs_tol / 8.0, spec.rel_tol / 4.0, caps,
+                      grade_lower=segment == 0)
+        for i, *seg in zip(rows.tolist(), *(part.tolist() for part in out)):
+            tails[i].add(*seg, hi, tol, first=segment == 0)
+        lo, hi = hi, 2.0 * hi
+    return [tail.result or IntegralResult(INCONCLUSIVE, value=tail.total, error=tail.error,
+                                          horizon=lo)
+            for tail in tails]

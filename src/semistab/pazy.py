@@ -10,12 +10,15 @@ norm curve over [a, inf):
 
 Every criterion integrand is F(x(t)) for one curve x(t) = -log||T(t)|| and
 a decreasing weight F with F(inf) = 0 (exp(-p*x) for norm powers, x^-p for
-reciprocal log powers).  Each weight has one vectorized F, and one
-:func:`pazy_criteria` call reads x(t) through a single curve that evaluates
-each quadrature node array once, however many weights integrate over it.
-The same F gives the sandwich bound: between consecutive entry times the
-normalized norm is pinched between e^-r and e^-(r-1), so the integral is
-bracketed by sum(u_r * F(r+1)) and sum(u_r * F(r)).
+reciprocal log powers).  Each weight class has one vectorized F, for one p
+or a stack of them.  One :func:`pazy_criteria` call is one lockstep
+integration in two phases: every weight of the first phase integrates on
+one shared, adaptively refined mesh, and the few weights of the second
+re-read its panels.  The curve reads each time once, however many weights
+integrate over it.  The same F gives the sandwich bound: between
+consecutive entry times the normalized norm is pinched between e^-r and
+e^-(r-1), so the integral is bracketed by sum(u_r * F(r+1)) and
+sum(u_r * F(r)).
 """
 
 from __future__ import annotations
@@ -48,8 +51,8 @@ IMPLIED_CLASS = {"i": "stable", "ii": "stable", "iii": "superstable",
 
 
 @dataclass(frozen=True)
-class NormPower:
-    """Weight ||T(t)||^p, i.e. F(x) = exp(-p*x)."""
+class _Weight:
+    """A weight F of the curve x = -log||T(t)||, with exponent p; ``values`` is F at many p."""
 
     p: float
 
@@ -58,49 +61,62 @@ class NormPower:
             raise InvalidArgument(f"p must be positive and finite, got {self.p}")
 
     def F(self, x):
-        """exp(-p*x) on an array of x; F(inf) = 0."""
-        return np.exp(-self.p * np.asarray(x, dtype=float))
+        """F on an array of x: the one-row case of ``values``."""
+        return self.values((self.p,), x)[0]
 
     def label(self):
-        return f"norm-power p={self.p:g}"
+        return f"{self.name} p={self.p:g}"
 
 
 @dataclass(frozen=True)
-class InverseLogPower:
+class NormPower(_Weight):
+    """Weight ||T(t)||^p, i.e. F(x) = exp(-p*x)."""
+
+    name = "norm-power"
+
+    @staticmethod
+    def values(ps, x):
+        """exp(-p*x) on an array of x, one row per p of ``ps``; F(inf) = 0."""
+        return np.exp(-np.multiply.outer(ps, np.asarray(x, dtype=float)))
+
+
+@dataclass(frozen=True)
+class InverseLogPower(_Weight):
     """Weight |log||T(t)|||^-p, i.e. F(x) = x^-p (F(0) = +inf)."""
 
-    p: float
+    name = "inverse-log-power"
 
-    def __post_init__(self):
-        if not (self.p > 0 and math.isfinite(self.p)):
-            raise InvalidArgument(f"p must be positive and finite, got {self.p}")
-
-    def F(self, x):
-        """x^-p on an array of x; F(inf) = 0, and F = +inf where x <= 0 or x^-p overflows."""
+    @staticmethod
+    def values(ps, x):
+        """x^-p on an array of x, one row per p of ``ps``; F(inf) = 0, and F = +inf
+        where x <= 0 or x^-p overflows."""
         x = np.asarray(x, dtype=float)
+        q = -np.reshape(ps, (-1,) + (1,) * x.ndim)
         with np.errstate(divide="ignore", over="ignore"):
-            return np.where(x > 0.0, np.abs(x) ** (-self.p), math.inf)
-
-    def label(self):
-        return f"inverse-log-power p={self.p:g}"
+            return np.where(x > 0.0, np.abs(x) ** q, math.inf)
 
 
 def _curve(traj):
-    """x(ts) = -log||T(ts)||, +inf where extinct, evaluated once per node array.
+    """x(ts) = -log||T(ts)||, +inf where extinct, each time read from ``traj`` once.
 
     The log route stays exact long after the norm itself would underflow,
-    which keeps slowly decaying reciprocal-log tails honest.  The criteria
-    integrate many weights over the same quadrature panels, so each distinct
-    array of times is evaluated once; the cache lives as long as the curve.
+    which keeps slowly decaying reciprocal-log tails honest.  The criteria's
+    second phase re-reads panels of the first, so a call passes on only the
+    times not read before: a norm is a pure function of t.
     """
-    seen = {}
+    # the sorted times read so far and their x; the +inf sentinel ends every search
+    known_t, known_x = np.array([math.inf]), np.array([math.inf])
 
     def x(ts):
+        nonlocal known_t, known_x
         ts = np.asarray(ts, dtype=float)
-        key = ts.tobytes()
-        if key not in seen:
-            seen[key] = -traj.log_evaluate_many(ts)
-        return seen[key]
+        new = ts[known_t[np.searchsorted(known_t, ts)] != ts]
+        if new.size:
+            known_t = np.concatenate([known_t, new])
+            known_x = np.concatenate([known_x, -traj.log_evaluate_many(new)])
+            order = np.argsort(known_t, kind="stable")
+            known_t, known_x = known_t[order], known_x[order]
+        return known_x[np.searchsorted(known_t, ts)]
 
     return x
 
@@ -116,12 +132,13 @@ def pazy_integral(traj, weight, a, quad=None, *, check_applicable=True):
     at 33 points of [a, a + 1] first: where it is infinite there, at a norm
     of 1 or above, or where x = -log||T(t)|| is so small that x^-p
     overflows, the integral returns the distinct ``inapplicable`` verdict.
+    This is the one-weight case of the lockstep quadrature the criteria run.
     """
-    return _integral(traj, _curve(traj), weight, a, quad, check_applicable)
+    return _integrals(traj, _curve(traj), (weight,), a, quad, check_applicable)[0]
 
 
-def _integral(traj, x, weight, a, quad, check_applicable):
-    """:func:`pazy_integral` on the curve ``x`` of ``traj``."""
+def _integrals(traj, x, weights, a, quad, check_applicable):
+    """:func:`pazy_integral` of each of ``weights`` on the curve ``x``, in one lockstep quadrature."""
     a = float(a)
     if a < 0 or not math.isfinite(a):
         raise InvalidArgument(f"lower limit must be finite and nonnegative, got {a}")
@@ -132,10 +149,27 @@ def _integral(traj, x, weight, a, quad, check_applicable):
         quad = QuadratureSpec(lower=a)
     upper = min(upper, quad.upper)
     quad = replace(quad, lower=a, upper=upper)
-    if check_applicable and isinstance(weight, InverseLogPower):
-        if np.isinf(weight.F(x(np.linspace(a, min(a + 1.0, upper), 33)))).any():
-            return IntegralResult(INAPPLICABLE)
-    return integrate_adaptive(lambda ts: weight.F(x(ts)), quad)
+    results = [None] * len(weights)
+    if check_applicable and any(isinstance(w, InverseLogPower) for w in weights):
+        probe = x(np.linspace(a, min(a + 1.0, upper), 33))
+        results = [IntegralResult(INAPPLICABLE)
+                   if isinstance(w, InverseLogPower) and np.isinf(w.F(probe)).any() else None
+                   for w in weights]
+    stack = [w for w, res in zip(weights, results) if res is None]
+    if stack:
+        # the rows of each weight class, for one array operation per class
+        classes = {type(w): [i for i, v in enumerate(stack) if type(v) is type(w)] for w in stack}
+
+        def f(ts):
+            xs = x(ts)
+            out = np.empty((len(stack), xs.size))
+            for cls, rows in classes.items():
+                out[rows] = cls.values([stack[i].p for i in rows], xs)
+            return out
+
+        stacked = iter(integrate_adaptive(f, quad))
+        results = [next(stacked) if res is None else res for res in results]
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +214,12 @@ def pazy_criteria(traj, a=0.0, *, cfg=None, quad=None, t0=None):
     (below it strictly wherever the curve decays), dodging the logarithmic
     singularity at norm 1.  ``t0`` may be passed in when already known from
     an entry-time table.
+
+    The integrals run as one lockstep quadrature on a shared mesh, in two
+    phases.  The first stacks (i) at p = 1, (ii) at p = 1.5, (iii) and the
+    ten (iv) weights; the second stacks (i) and (ii) at p = 2, each only
+    where its first p did not converge.  Entries come out criterion by
+    criterion, smaller p first within (i) and (ii).
     """
     cfg = cfg or SearchConfig()
     if t0 is None:
@@ -192,26 +232,26 @@ def pazy_criteria(traj, a=0.0, *, cfg=None, quad=None, t0=None):
         )
     a_used = max(float(a), float(t0)) + 1e-6
 
+    # phase one: the first p of (i)-(iii) and the whole (iv) trace; phase
+    # two: the other p of (i) and (ii), only where the first did not converge
     x = _curve(traj)
-    entries = []
-    fired = []
+    makers = {"i": NormPower, "ii": InverseLogPower, "iii": InverseLogPower}
+    runs = [(crit, maker(CRITERION_PS[crit][0])) for crit, maker in makers.items()]
+    runs += [("iv", InverseLogPower(p)) for p in DEFAULT_P_TRACE]
+    results = _integrals(traj, x, [w for _, w in runs], a_used, quad, True)
+    again = [(crit, makers[crit](p)) for (crit, _), res in zip(runs, results)
+             if crit in makers and not res.is_value for p in CRITERION_PS[crit][1:]]
+    results += _integrals(traj, x, [w for _, w in again], a_used, quad, True)
+    order = list(IMPLIED_CLASS)
+    entries = sorted((CriterionEntry(crit, w.label(), w.p, res.kind, res.value)
+                      for (crit, w), res in zip(runs + again, results)),
+                     key=lambda e: order.index(e.criterion))
+    fired = [crit for crit in makers
+             if any(e.kind == VALUE for e in entries if e.criterion == crit)]
 
-    def run(criterion, weight):
-        res = _integral(traj, x, weight, a_used, quad, check_applicable=True)
-        entries.append(CriterionEntry(criterion, weight.label(), weight.p, res.kind, res.value))
-        return res
-
-    for crit, maker in (("i", NormPower), ("ii", InverseLogPower), ("iii", InverseLogPower)):
-        if any(run(crit, maker(p)).is_value for p in CRITERION_PS[crit]):
-            fired.append(crit)
-
-    trace = []
-    for p in DEFAULT_P_TRACE:
-        res = run("iv", InverseLogPower(p))
-        trace.append((p, res.kind, res.value))
-    converged = [kind == VALUE for _, kind, _ in trace]
+    trace = [(e.p, e.kind, e.value) for e in entries if e.criterion == "iv"]
     k_surrogate = None
-    if trace and all(converged):
+    if trace and all(kind == VALUE for _, kind, _ in trace):
         fired.append("iv")
         # limit surrogate: the supremum over the small-p half of the trace
         # (the large-p end overshoots the p->0 limit wherever the log-norm

@@ -30,6 +30,25 @@ class _Counting(ss.NormTrajectory):
         return super().log_evaluate_many(ts)
 
 
+def assert_matches_fresh_integral(traj, a, entry, *, value=True):
+    """``entry`` of a lockstep ``pazy_criteria`` matches a one-weight ``pazy_integral`` from ``a``.
+
+    The kinds are equal, and with ``value`` the values are within the
+    accept tolerance 8*max(abs_tol, rel_tol*|v|) of the default quadrature.
+    """
+    weight = (ss.NormPower if entry.weight.startswith("norm-power") else ss.InverseLogPower)(entry.p)
+    res = ss.pazy_integral(traj, weight, a)
+    assert res.kind == entry.kind, (entry, res)
+    if not value:
+        return
+    if res.value is None or entry.value is None:
+        assert res.value == entry.value, (entry, res)
+        return
+    spec = ss.QuadratureSpec(a)
+    assert abs(entry.value - res.value) <= 8.0 * max(spec.abs_tol, spec.rel_tol * abs(res.value)), \
+        (entry, res)
+
+
 def counting(traj, growth_rate=None):
     """The same curve, counting its calls.
 

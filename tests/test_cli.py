@@ -263,8 +263,10 @@ class TestAnalyze:
 
     def test_all_inconclusive_integrals_exit_4(self, tmp_path, capsys, monkeypatch):
         import semistab.pazy
+        # one inconclusive result per weight of the stacked integrand
         monkeypatch.setattr(semistab.pazy, "integrate_adaptive",
-                            lambda f, spec: semistab.IntegralResult(semistab.INCONCLUSIVE))
+                            lambda f, spec: [semistab.IntegralResult(semistab.INCONCLUSIVE)]
+                            * len(f(np.empty(0))))
         code = run(["analyze", "--model", "scalar-decay nu=2", "--out", str(tmp_path / "q")])
         assert code == 4
         assert "every integral criterion was inconclusive" in capsys.readouterr().err
@@ -311,6 +313,15 @@ class TestOptions:
         args = build_parser().parse_args(["analyze"])
         for cls in self.CLASSES:
             assert _config(cls, args) == cls()
+
+    def test_parser_is_built_once_and_parsing_leaves_it_unchanged(self):
+        parser = build_parser()
+        help_text = parser.format_help()
+        assert parser.parse_args(["analyze", "--rmax", "7", "--time-tol", "1e-3"]).rmax == 7
+        assert build_parser() is parser
+        args = parser.parse_args(["analyze"])
+        assert args.rmax == 40 and _config(semistab.SearchConfig, args) == semistab.SearchConfig()
+        assert parser.format_help() == help_text
 
     @pytest.mark.parametrize("command", [["analyze"], ["sweep", "--models", "gaussian-shift"]])
     def test_every_field_has_a_flag(self, command):

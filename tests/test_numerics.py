@@ -334,6 +334,56 @@ class TestQuadrature:
         with pytest.raises(InvalidArgument):
             QuadratureSpec(0.0, 1.0, abs_tol=0.0)
 
+    # the integrands above, each group under the spec its tests use
+    STACKS = {
+        "unit": (QuadratureSpec(0.0, 1.0, abs_tol=1e-8),
+                 [lambda t: t, lambda t: t**-0.5, lambda t: np.full_like(t, 1.0),
+                  *(lambda t, k=k: t**k for k in range(2, 12))]),
+        "from-0": (QuadratureSpec(0.0), [lambda t: np.exp(-2.0 * t), lambda t: np.exp(t)]),
+        "from-1": (QuadratureSpec(1.0), [lambda t: 1.0 / (2.0 * t), lambda t: (2.0 * t) ** -0.5]),
+        "from-2": (QuadratureSpec(2.0, abs_tol=1e-8), [lambda t: 4.0 / t**2, lambda t: 1.0 / t**2]),
+        "slow-tail": (QuadratureSpec(2.0, max_subdivisions=600),
+                      [lambda t: 1.0 / (t * np.log(t)), lambda t: 4.0 / t**2]),
+        "empty": (QuadratureSpec(1.0, 1.0), [lambda t: t, lambda t: t**2]),
+    }
+
+    @pytest.mark.parametrize("name", STACKS)
+    def test_stacked_rows_match_scalar_calls(self, name):
+        # one mesh refined for every row: each row has the verdict of its own
+        # call and a value within the accept tolerance of it
+        spec, fs = self.STACKS[name]
+        rows = integrate_adaptive(lambda t: np.stack([f(t) for f in fs]), spec)
+        assert isinstance(rows, tuple) and len(rows) == len(fs)
+        for f, row in zip(fs, rows):
+            res = integrate_adaptive(f, spec)
+            assert row.kind == res.kind, (row, res)
+            assert abs(row.value - res.value) <= 8.0 * max(spec.abs_tol, spec.rel_tol * abs(res.value))
+
+    def test_a_decided_row_stops_reading_its_values(self):
+        # exp(-2t) is decided by t = 72 and 4/t^2 reads on to t = 144; the
+        # first row turns NaN past t = 100, which would raise were it open
+        def f(t):
+            late = np.where(t > 100.0, np.nan, np.exp(-2.0 * t))
+            return np.stack([late, 4.0 / t**2])
+
+        decided, power = integrate_adaptive(f, QuadratureSpec(2.0))
+        assert decided.is_value and power.is_value
+        assert decided.value == pytest.approx(0.5 * math.exp(-4.0), rel=1e-9)
+        assert power.value == pytest.approx(2.0, rel=1e-8)
+
+    def test_a_row_past_the_threshold_splits_once_then_diverges(self):
+        # its verdict is already decided, so it splits only its worst panel,
+        # as one-panel-at-a-time bisection did, and reads 30 nodes, not 300
+        sizes = []
+
+        def f(t):
+            sizes.append(t.size)
+            return 1e13 * t**-0.5
+
+        res = integrate_adaptive(f, QuadratureSpec(0.0, 1.0))
+        assert res.is_divergent and res.value > 1e12
+        assert sizes == [0, 150, 30]
+
     def test_kronrod_rule_exact_on_polynomials(self):
         # Gauss-7/Kronrod-15 integrates low-degree polynomials exactly
         for k in range(0, 12):

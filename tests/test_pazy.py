@@ -7,7 +7,7 @@ import semistab as ss
 from semistab import InvalidArgument, InverseLogPower, NormPower, NormTrajectory
 from semistab.pazy import INAPPLICABLE
 
-from conftest import counting
+from conftest import assert_matches_fresh_integral, counting
 
 
 class TestPazyIntegral:
@@ -66,14 +66,14 @@ class TestWeights:
 class TestPazyCriteria:
     @pytest.mark.parametrize("fixture", ["scalar2", "gaussian", "damped", "matrix_j10"])
     def test_entries_equal_fresh_integrals(self, fixture, request):
-        # sharing one curve across the criteria changes no bit of any integral
+        # the weights share one mesh, refined for all of them, so each entry
+        # has the kind of its one-weight integral and a value within the
+        # accept tolerance of it
         traj, table = request.getfixturevalue(fixture)[-2:]
         rep = ss.pazy_criteria(traj, t0=table.t[0])
         assert rep.entries
         for e in rep.entries:
-            weight = (NormPower if e.weight.startswith("norm-power") else InverseLogPower)(e.p)
-            res = ss.pazy_integral(traj, weight, rep.a)
-            assert (res.kind, res.value) == (e.kind, e.value), e
+            assert_matches_fresh_integral(traj, rep.a, e)
 
     def test_each_node_array_evaluated_once(self):
         model = ss.GaussianShift()
@@ -112,13 +112,24 @@ class TestPazyCriteria:
         assert 0 < sum(points) < 4000
 
     def test_fractional_panels_share_calls(self):
-        # the initial panels of a segment, and the two halves of a split,
-        # are read in one call each: 106 calls at one call per panel
+        # the initial panels of a segment, and all children of a round of
+        # splits, are read in one call each, for every weight at once: 106
+        # calls at one call per panel, 52 with one quadrature per weight
         wrapped, calls = counting(ss.FractionalIntegration(80).trajectory())
         rep = ss.pazy_criteria(wrapped, t0=0.0)
         assert "iii" in rep.fired
         assert calls["points"] == 1608
-        assert calls["calls"] <= 60
+        assert calls["calls"] <= 32
+
+    def test_gaussian_panels_share_calls(self):
+        # the lockstep mesh reads the norms the per-weight quadratures read,
+        # in 8 calls where they took 29; the second phase, (ii) at p = 2,
+        # re-reads the first phase's panels and no norm twice
+        wrapped, calls = counting(ss.GaussianShift().trajectory())
+        rep = ss.pazy_criteria(wrapped, t0=0.0)
+        assert rep.fired == ("i", "iii")
+        assert calls["points"] == 948
+        assert calls["calls"] <= 8
 
     def test_gaussian_superstability_fires(self, gaussian):
         traj, _ = gaussian
@@ -154,20 +165,21 @@ class TestPazyCriteria:
         # in x; the plain log's noise there drove the stage, nearly all of it
         # criterion (ii) at p=1.5, to 538 curve calls.  A tail accepted only
         # once it was below tolerance took 60 calls and read t = 6.7e11; a
-        # settled tail takes 40 and stops at t = 6.4e5
+        # settled tail took 40 and stops at t = 6.4e5, and one lockstep
+        # mesh for every weight takes 21
         model, _, table = matrix_j10
         rep, calls = self._read_curve(model, table.t[0])
         assert rep.fired == ("i", "ii")
-        assert len(calls) <= 42
+        assert len(calls) <= 21
         assert max(ts.max() for ts in calls) < 1e7
 
     def test_scalar_decay_tail_budget(self):
         # x = t: the (ii) tail is geometric from the first doubling on, so it
         # settles at t = 128; accepted only below tolerance it took 60 calls
-        # and read t = 1.1e12
+        # and read t = 1.1e12, and one quadrature per weight took 27
         rep, calls = self._read_curve(ss.ScalarDecay(1.0), 0.0)
         assert rep.fired == ("i", "ii")
-        assert len(calls) <= 29
+        assert len(calls) <= 8
         assert max(ts.max() for ts in calls) < 1e7
 
     def test_strongly_damped_matrix_is_not_extinct(self):

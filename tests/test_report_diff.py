@@ -4,6 +4,8 @@ import shutil
 import subprocess
 import sys
 
+import pytest
+
 from semistab import __version__
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -17,7 +19,8 @@ def test_one_tree_against_itself_has_no_difference():
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines()[-1] == "2 specs, 0 differ; sweep identical; help identical"
+    assert proc.stdout.splitlines()[-2:] == ["2 specs, 0 differ; sweep identical; help identical",
+                                             "summary: 0 non-float moved; no float moved"]
 
 
 def test_a_changed_report_is_named(tmp_path):
@@ -39,6 +42,7 @@ def test_a_changed_report_is_named(tmp_path):
         "differs: scalar-decay nu=2: json",
         f'  tool.version: "{__version__}" -> "changed-{__version__}"',
         "1 specs, 1 differ; sweep identical; help identical",
+        "summary: 1 non-float moved; no float moved",
     ]
 
 
@@ -73,6 +77,7 @@ def test_moved_entry_rows_are_named(tmp_path):
         "  entry.csv r=0: 0,0.500000003725,exact -> 0,0.500000003725,exactly",
         "differs: sweep: csv",
         "1 specs, 1 differ; sweep differs; help identical",
+        "summary: 3 non-float moved; no float moved",
     ]
 
 
@@ -109,6 +114,7 @@ def test_moved_stderr_lines_are_named(tmp_path):
         "  stderr: bogus x=1: unknown model kind 'bogus' (at position 0)"
         " -> bogus x=1: no model kind 'bogus' (at position 0)",
         "1 specs, 1 differ; sweep differs; help identical",
+        "summary: 2 non-float moved; no float moved",
     ]
 
 
@@ -118,3 +124,25 @@ def test_moved_lines_pair_the_nth_lines():
     assert moved_lines("stdout", "a\n", "a\nb\n") == ["stdout: (absent) -> b"]
     assert moved_lines("exit", 0, 3) == ["exit: 0 -> 3"]
     assert moved_lines("stderr", "same\n", "same\n") == []
+
+
+def test_moves_count_non_floats_and_rank_floats():
+    moves = _report_diff_module().moves
+    doc = lambda kind, value, t: ('{"pazy": {"criteria": [{"kind": "%s", "value": %r}]}, '
+                                  '"entry": {"t_last": %r, "statuses": {"exact": 1}}}' % (kind, value, t))
+    csv = lambda t, status: f"r,t_r,u_r,status\n0,0,{t},exact\n1,{t},,{status}\n"
+    a = {"exit": 0, "stderr": "", "json": doc("value", 2.0, 8.0), "entry.csv": csv(8, "bisected")}
+    assert moves("m", a, dict(a)) == (0, [])
+    # a float leaf and a CSV time moved: their relative moves, nothing else
+    b = dict(a, json=doc("value", 2.0 + 4e-9, 8.0), **{"entry.csv": csv(8.000001, "bisected")})
+    count, floats = moves("m", a, b)
+    assert count == 0
+    assert {where: rel for rel, where in floats} == pytest.approx({
+        "m: pazy.criteria[0].value": 2e-9, "m: entry.csv r=0 u_r": 1.25e-7,
+        "m: entry.csv r=1 t_r": 1.25e-7})
+    # a kind, a status, a float that turned text, and an exit code are non-float moves
+    c = dict(a, exit=3, json=doc("divergent", 2.0, 8.0).replace("8.0", '"inf"'),
+             **{"entry.csv": csv(8, "widened")})
+    assert moves("m", a, c) == (4, [])
+    # so is a CSV time that turned infinite with its status unchanged
+    assert moves("m", a, dict(a, **{"entry.csv": csv("inf", "bisected")})) == (2, [])

@@ -16,8 +16,17 @@ up to five of its entry-CSV rows that moved, as
 (t_r and u_r, and the status too where it moved), and up to five moved
 lines each of its exit code, stderr and stdout, the n-th line against the
 n-th, as ``stderr: numerics failure: ... at t = 8 -> numerics failure: ...
-at t = 1.2`` or ``exit: 0 -> 3``; the sweep's are named the same way.  The
-exit code is 1 on any difference, else 0.
+at t = 1.2`` or ``exit: 0 -> 3``; the sweep's are named the same way.
+
+The output ends with one summary line: how many non-float items moved
+(JSON leaves that are not floats on both sides, such as kinds, ``fired``,
+``implied``, verdicts and status counts; entry-CSV statuses; and lines of
+exit codes, stdout, stderr and help), and the largest relative move of a
+float (JSON float leaves and entry-CSV t_r and u_r), with its spec and
+path, as ``summary: 0 non-float moved; largest float move 1.39e-09 at
+gaussian-shift: pazy.criteria[1].value``.  The sweep CSV repeats the
+analyses' values and is left out of it.  The exit code is 1 on any
+difference, else 0.
 
 The specs are those of the three galleries in ``perfbench/gallery.py`` at
 each seed, deduplicated in order, plus a few fixed specs that reach the
@@ -37,6 +46,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -130,21 +140,37 @@ def _leaves(node, path=""):
         yield from _leaves(value, sub)
 
 
+_ABSENT = object()
+
+
+def _shown(value):
+    return "(absent)" if value is _ABSENT else json.dumps(value)
+
+
+def _moved_leaf_values(text_a, text_b):
+    """(path, a, b) for each JSON leaf that differs between two reports, in document order.
+
+    A leaf missing on one side is ``_ABSENT`` there.
+    """
+    a, b = (dict(_leaves(json.loads(text))) if text else {} for text in (text_a, text_b))
+    pairs = ((path, a.get(path, _ABSENT), b.get(path, _ABSENT)) for path in dict.fromkeys([*a, *b]))
+    return [(path, va, vb) for path, va, vb in pairs if _shown(va) != _shown(vb)]
+
+
 def moved_leaves(text_a, text_b):
     """``path: a -> b`` for each JSON leaf that differs between two reports, in document order."""
-    a, b = (dict(_leaves(json.loads(text))) if text else {} for text in (text_a, text_b))
-    lines = []
-    for path in dict.fromkeys([*a, *b]):
-        va, vb = (json.dumps(side[path]) if path in side else "(absent)" for side in (a, b))
-        if va != vb:
-            lines.append(f"{path}: {va} -> {vb}")
-    return lines
+    return [f"{path}: {_shown(va)} -> {_shown(vb)}"
+            for path, va, vb in _moved_leaf_values(text_a, text_b)]
+
+
+def _csv_rows(text):
+    """The fields after r of each entry-CSV row, by r."""
+    return {row.split(",", 1)[0]: row.split(",")[1:] for row in (text or "").splitlines()[1:]}
 
 
 def moved_rows(csv_a, csv_b):
     """``entry.csv r=R: t,u -> t,u`` for each entry-CSV row that differs, in r order."""
-    a, b = ({row.split(",", 1)[0]: row.split(",")[1:] for row in (text or "").splitlines()[1:]}
-            for text in (csv_a, csv_b))
+    a, b = _csv_rows(csv_a), _csv_rows(csv_b)
     lines = []
     for r in dict.fromkeys([*a, *b]):
         ra, rb = a.get(r), b.get(r)
@@ -165,6 +191,48 @@ def moved_lines(name, text_a, text_b):
         if va != vb:
             lines.append(f"{name}: {va} -> {vb}")
     return lines
+
+
+def _relative(a, b):
+    return abs(b - a) / abs(a) if a else math.inf
+
+
+def moves(name, ra, rb):
+    """(non-float moves, [(relative move, where)] of floats) between two results of ``name``.
+
+    Non-float: JSON leaves not float on both sides, entry-CSV rows whose
+    status moved or that one side lacks, t_r and u_r that are not finite
+    numbers, and lines of exit, stdout and stderr.  Float: JSON float leaves, and
+    t_r and u_r of the entry CSV.
+    """
+    nonfloat, floats = 0, []
+    for path, va, vb in _moved_leaf_values(ra.get("json"), rb.get("json")):
+        if isinstance(va, float) and isinstance(vb, float):
+            floats.append((_relative(va, vb), f"{name}: {path}"))
+        else:
+            nonfloat += 1
+    a, b = _csv_rows(ra.get("entry.csv")), _csv_rows(rb.get("entry.csv"))
+    for r in dict.fromkeys([*a, *b]):
+        fa, fb = a.get(r), b.get(r)
+        if fa == fb:
+            continue
+        if fa is None or fb is None or fa[2:] != fb[2:]:
+            nonfloat += 1
+            continue
+        for column, x, y in zip(("t_r", "u_r"), fa, fb):
+            if x == y:
+                continue
+            try:
+                x, y = float(x), float(y)
+            except ValueError:
+                x = y = math.nan
+            if math.isfinite(x) and math.isfinite(y):
+                floats.append((_relative(x, y), f"{name}: entry.csv r={r} {column}"))
+            else:
+                nonfloat += 1
+    for field in ("exit", "stdout", "stderr"):
+        nonfloat += len(moved_lines(field, ra.get(field), rb.get(field)))
+    return nonfloat, floats
 
 
 def _print_moved(fields, ra, rb):
@@ -229,6 +297,16 @@ def main(argv=None):
         print(f"differs: {command} --help")
     print(f"{len(specs)} specs, {len(diffs)} differ; sweep {'differs' if sweep else 'identical'}; "
           f"help {'differs' if help_diff else 'identical'}")
+    pairs = [*zip(specs, a["analyze"], b["analyze"]), ("sweep", a["sweep"], b["sweep"]),
+             *zip(("analyze --help", "sweep --help"), a["help"], b["help"])]
+    nonfloat, floats = 0, []
+    for name, ra, rb in pairs:
+        count, moved = moves(name, ra, rb)
+        nonfloat += count
+        floats += moved
+    worst = max(floats, default=None)
+    largest = f"largest float move {worst[0]:.3g} at {worst[1]}" if worst else "no float moved"
+    print(f"summary: {nonfloat} non-float moved; {largest}")
     return 1 if diffs or sweep or help_diff else 0
 
 
