@@ -478,11 +478,13 @@ def _gk15(fv, a, b, rows):
 def _graded_edges(a, b, grade_lower):
     """Initial panel edges, geometrically refined toward the lower endpoint.
 
-    A power-law spike sitting within a relative distance 1e-8 of the lower
-    endpoint is invisible to the Kronrod nodes of one wide panel; pre-grading
-    guarantees it lands inside a panel of comparable width.
+    A power-law spike within a relative distance 1e-8 of the lower endpoint
+    is invisible to one wide panel's Kronrod nodes.  Edges at 1e-8*2^j of
+    the way, j = 0..26, grade toward it at ratio 2, where every panel of an
+    algebraic spike meets the accept rule and no round of splits follows
+    (Schwab, *p- and hp-FEM*, 1998); ratios from 1.5 to 8 read more norms.
     """
-    scales = 1e-8 * 8.0 ** np.arange(9 if grade_lower else 0)  # 1e-8 * 8^j below 1
+    scales = 1e-8 * 2.0 ** np.arange(27 if grade_lower else 0)  # below 1, exact: powers of two
     return np.concatenate([[a], a + (b - a) * scales, [b]])
 
 
@@ -498,9 +500,10 @@ def _refine(fv, a, b, rows, abs_budget, rel_tol, caps, grade_lower=True):
     DIVERGENCE_THRESHOLD splits only its worst panel, and diverges if it is
     still past after the round.  A row stops refining once it has asked for
     ``caps[i]`` splits (a panel asked for by several rows counts for each),
-    or at a panel too narrow to split in double precision.  Bisection
-    concentrates panels geometrically toward any integrable endpoint
-    singularity, which is what makes x**p with p in (-1, 0) tractable.
+    or at a panel too narrow to split in double precision.  The mesh starts
+    graded at ratio 2 toward ``a`` with ``grade_lower``, so an algebraic
+    spike there takes no round; bisection grades toward any other integrable
+    endpoint singularity, which is what makes x**p, p in (-1, 0), tractable.
 
     Returns (values, errors, splits used, diverged), one entry per row; a
     diverged row keeps the value it diverged at.
@@ -606,8 +609,10 @@ def integrate_adaptive(f, spec):
     shared panel mesh, and a tuple of W results comes back; a single
     integrand is the case W = 1, with one result.  Each call of ``f`` takes
     the nodes of several panels: all initial panels of a segment, or all
-    children of one round of splits.  Each row keeps its own tolerances,
-    tail rules and split budget, and leaves the stack once decided.
+    children of one round of splits; the first segment is graded at ratio 2
+    toward the lower limit, so an algebraic spike there needs no round.
+    Each row keeps its own tolerances, tail rules and split budget, and
+    leaves the stack once decided.
 
     Returns an :class:`IntegralResult` per row:
 

@@ -373,7 +373,8 @@ class TestQuadrature:
 
     def test_a_row_past_the_threshold_splits_once_then_diverges(self):
         # its verdict is already decided, so it splits only its worst panel,
-        # as one-panel-at-a-time bisection did, and reads 30 nodes, not 300
+        # as one-panel-at-a-time bisection did, and reads 30 nodes after the
+        # 420 of its 28 initial panels
         sizes = []
 
         def f(t):
@@ -382,7 +383,25 @@ class TestQuadrature:
 
         res = integrate_adaptive(f, QuadratureSpec(0.0, 1.0))
         assert res.is_divergent and res.value > 1e12
-        assert sizes == [0, 150, 30]
+        assert sizes == [0, 420, 30]
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("c", [1e-2, 1.0, 1e2])
+    def test_graded_first_segment_needs_no_split_round(self, c, p):
+        # the lower-limit spike of a criterion weight, x^-p with x ~ t - t_0:
+        # on the ratio-2 mesh toward it every initial panel already meets the
+        # accept rule, so the first segment, [0, 16], is read in one call of
+        # its 28 panels and no later call reads inside it
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            return c * (t + 1e-6) ** -p
+
+        integrate_adaptive(f, QuadratureSpec(0.0))
+        first = [ts for ts in calls if ts.size and ts.min() < 16.0]
+        assert [ts.size for ts in first] == [420]
+        assert first[0] is calls[1] and first[0].max() < 16.0
 
     def test_kronrod_rule_exact_on_polynomials(self):
         # Gauss-7/Kronrod-15 integrates low-degree polynomials exactly

@@ -18,10 +18,12 @@ read off the spectrum of the computed exponential.
 Weighted shifts with a convex exponent phi have known truth: entry times
 phi^-1(r), cut off at L, and reciprocal-log criteria that converge exactly
 when the integral of phi^-p does.  The quadrature's settled tails are
-checked against known answers: power-law integrals in closed form, and a
-Jordan block's criterion against a 40-digit quadrature of its exact log
-curve; no weight whose integral diverges on a matrix reads a value.  A
-model's spec string parses back to itself.
+checked against known answers: power-law integrals in closed form, the
+criteria of scalar decay and the gaussian shift from next to their
+lower-limit spike in closed form, and a Jordan block's criterion against a
+40-digit quadrature of its exact log curve; no weight whose integral
+diverges on a matrix reads a value.  A model's spec string parses back to
+itself.
 """
 
 import itertools
@@ -516,6 +518,33 @@ def test_power_law_tail_is_within_tolerance(c, alpha, p, a):
     if res.is_value:
         exact = c**-p * a ** (1.0 - q) / (q - 1.0)
         assert abs(res.value - exact) <= max(spec.abs_tol, spec.rel_tol * exact)
+
+
+@settings(max_examples=40, deadline=None)
+@given(nu=st.none() | st.floats(0.5, 20.0))
+@example(nu=None)
+@example(nu=1.109)
+def test_criteria_from_the_lower_limit_spike_match_their_closed_forms(nu):
+    # from a = t_0 + 1e-6 the weights of (i) at p = 1 and (ii) at p = 1.5
+    # spike at the lower limit, which the graded first segment resolves with
+    # no split round.  The scalar decay's norm e^(-nu t) integrates to
+    # e^(-nu a)/nu and its (nu t)^-1.5 to 2/(nu^1.5 sqrt(a)); the gaussian
+    # shift's norm e^(-t^2/4) integrates to sqrt(pi) erfc(a/2), and its
+    # (t^2/4)^-1.5 to 4/a^2, past the divergence threshold
+    model = ss.GaussianShift() if nu is None else ss.ScalarDecay(nu)
+    rep = ss.pazy_criteria(model.trajectory(), t0=0.0)
+    a = rep.a
+    if nu is None:
+        exact = {("i", 1.0): math.sqrt(math.pi) * math.erfc(a / 2.0), ("ii", 1.5): 4.0 / a**2}
+    else:
+        exact = {("i", 1.0): math.exp(-nu * a) / nu, ("ii", 1.5): 2.0 / (nu**1.5 * math.sqrt(a))}
+    spec = ss.QuadratureSpec(a)
+    values = {(e.criterion, e.p): e.value for e in rep.entries
+              if (e.criterion, e.p) in exact and e.kind == ss.VALUE}
+    assert set(values) == ({("i", 1.0)} if nu is None else set(exact)), rep.entries
+    for key, value in values.items():
+        assert abs(value - exact[key]) <= 8.0 * max(spec.abs_tol, spec.rel_tol * abs(value)), \
+            (key, value, exact[key])
 
 
 @settings(max_examples=8, deadline=None)
