@@ -127,10 +127,12 @@ def pazy_integral(traj, weight, a, quad=None, *, check_applicable=True):
     The integrand is zero only where the model's log norm is -inf: past a
     cutoff, where the integration is cut off exactly at the extinction
     time, and where a fractional-integration norm is at or below
-    NORM_FLOOR.  Closed forms and matrices keep x finite at every finite
-    time, however small the norm.  A reciprocal-log weight is probed
-    at 33 points of [a, a + 1] first: where it is infinite there, at a norm
-    of 1 or above, or where x = -log||T(t)|| is so small that x^-p
+    NORM_FLOOR.  There every weight reads exactly 0, and the quadrature
+    cuts the panel holding the step to 0 in three around its edge nodes
+    rather than halving it.  Closed forms and matrices keep x finite at
+    every finite time, however small the norm.  A reciprocal-log weight is
+    probed at 33 points of [a, a + 1] first: where it is infinite there, at
+    a norm of 1 or above, or where x = -log||T(t)|| is so small that x^-p
     overflows, the integral returns the distinct ``inapplicable`` verdict.
     This is the one-weight case of the lockstep quadrature the criteria run.
     """

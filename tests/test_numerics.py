@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from semistab import (
     InvalidArgument,
@@ -16,6 +17,7 @@ from semistab import (
 from semistab.numerics import (
     SEARCH_STRIDE,
     _expm,
+    _graded_edges,
     growth_bounded_search,
     operator_norms_batch,
     operator_norms_lanczos,
@@ -402,6 +404,106 @@ class TestQuadrature:
         first = [ts for ts in calls if ts.size and ts.min() < 16.0]
         assert [ts.size for ts in first] == [420]
         assert first[0] is calls[1] and first[0].max() < 16.0
+
+    @staticmethod
+    def _cut_rows(tau, qs, scale=1.0, above=()):
+        """scale (1 + t)^-q for q in ``qs``, exactly 0 from ``tau`` on, then
+        the rows ``above``, which stay positive; with the calls it reads."""
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            cut = [np.where(t < tau, scale * (1.0 + t) ** -q, 0.0) for q in qs]
+            return np.stack(cut + [g(t) for g in above])
+
+        return integrate_adaptive(f, QuadratureSpec(0.0)), calls
+
+    @staticmethod
+    def _cut_integral(tau, q, scale=1.0):
+        """The integral of scale (1 + t)^-q over [0, tau]."""
+        log = math.log1p(tau)
+        return scale * (log if q == 1.0 else math.expm1((1.0 - q) * log) / (1.0 - q))
+
+    def test_a_zero_edge_panel_is_cut_in_three_around_its_edge(self):
+        # every row is exactly 0 past tau = 20 sqrt 2, inside the tail segment
+        # [16, 32]: a panel with a trailing run of zero nodes is cut in three
+        # around its last nonzero node and the first zero one, so the step is
+        # bracketed 9.5 to 230 times tighter per round, not 2.
+        # Past the first zero node the rounds read 164 nodes short of it, and
+        # 12 calls in all, where halving read 271 nodes in 23 calls
+        tau = 20.0 * math.sqrt(2.0)
+        spec = QuadratureSpec(0.0)
+        rows, calls = self._cut_rows(tau, (2.0, 1.5))
+        for q, row in zip((2.0, 1.5), rows):
+            exact = self._cut_integral(tau, q)
+            assert row.is_value
+            assert abs(row.value - exact) <= 8.0 * max(spec.abs_tol, spec.rel_tol * abs(exact))
+        first = next(ts for ts in calls if (ts > tau).any())
+        zero = first[first > tau].min()
+        between = sum(int(((ts > tau) & (ts < zero)).sum()) for ts in calls)
+        assert between <= 200
+        assert len(calls) <= 12
+
+    def test_a_positive_row_keeps_every_split_at_the_midpoint(self):
+        # a third row stays positive past tau, so no node reads 0 in every row
+        # and each panel of the tail segment [16, 32] is a dyadic piece of it
+        tau = 20.0 * math.sqrt(2.0)
+        rows, calls = self._cut_rows(tau, (2.0, 1.5), above=(lambda t: (1.0 + t) ** -3,))
+        assert [row.kind for row in rows] == ["value"] * 3
+        for ts in calls:
+            panels = ts.reshape(-1, 15)
+            inside = panels[(panels[:, 0] > 16.0) & (panels[:, -1] < 32.0)]
+            pieces = 16.0 * 0.9914553711208126 / (inside[:, -1] - inside[:, 0])
+            dyadic = 2.0 ** np.round(np.log2(pieces))
+            assert np.allclose(pieces, dyadic, rtol=1e-9)
+            # a dyadic piece's midpoint, its middle node, is exact
+            starts = (inside[:, 7] - 16.0) * dyadic / 16.0
+            assert np.array_equal(starts, np.floor(starts) + 0.5)
+
+    @settings(max_examples=40, deadline=None)
+    @given(tau=st.floats(0.05, 31.9), q=st.floats(0.5, 4.0), scale=st.floats(1e-3, 1e3))
+    @example(tau=19.992245524190402, q=1.0026750508967428, scale=0.45581188790572386)
+    @example(tau=3.4808045465559485, q=2.0690017595751735, scale=0.7616265740356529)
+    def test_rows_cut_to_zero_integrate_to_their_closed_forms(self, tau, q, scale):
+        # wherever an initial panel's nodes see the step to zero, each row is
+        # a value within the finite branch's accept rule of its integral over
+        # [0, tau].  A step between a panel's end and its outermost node is
+        # seen by no node, like a kink there.  Halving lost the first
+        # example's step next to a midpoint (15,000 tol off), and a middle
+        # child cut exactly at the two nodes lost the second's next to its
+        # end (4,300 tol off).  Up to t = 32 no tail rule has read an
+        # increment, so the verdict cannot rest on a geometric guess that a
+        # cut power tail would mislead
+        edges = np.append(_graded_edges(0.0, 16.0, True), 32.0)
+        i = np.searchsorted(edges, tau) - 1
+        centre, half = 0.5 * (edges[i] + edges[i + 1]), 0.5 * (edges[i + 1] - edges[i])
+        assume(abs(tau - centre) < 0.9914553711208126 * half)
+        spec = QuadratureSpec(0.0)
+        qs = (q, q + 0.5)
+        rows, _ = self._cut_rows(tau, qs, scale)
+        for q_row, row in zip(qs, rows):
+            exact = self._cut_integral(tau, q_row, scale)
+            assert row.kind == "value"
+            assert abs(row.value - exact) <= 8.0 * max(spec.abs_tol, spec.rel_tol * abs(exact))
+
+    def test_a_tail_value_needs_its_segments_converged(self):
+        # a row jumping every 1e-3 on [16, 32] spends that segment's cap of
+        # 500 splits unconverged; the tail past 32, (1 + t)^-3, settles, but
+        # the summed segment errors stay beyond 8 tol, so it is inconclusive
+        nodes = []
+
+        def f(t):
+            rough = (16.0 < t) & (t < 32.0)
+            nodes.append(int(rough.sum()))
+            return (1.0 + t) ** -3 * np.where(rough, 1.0 + np.floor(1000.0 * t) % 2, 1.0)
+
+        spec = QuadratureSpec(0.0)
+        res = integrate_adaptive(f, spec)
+        assert sum(nodes) == 15 + 30 * 500
+        assert res.kind == "inconclusive" and res.horizon is not None
+        assert res.error > 8.0 * max(spec.abs_tol, spec.rel_tol * abs(res.value))
+        smooth = integrate_adaptive(lambda t: (1.0 + t) ** -3, spec)
+        assert smooth.is_value and smooth.value == pytest.approx(0.5, rel=1e-9)
 
     def test_kronrod_rule_exact_on_polynomials(self):
         # Gauss-7/Kronrod-15 integrates low-degree polynomials exactly
