@@ -79,6 +79,63 @@ def growth_bounded_search(traj, size, time_at, increasing, keep):
         lo, hi = np.stack([lo, todo], 1).ravel(), np.stack([todo, hi], 1).ravel()
 
 
+class ReadStore:
+    """The reads of one log norm curve so far, sorted by time, each time read once.
+
+    ``t`` and ``log`` hold the times read and their log norms, ended by a
+    sentinel at t = +inf that reads -inf and is never evaluated, so every
+    lookup lands on an index.  Each lookup is a cumulative maximum or
+    minimum of the logs and a binary search; ``t.searchsorted`` finds the
+    first read at or after a time.  The store reads as its curve does,
+    through ``log_evaluate_many``, with the curve's ``growth_rate``, so a
+    search that takes a curve can read through it.
+    """
+
+    def __init__(self, traj):
+        self.traj = traj
+        self.growth_rate = traj.growth_rate
+        self.t, self.log = np.array([math.inf]), np.array([-math.inf])
+        self._neg_envelope = None
+
+    def read(self, ts):
+        """log||T(t)|| at each of ``ts``, evaluating in one call only the times not read before."""
+        ts = np.asarray(ts, dtype=float)
+        at = self.t.searchsorted(ts)
+        new = ts[self.t[at] != ts]
+        if new.size:
+            new.sort(kind="stable")
+            first = np.empty(new.size, dtype=bool)
+            first[0] = True
+            np.not_equal(new[1:], new[:-1], out=first[1:])
+            new = new[first]
+            t = np.concatenate([self.t, new])
+            order = t.argsort(kind="stable")
+            self.t = t[order]
+            self.log = np.concatenate([self.log, self.traj.log_evaluate_many(new)])[order]
+            self._neg_envelope = None
+            at = self.t.searchsorted(ts)
+        return self.log[at]
+
+    log_evaluate_many = read
+
+    def envelope(self, ts):
+        """The largest log read at or after each of ``ts``, -inf past the last read."""
+        at = self.t.searchsorted(ts)
+        first = at.min(initial=self.t.size - 1)
+        return np.maximum.accumulate(self.log[first:][::-1])[::-1][at - first]
+
+    def last_at_or_above(self, thresholds):
+        """Index of the latest read whose log is at or above each threshold, -1 where none is."""
+        if self._neg_envelope is None:
+            # ascending, for searchsorted: minus the reverse cumulative maximum
+            self._neg_envelope = -np.maximum.accumulate(self.log[::-1])[::-1]
+        return self._neg_envelope.searchsorted(-thresholds, side="right") - 1
+
+    def first_below(self, thresholds):
+        """Index of the earliest read whose log is below each threshold; the sentinel's if none."""
+        return (-np.minimum.accumulate(self.log)).searchsorted(-thresholds, side="right")
+
+
 #: Default seed for the power-iteration start vector when none is given.
 DEFAULT_SEED = 1863
 

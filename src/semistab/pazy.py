@@ -37,6 +37,7 @@ from .numerics import (
     VALUE,
     IntegralResult,
     QuadratureSpec,
+    ReadStore,
     integrate_adaptive,
 )
 
@@ -101,24 +102,12 @@ def _curve(traj):
 
     The log route stays exact long after the norm itself would underflow,
     which keeps slowly decaying reciprocal-log tails honest.  The criteria's
-    second phase re-reads panels of the first, so a call passes on only the
-    times not read before: a norm is a pure function of t.
+    second phase re-reads panels of the first, so the curve reads through
+    one :class:`~.numerics.ReadStore`, which passes on only the times not
+    read before: a norm is a pure function of t.
     """
-    # the sorted times read so far and their x; the +inf sentinel ends every search
-    known_t, known_x = np.array([math.inf]), np.array([math.inf])
-
-    def x(ts):
-        nonlocal known_t, known_x
-        ts = np.asarray(ts, dtype=float)
-        new = ts[known_t[np.searchsorted(known_t, ts)] != ts]
-        if new.size:
-            known_t = np.concatenate([known_t, new])
-            known_x = np.concatenate([known_x, -traj.log_evaluate_many(new)])
-            order = np.argsort(known_t, kind="stable")
-            known_t, known_x = known_t[order], known_x[order]
-        return known_x[np.searchsorted(known_t, ts)]
-
-    return x
+    store = ReadStore(traj)
+    return lambda ts: -store.read(ts)
 
 
 def pazy_integral(traj, weight, a, quad=None, *, check_applicable=True):

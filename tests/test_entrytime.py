@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 import semistab as ss
 from semistab import InvalidArgument, SearchConfig, entrytime
 from semistab.entrytime import STATUS_BISECTED, STATUS_EXACT, STATUS_HORIZON
+from semistab.numerics import ReadStore
 
 from conftest import convex_exponents, counting
 
@@ -162,8 +163,9 @@ class TestEnvelopeScan:
         assert traj.growth_rate == math.inf and not traj.is_contraction
         table = ss.entry_time_table(traj, 3)
         window = round(CFG.horizon_start / CFG.grid_step)
-        # t = 0, the first horizon, its window; the second horizon, its window
-        assert sizes[:5] == [1, 1, window, 1, window]
+        # t = 0, the first horizon, its window; the second horizon, its
+        # window.  A window ends on its horizon, which is not read again
+        assert sizes[:5] == [1, 1, window - 1, 1, window - 1]
         assert all(abs(t - r) <= CFG.time_tol for r, t in enumerate(table.t))
 
     def test_entries_are_final(self, matrix_j10):
@@ -216,7 +218,7 @@ class TestVectorEntryTime:
             assert vt.time <= op.time + CFG.time_tol
 
 
-def _bisect_every_row(traj, thresholds, lo, hi, f_lo, f_hi, rows, time_tol):
+def _bisect_every_row(traj, thresholds, lo, hi, f_hi, rows, time_tol):
     """Reference lockstep bisection: every row evaluates its own midpoint."""
     thr, a, b, fb = thresholds[rows], lo[rows], hi[rows], f_hi[rows]
     while True:
@@ -327,23 +329,37 @@ class TestInvariants:
         monkeypatch.setattr(entrytime, "_bisect", _bisect_every_row)
         assert repr(table) == repr(ss.entry_time_table(wrapped, 40))
 
-    @pytest.mark.parametrize("model, most", [
-        (ss.GaussianShift(), 265), (ss.ScalarDecay(2.76), 100), (ss.FractionalIntegration(64), 295),
+    @pytest.mark.parametrize("model, points, calls", [
+        (ss.GaussianShift(), 254, 14), (ss.ScalarDecay(2.76), 93, 8),
+        (ss.FractionalIntegration(64), 294, 16),
     ], ids=["gaussian", "scalar-decay nu=2.76", "fractional n=64"])
-    def test_bisection_evaluates_each_midpoint_once(self, model, most, monkeypatch):
+    def test_bisection_evaluates_each_midpoint_once(self, model, points, calls, monkeypatch):
         # on a contraction every read decides the side of every midpoint
         # before or after it, for every row, so bisection reads only the
         # midpoints left open, and an Illinois point per row pins each
-        # crossing: 255, 93 and 294 norms, where reading each distinct
+        # crossing: 254, 93 and 294 norms, where reading each distinct
         # midpoint once took 1,066, 1,087 and 1,101, and every row taking
         # its own 1,271; the table is the same.  The counts include the
         # reads at t = 0 and at each horizon, and fractional integration's
-        # reads keep their rounding margin, as on the model's own trajectory
-        wrapped, calls = counting(model.trajectory())
+        # reads keep their rounding margin, as on the model's own trajectory.
+        # The gaussian read t = 8 twice before one store held every read
+        wrapped, counted = counting(model.trajectory())
         table = ss.entry_time_table(wrapped, 40)
-        assert calls["points"] <= most, calls
+        assert (counted["points"], counted["calls"]) == (points, calls)
         monkeypatch.setattr(entrytime, "_bisect", _bisect_every_row)
         assert repr(table) == repr(ss.entry_time_table(wrapped, 40))
+
+    @pytest.mark.parametrize("a, points, calls", [
+        ([[-1.0, 10.0], [0.0, -1.0]], 3652, 39), ([[-6.026, 14.86], [0.0, -6.026]], 1970, 27),
+    ], ids=["j10", "2x2 transient"])
+    def test_lattice_search_reads_each_norm_once(self, a, points, calls):
+        # a rising curve's table reads its lattice coarse to fine, then
+        # bisects every bracket; a lattice window ends on its horizon, which
+        # is read once, where it was read again at 16, 32 and 64 on j10 and
+        # at 16 and 32 on the 2x2 transient (3,655 and 1,972 norms)
+        wrapped, counted = counting(ss.MatrixSemigroup(np.array(a)).trajectory())
+        ss.entry_time_table(wrapped, 40)
+        assert (counted["points"], counted["calls"]) == (points, calls)
 
     def test_a_stated_extinction_time_pins_the_plateau(self, monkeypatch):
         # the curve is read at its extinction time and at the float before
@@ -366,11 +382,15 @@ class TestInvariants:
     def test_reads_that_rise_still_bound_each_crossing(self):
         # should a contraction's reads rise, each row's interval still runs
         # from its last read at or above the threshold to its first below it
-        known = entrytime._KnownOutcomes(-np.array([1.0, 2.0]), np.zeros(2), np.full(2, 4.0),
-                                         np.zeros(2), np.full(2, -4.0), 1e-8)
-        known.learn(np.array([1.0, 1.5, 2.0, 3.0]), np.array([-1.5, -0.5, -2.5, -1.8]), False)
-        assert known.lo.tolist() == [1.5, 3.0]
-        assert known.hi.tolist() == [1.0, 2.0]
+        logs = {0.0: 0.0, 4.0: -4.0, 1.0: -1.5, 1.5: -0.5, 2.0: -2.5, 3.0: -1.8}
+        traj = ss.NormTrajectory(log_evaluate_many=lambda ts: np.array([logs[t] for t in ts]),
+                                 growth_rate=0.0)
+        store = ReadStore(traj)
+        store.read(np.array([0.0, 4.0]))
+        store.read(np.array([1.0, 1.5, 2.0, 3.0]))
+        thresholds = np.array([-1.0, -2.0])
+        assert store.t[store.last_at_or_above(thresholds)].tolist() == [1.5, 3.0]
+        assert store.t[store.first_below(thresholds)].tolist() == [1.0, 2.0]
 
     def test_search_config_validation(self):
         with pytest.raises(InvalidArgument):

@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from semistab import (
     InvalidArgument,
     InvalidModel,
+    NormTrajectory,
     QuadratureSpec,
     ScalarDecay,
     integrate_adaptive,
@@ -16,6 +17,7 @@ from semistab import (
 )
 from semistab.numerics import (
     SEARCH_STRIDE,
+    ReadStore,
     _expm,
     _graded_edges,
     growth_bounded_search,
@@ -278,6 +280,81 @@ class TestGrowthBoundedSearch:
         growth_bounded_search(ScalarDecay(1.0).trajectory(), size, time_at, True,
                               lambda new, vals, hi, head: np.zeros(hi.size, dtype=bool))
         assert 0 < max(mapped) <= size // SEARCH_STRIDE + 2
+
+
+def _dense_outcomes(t, x, r):
+    """Each row's latest read with x <= r and earliest with x > r, as times and x.
+
+    The dense reference: every row against every read, with repeats, as the
+    entry bisection's known outcomes once read them.  None is -inf and +inf.
+    """
+    above = x <= r[:, None]
+    t_above, t_below = np.where(above, t, -math.inf), np.where(above, math.inf, t)
+    i, j = t_above.argmax(1), t_below.argmin(1)
+    rows = np.arange(r.size)
+    return t_above[rows, i], x[i], t_below[rows, j], x[j]
+
+
+def _dense_around(t, ends):
+    """The first read at or after each end and the last read before it, as times; none is +-inf."""
+    after = np.where(t >= ends[:, None], t, math.inf).argmin(1)
+    before = np.where(t < ends[:, None], t, -math.inf).argmax(1)
+    rows = np.arange(ends.size)
+    return (np.where(t >= ends[:, None], t, math.inf)[rows, after],
+            np.where(t < ends[:, None], t, -math.inf)[rows, before])
+
+
+@st.composite
+def _read_batches(draw):
+    """A curve on a few times, logs that rise and tie and may be -inf, read in unsorted batches."""
+    times = draw(st.lists(st.floats(0.0, 64.0), min_size=1, max_size=12, unique=True))
+    logs = draw(st.lists(st.one_of(st.sampled_from([-math.inf, 0.0, -1.0, -2.5]),
+                                   st.floats(-50.0, 5.0)),
+                         min_size=len(times), max_size=len(times)))
+    batches = draw(st.lists(st.lists(st.sampled_from(times), min_size=1, max_size=8),
+                            min_size=1, max_size=5))
+    return dict(zip(times, logs)), batches
+
+
+class TestReadStore:
+    @settings(max_examples=200, deadline=None)
+    @given(case=_read_batches(), extra=st.lists(st.floats(-60.0, 6.0), max_size=4),
+           ends=st.lists(st.floats(0.0, 70.0), min_size=1, max_size=6))
+    def test_lookups_match_a_dense_scan_of_every_read(self, case, extra, ends):
+        curve, batches = case
+        evaluated = []
+
+        def logs(ts):
+            evaluated.extend(ts.tolist())
+            return np.array([curve[t] for t in ts])
+
+        store = ReadStore(NormTrajectory(log_evaluate_many=logs, growth_rate=0.0))
+        for batch in batches:
+            got = store.read(np.array(batch))
+            assert got.tolist() == [curve[t] for t in batch]
+        every = np.array([t for batch in batches for t in batch])
+        # each time read once, and the store holds each, sorted
+        assert sorted(evaluated) == sorted(set(every.tolist())) == store.t[:-1].tolist()
+        seen_log = np.array([curve[t] for t in every])
+        # thresholds at the logs read, ties included, and elsewhere
+        finite = {v for v in seen_log.tolist() if math.isfinite(v)}
+        thresholds = np.array(sorted(finite | set(extra)))
+        if thresholds.size:
+            lo, x_lo, hi, x_hi = _dense_outcomes(every, -seen_log, -thresholds)
+            i, j = store.last_at_or_above(thresholds), store.first_below(thresholds)
+            assert np.where(i >= 0, store.t[i], -math.inf).tolist() == lo.tolist()
+            assert store.t[j].tolist() == hi.tolist()
+            found = i >= 0
+            assert (-store.log[i[found]]).tolist() == x_lo[found].tolist()
+            found = j < store.t.size - 1
+            assert (-store.log[j[found]]).tolist() == x_hi[found].tolist()
+        ends = np.array(ends)
+        after, before = _dense_around(every, ends)
+        at = store.t.searchsorted(ends)
+        assert store.t[at].tolist() == after.tolist()
+        assert np.where(at > 0, store.t[at - 1], -math.inf).tolist() == before.tolist()
+        envelope = [max([curve[t] for t in every if t >= e], default=-math.inf) for e in ends]
+        assert store.envelope(ends).tolist() == envelope
 
 
 class TestQuadrature:

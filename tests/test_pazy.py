@@ -136,6 +136,9 @@ class TestPazyCriteria:
         assert rep.fired == ("i", "iii")
         assert calls["points"] == 528
         assert calls["calls"] <= 6
+        _, read = self._read_curve(ss.GaussianShift(), 0.0)
+        times = np.concatenate(read)
+        assert np.unique(times).size == times.size == 528
 
     def test_gaussian_superstability_fires(self, gaussian):
         traj, _ = gaussian
