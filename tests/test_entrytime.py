@@ -342,7 +342,8 @@ class TestInvariants:
         # its own 1,271; the table is the same.  The counts include the
         # reads at t = 0 and at each horizon, and fractional integration's
         # reads keep their rounding margin, as on the model's own trajectory.
-        # The gaussian read t = 8 twice before one store held every read
+        # The gaussian's first round read t = 8 twice, as a midpoint and as
+        # an Illinois point, before every read went through one store
         wrapped, counted = counting(model.trajectory())
         table = ss.entry_time_table(wrapped, 40)
         assert (counted["points"], counted["calls"]) == (points, calls)
