@@ -352,28 +352,25 @@ def _overshoot_maxima(traj, t, nu_grid):
     bit.  Each round scores only its new points and the open gaps.  Raises
     :class:`InvalidArgument` when no grid point exceeds the floor.
     """
-    best = [-math.inf] * len(nu_grid)     # for each nu, the best value so far
-    at = [-1] * len(nu_grid)              # and its grid index
+    nus = np.asarray(nu_grid, dtype=float)[:, None]
+    best = np.full(nus.size, -math.inf)   # for each nu, the best value so far
+    at = np.full(nus.size, -1)            # and its grid index
 
     def keep(new, logs, hi, head):
-        # one pass per nu over the new points, then over the open gaps
+        # one (nu, point) pass over the new points and the open gaps
         m = new.size
-        base = np.concatenate([above_floor(logs), head])
-        times = np.concatenate([t[new], t[hi - 1]])
-        reach = np.zeros(hi.size, dtype=bool)
-        for j, nu in enumerate(nu_grid):
-            score = base + nu * times
-            i = int(score[:m].argmax())
-            value = float(score[i])
-            if value > best[j] or (value == best[j] and new[i] < at[j]):
-                best[j], at[j] = value, int(new[i])
-            reach |= score[m:] >= best[j]
-        return reach & (head >= LOG_FLOOR)
+        score = (np.concatenate([above_floor(logs), head])
+                 + nus * np.concatenate([t[new], t[hi - 1]]))
+        i = score[:, :m].argmax(axis=1)
+        value = score[np.arange(nus.size), i]
+        better = (value > best) | ((value == best) & (new[i] < at))
+        best[better], at[better] = value[better], new[i[better]]
+        return (score[:, m:] >= best[:, None]).any(axis=0) & (head >= LOG_FLOOR)
 
     growth_bounded_search(traj, t.size, t.__getitem__, bool((t[1:] >= t[:-1]).all()), keep)
     if at[0] < 0:
         raise InvalidArgument("trajectory vanishes on the whole sample grid")
-    return list(zip(at, best))
+    return list(zip(at.tolist(), best.tolist()))
 
 
 def stability_and_extinction_indices(traj, table, nu_grid=None, t_grid=None, *, th=None):

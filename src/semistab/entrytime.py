@@ -8,9 +8,9 @@ determines the stability class (see :mod:`semistab.classify`).
 
 Equivalently, t_r is where the envelope M(t) = sup_{s>=t} log||T(s)||
 drops through the exact threshold -r: every comparison reads the
-trajectory's log curve.  One search serves every r, and every read of it
-goes through one :class:`~.numerics.ReadStore`, the sorted (t, log) reads
-so far, which reads each time once.  A scan samples the curve at t = 0 and
+trajectory's log curve.  One search serves every r, and its scan reads go
+through one :class:`~.numerics.ReadStore`, the sorted (t, log) reads so
+far, which reads each time once.  A scan samples the curve at t = 0 and
 at horizon points that double from horizon_start; a general curve is also
 sampled on the grid_step lattice.  The reverse cumulative maximum of the
 store is a discrete M, and the last sample at or above -r and the sample
@@ -23,14 +23,17 @@ exp(omega*s) ||T(t)||, as a matrix semigroup states) has its lattice
 searched coarse to fine by :func:`growth_bounded_search`, as the overshoot
 suprema are: only gaps that may hold an anchor are refined, and the
 brackets are those of the full lattice, bit for bit.  All open brackets
-are then bisected in lockstep, one batched read per round.  On a
-contraction the store's lookups give, for every threshold, the latest read
-at or above it and the earliest read below it, and these decide the side
-of every midpoint before or after them, so a round reads only the
-midpoints still open, together with one Illinois point per crossing that
-is not yet pinned to time_tol/4; wherever the computed curve is
-nonincreasing the brackets are those of plain bisection, bit for bit, and
-a crossing takes a handful of norms instead of one per halving.
+are then bisected in lockstep, one batched read per round.  On such a
+curve each midpoint lies strictly inside one lattice cell, so no earlier
+read repeats it, and the rounds read the curve itself.  On a contraction
+the rounds read through the store, whose lookups give, for every
+threshold, the latest read at or above it and the earliest read below it,
+and these decide the side of every midpoint before or after them, so a
+round reads only the midpoints still open, together with one Illinois
+point per crossing that is not yet pinned to time_tol/4; wherever the
+computed curve is nonincreasing the brackets are those of plain
+bisection, bit for bit, and a crossing takes a handful of norms instead
+of one per halving.
 Trajectories that never settle below the threshold before the horizon cap
 are reported as +inf.
 """
@@ -132,8 +135,9 @@ def _entry_times(traj, rs, cfg):
     """Entry times for the increasing r values ``rs``, from one search.
 
     One envelope scan brackets every threshold, then one lockstep bisection
-    narrows all open brackets together; both read through one
-    :class:`~.numerics.ReadStore`.  The thresholds are the log norms -r.  A
+    narrows all open brackets together; the scan reads through one
+    :class:`~.numerics.ReadStore`, and so does the bisection of a
+    contraction.  The thresholds are the log norms -r.  A
     bracket whose upper end has dropped to the floor marks an extinction
     plateau: every later threshold is entered at that same time, exactly.
     """
@@ -160,8 +164,15 @@ def _bisect(store, thresholds, lo, hi, f_hi, rows, time_tol):
     Each bracket has f(lo) >= threshold > f(hi), f the log curve and the
     threshold -r, and f_hi holds f(hi).  Every round halves all brackets
     still wider than time_tol at their midpoints and reads the open ones in
-    one call to the ``store``, once each however many rows share one; on a
-    general curve every midpoint is open.  Finished rows leave the loop.
+    one call, once each however many rows share one.  Finished rows leave
+    the loop.
+
+    On a general curve every midpoint is open and read from the curve
+    itself, not merged into the ``store``: it lies strictly inside one
+    lattice cell, so no other read repeats it, and f_hi follows hi.  Rows
+    that share a bracket sit side by side, so a round reads each distinct
+    midpoint once; brackets halve in lockstep, so once every midpoint of a
+    round is distinct, later rounds skip that test.
 
     On a contraction (growth rate <= 0) the curve never rises, so a read
     decides the side of every midpoint before or after it, for every row
@@ -182,13 +193,14 @@ def _bisect(store, thresholds, lo, hi, f_hi, rows, time_tol):
                             time_tol / 8.0 if traj.eval_error_bound else 0.0, traj.extinction_time)
              if traj.is_contraction else None)
     every, start = rows, hi[rows]
-    thr, a, b = thresholds[rows], lo[rows], hi[rows]
+    thr, a, b, fb = thresholds[rows], lo[rows], hi[rows], f_hi[rows]
+    shared = True
     while True:
         wide = b - a > time_tol
         if np.count_nonzero(wide) < wide.size:
             done = rows[~wide]
-            lo[done], hi[done] = a[~wide], b[~wide]
-            rows, thr, a, b = rows[wide], thr[wide], a[wide], b[wide]
+            lo[done], hi[done], f_hi[done] = a[~wide], b[~wide], fb[~wide]
+            rows, thr, a, b, fb = rows[wide], thr[wide], a[wide], b[wide], fb[wide]
             if known:
                 known.keep(wide)
         if not rows.size:
@@ -203,12 +215,21 @@ def _bisect(store, thresholds, lo, hi, f_hi, rows, time_tol):
                 above[open_] = store.read(np.concatenate([mid[open_], probes]))[:n] >= thr[open_]
                 known.learn(probes.size)
         else:
-            above = store.read(mid) >= thr
+            # rows that share a bracket sit side by side, and once every
+            # midpoint of a round is distinct, brackets never meet again
+            if shared:
+                first = np.concatenate([[True], mid[1:] != mid[:-1]])
+                shared = not first.all()
+            logs = (traj.log_evaluate_many(mid[first])[np.cumsum(first) - 1] if shared
+                    else traj.log_evaluate_many(mid))
+            above = logs >= thr
+            np.putmask(fb, ~above, logs)
         np.putmask(a, above, mid)
         np.putmask(b, ~above, mid)
-    moved = every[hi[every] < start]
-    if moved.size:
-        f_hi[moved] = _resolve(store, hi[moved])
+    if known:
+        moved = every[hi[every] < start]
+        if moved.size:
+            f_hi[moved] = _resolve(store, hi[moved])
 
 
 def _resolve(store, ends):
@@ -216,8 +237,7 @@ def _resolve(store, ends):
 
     The first read at or after an end is f there if it is at the end, and
     bounds f there from below otherwise; the last read before it bounds f
-    from above.  f at the ends that neither places is read in one call.  A
-    general curve reads every end it bisects to, so there each is exact.
+    from above.  f at the ends that neither places is read in one call.
     """
     t, f = store.t, store.log
     after = t.searchsorted(ends)

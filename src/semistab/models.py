@@ -273,12 +273,14 @@ class MatrixSemigroup(SemigroupModel):
     (Moler and Van Loan, SIAM Rev. 45, 2003), and the norm is its exp by
     construction.  The log stays finite long after the norm underflows.
     Shifting before scaling and squaring cuts the norm that sets the number
-    of squarings (Higham, SIAM J. Matrix Anal. Appl. 26, 2005), so a stiff
-    diag(-1e17, -1) reads its slow mode's exact exp(-t).
-    Each batch is one stacked exponential and SVD, and a single time a
-    batch of one, so each value is a pure function of its own t, the same
-    bits in any query order, and models and trajectories may be shared
-    across threads.  The growth rate evaluates no norm: by the
+    of squarings (Higham, SIAM J. Matrix Anal. Appl. 26, 2005).  A 2x2
+    generator takes closed forms for the exponential and the norm, with no
+    squaring, and the shift leaves the slow mode of a stiff diag(-1e17, -1)
+    exactly 0, so it reads exactly exp(-t).  Each batch is one stacked
+    exponential and one stacked norm, and a single time a batch of one, so
+    each value is a pure function of its own t, the same bits in any query
+    order, and models and trajectories may be shared across threads.  The
+    growth rate evaluates no norm: by the
     Lumer-Phillips theorem (Pazy, *Semigroups of Linear Operators*, 1983,
     section 1.4) ||exp(s*A)|| <= exp(omega*s) with omega the top eigenvalue
     of (A + A^T)/2, so ||T(t+s)|| <= exp(omega*s) ||T(t)||, and the norm

@@ -3,10 +3,13 @@
 Matrix exponentials, spectral norms, adaptive quadrature on finite or
 semi-infinite intervals, the growth-bounded grid search, and the one norm
 value that counts as exact zero.  All operations are pure functions of
-their inputs.  Stacks of matrices get their spectral norms from stateless
-stacked kernels, exact singular values (:func:`operator_norms_batch`) or
-Lanczos from a fixed start vector (:func:`operator_norms_lanczos`), and
-each norm in a stack depends on its own matrix only.  The only randomness
+their inputs.  Exponentials of 1x1 and 2x2 matrices take closed forms, and
+larger ones scaling and squaring (:func:`_expm`).  Stacks of matrices get
+their spectral norms from stateless stacked kernels, largest singular values
+to a few ulps (:func:`operator_norms_batch`: a closed form at 2x2, the top
+Gram eigenvalue above) or Lanczos from a fixed start vector
+(:func:`operator_norms_lanczos`), and each norm in a stack depends on its
+own matrix only.  The only randomness
 is the seeded start vector of :func:`operator_norm` called without one, and
 no analysis path calls it, so results are reproducible bit for bit.
 """
@@ -172,11 +175,12 @@ def _eigenvalues(m):
 
 
 def matrix_exponential(a, t):
-    """Evaluate exp(t*a) by scaling and squaring a degree-16 Taylor polynomial.
+    """Evaluate exp(t*a): a closed form up to 2x2, scaling and squaring above.
 
-    The matrix is halved until its row-sum norm is at or below 0.5, the
-    polynomial is evaluated in Paterson-Stockmeyer form, and the result is
-    squared back up (see ``_expm``).  ``t`` must be finite and nonnegative.
+    A larger matrix is halved until its row-sum norm is at or below 0.5, a
+    degree-16 Taylor polynomial is evaluated in Paterson-Stockmeyer form,
+    and the result is squared back up (see ``_expm``).  ``t`` must be
+    finite and nonnegative.
     """
     m = _as_square_matrix(a)
     t = float(t)
@@ -190,14 +194,17 @@ def matrix_exponential(a, t):
 def _expm(b):
     """exp(b) for one matrix (n, n) or a stack (B, n, n).
 
-    Scaling and squaring (Moler and Van Loan, SIAM Rev. 45, 2003): each
-    matrix B is halved s times, the fewest that bring its row-sum norm to
-    at most 0.5; its degree-16 Taylor polynomial (remainder below 0.5^17/17!
-    ~ 2e-20) is evaluated in Paterson-Stockmeyer form (SIAM J. Comput. 2,
-    1973), B^2, B^3, B^4 and Horner in B^4 over cubics in B, six products
-    in place of sixteen; and the result is squared s times.  Every matrix
-    runs the same operations and its own squarings, so it gets the same
-    bits alone or inside any batch.
+    Orders 1 and 2 take closed forms: exp of the entry, and for 2x2 the
+    forms of :func:`_expm2`.  Larger matrices take scaling and squaring
+    (Moler and Van Loan, SIAM Rev. 45, 2003): each matrix B is halved s
+    times, the fewest that bring its row-sum norm to at most 0.5; its
+    degree-16 Taylor polynomial (remainder below 0.5^17/17! ~ 2e-20) is
+    evaluated in Paterson-Stockmeyer form (SIAM J. Comput. 2, 1973), B^2,
+    B^3, B^4 and Horner in B^4 over cubics in B, six products in place of
+    sixteen; and the result is squared s times.  Every matrix runs its own
+    operations, elementwise or per matrix, so it gets the same bits alone
+    or inside any batch.  An exponential that overflows is not finite, and
+    callers read it as an infinite norm.
     """
     b = np.asarray(b, dtype=float)
     if b.ndim == 2:
@@ -205,6 +212,9 @@ def _expm(b):
     count, n = b.shape[:2]
     if b.size == 0:
         return np.broadcast_to(np.eye(n), b.shape).copy()
+    if n <= 2:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.exp(b) if n == 1 else _expm2(b)
     # ceil(log2(norm / 0.5)), exactly: the mantissa is 0.5 only on a power of two
     mant, expo = np.frexp(np.abs(b).sum(axis=2).max(axis=1) / _SCALED_NORM_TARGET)
     squarings = np.maximum(expo - (mant == 0.5), 0)
@@ -232,6 +242,103 @@ def _expm(b):
             if j >= fewest:
                 np.copyto(out, acc, where=(squarings == j)[:, None, None])
     return out
+
+
+def _expm2(b):
+    """exp(B) for a stack (B, 2, 2), each matrix in the closed form of its kind.
+
+    B = [[a, x], [y, d]] with mean mu and half-difference p of its diagonal.
+
+    * Triangular (x = 0 or y = 0): B is its own Schur form, and exp(B) is
+      [[e^a, x f], [y f, e^d]] with f the divided difference of exp at a and
+      d (see :func:`_exp_divided_difference`).
+    * Real distinct eigenvalues, mu +- r with r^2 = p^2 + x y > 0: one
+      Givens rotation Q onto the eigenvector (z, y), z = p + sign(p) r, gives
+      the Schur form Q^T B Q = [[d + z, x - y], [0, d - x y / z]], as
+      LAPACK's dlanv2 computes it, with no cancellation in z or the second
+      eigenvalue; exp(B) is Q times the triangular form's exp times Q^T.
+    * A complex pair mu +- i theta, or a double eigenvalue (r^2 <= 0):
+      (B - mu I)^2 = -theta^2 I, so exp(B) is
+      e^mu (cos(theta) I + sin(theta)/theta (B - mu I)).
+
+    Higham, *Functions of Matrices*, 2008, sections 4.6 and 10.4.  Each
+    matrix computes only its own kind's form, elementwise.
+    """
+    a, x, y, d = b.reshape(-1, 4).T
+    tri = (x == 0.0) | (y == 0.0)
+    if tri.all():
+        return _entries(*_expm2_triangular(a, x, y, d))
+    out = np.empty_like(b)
+    if tri.any():
+        out[tri] = _entries(*_expm2_triangular(a[tri], x[tri], y[tri], d[tri]))
+    full = np.flatnonzero(~tri)
+    a, x, y, d = a[full], x[full], y[full], d[full]
+    p, xy = 0.5 * (a - d), x * y
+    disc = p * p + xy
+    real = disc > 0.0
+    for kind, form in ((real, _expm2_rotated), (~real, _expm2_polynomial)):
+        if kind.any():
+            out[full[kind]] = _entries(*form(a[kind], x[kind], y[kind], d[kind], p[kind],
+                                             xy[kind], disc[kind]))
+    return out
+
+
+def _entries(e00, e01, e10, e11):
+    """The stack (B, 2, 2) with the given entries."""
+    out = np.empty((e00.size, 2, 2))
+    out[:, 0, 0], out[:, 0, 1], out[:, 1, 0], out[:, 1, 1] = e00, e01, e10, e11
+    return out
+
+
+def _exp_divided_difference(u, v, eu, ev):
+    """(e^u - e^v)/(u - v), and e^u where u = v, given eu = e^u and ev = e^v.
+
+    Where |u - v| <= 1 it is e^m sinh(h)/h, m and h the mean and
+    half-difference, which does not cancel; elsewhere the plain quotient,
+    whose difference cancels at most a factor 1 - 1/e and which stays
+    finite beside an underflowed or overflowed exponential (Al-Mohy and
+    Higham, SIAM J. Matrix Anal. Appl. 31, 2009).
+    """
+    h = 0.5 * (u - v)
+    close = np.abs(h) <= 0.5
+    if close.all():
+        return np.exp(0.5 * (u + v)) * _sinhc(h)
+    out = (eu - ev) / (u - v)
+    if close.any():
+        out[close] = np.exp(0.5 * (u[close] + v[close])) * _sinhc(h[close])
+    return out
+
+
+def _sinhc(h):
+    """sinh(h)/h, exactly 1 wherever |h| < 1e-8, h = 0 included."""
+    h = np.maximum(np.abs(h), 1e-300)
+    return np.sinh(h) / h
+
+
+def _expm2_triangular(a, x, y, d):
+    ea, ed = np.exp(a), np.exp(d)
+    f = _exp_divided_difference(a, d, ea, ed)
+    return ea, x * f, y * f, ed
+
+
+def _expm2_rotated(a, x, y, d, p, xy, disc):
+    z = p + np.copysign(np.sqrt(disc), p)
+    l1, l2 = d + z, d - xy / z
+    tau = np.hypot(z, y)
+    cs, sn = z / tau, y / tau
+    e1, e2 = np.exp(l1), np.exp(l2)
+    f = (x - y) * _exp_divided_difference(l1, l2, e1, e2)
+    cc, ss, cssn = cs * cs, sn * sn, cs * sn
+    g = cssn * (e1 - e2)
+    return cc * e1 - cssn * f + ss * e2, g + cc * f, g - ss * f, ss * e1 + cssn * f + cc * e2
+
+
+def _expm2_polynomial(a, x, y, d, p, xy, disc):
+    # theta >= 1e-150, where cos(theta) and sin(theta)/theta round to 1
+    theta = np.sqrt(np.maximum(-disc, 1e-300))
+    em = np.exp(0.5 * (a + d))
+    c0, c1 = em * np.cos(theta), em * (np.sin(theta) / theta)
+    return c0 + c1 * p, c1 * x, c1 * y, c0 - c1 * p
 
 
 # ---------------------------------------------------------------------------
@@ -302,22 +409,44 @@ def _power_iteration(m, tol, seed, start, max_iter):
 
 
 def operator_norms_batch(mats):
-    """Exact spectral norms (largest singular values) of a stack (B, n, n).
+    """Spectral norms (largest singular values) of a stack (B, m, n), to a few ulps.
 
-    Each norm depends on its own matrix only.  A matrix with a non-finite
-    entry, such as an overflowed exponential, has norm +inf.
+    A 2x2 norm takes the closed form
+    sigma_max = (hypot(a + d, y - x) + hypot(a - d, x + y)) / 2 of
+    [[a, x], [y, d]], as LAPACK's dlasv2 does: a sum of two nonnegative
+    terms, so nothing cancels.  Any other norm is the square root of the top
+    eigenvalue of the Gram matrix (cM)^T (cM), c a power of two near
+    1/max |M_ij|, so the product neither overflows nor underflows.  Each
+    norm depends on its own matrix only.  A matrix with a non-finite entry,
+    such as an overflowed exponential, has norm +inf.
     """
     mats = np.asarray(mats, dtype=float)
     if mats.ndim != 3:
         raise InvalidArgument("expected a stack of matrices (B, n, n)")
+    if mats.shape[1:] == (2, 2):
+        a, x, y, d = mats.reshape(-1, 4).T
+        with np.errstate(invalid="ignore", over="ignore"):
+            out = 0.5 * (np.hypot(a + d, y - x) + np.hypot(a - d, x + y))
+        # a non-finite entry reads inf or NaN here, and finite entries never NaN
+        out[np.isnan(out)] = math.inf
+        return out
     out = np.full(mats.shape[0], math.inf)
     finite = np.isfinite(mats).all(axis=(1, 2))
     if finite.any():
+        m = mats[finite]
+        c = _inverse_scale(np.abs(m).max(axis=(1, 2)))
+        m = m * c[:, None, None]
         try:
-            out[finite] = np.linalg.svd(mats[finite], compute_uv=False)[:, 0]
+            top = np.linalg.eigvalsh(m.transpose(0, 2, 1) @ m)[:, -1]
         except np.linalg.LinAlgError as exc:
-            raise NumericsFailure(f"singular value decomposition failed: {exc}") from None
+            raise NumericsFailure(f"symmetric eigenvalue solve failed: {exc}") from None
+        out[finite] = np.sqrt(np.maximum(top, 0.0)) / c
     return out
+
+
+def _inverse_scale(peak):
+    """A normal power of two near 1/peak for each peak: 1 at 0, exact to scale by."""
+    return np.ldexp(1.0, np.clip(-np.frexp(peak)[1], -1022, 1023))
 
 
 def operator_norms_lanczos(mats):
@@ -353,7 +482,7 @@ def operator_norms_lanczos(mats):
         # Lanczos runs on (cK)^T (cK) with c a normal power of two near
         # 1/peak: exact, and clear of under- and overflow whatever the size
         # of K.  c scales the vectors, which is cheaper than a pass over K.
-        c = np.ldexp(1.0, np.clip(-np.frexp(peak[live])[1], -1022, 1023))
+        c = _inverse_scale(peak[live])
         k = mats if live.size == mats.shape[0] else mats[live]
         out[live] = np.sqrt(_lanczos_top_eigenvalues(k, c[:, None, None])) / c
     return out
