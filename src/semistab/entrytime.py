@@ -23,17 +23,17 @@ exp(omega*s) ||T(t)||, as a matrix semigroup states) has its lattice
 searched coarse to fine by :func:`growth_bounded_search`, as the overshoot
 suprema are: only gaps that may hold an anchor are refined, and the
 brackets are those of the full lattice, bit for bit.  All open brackets
-are then bisected in lockstep, one batched read per round.  On such a
-curve each midpoint lies strictly inside one lattice cell, so no earlier
-read repeats it, and the rounds read the curve itself.  On a contraction
-the rounds read through the store, whose lookups give, for every
-threshold, the latest read at or above it and the earliest read below it,
-and these decide the side of every midpoint before or after them, so a
-round reads only the midpoints still open, together with one Illinois
-point per crossing that is not yet pinned to time_tol/4; wherever the
-computed curve is nonincreasing the brackets are those of plain
-bisection, bit for bit, and a crossing takes a handful of norms instead
-of one per halving.
+are then bisected in lockstep, one batched read per round.  On a curve
+that may rise each midpoint lies strictly inside one lattice cell, so no
+earlier read repeats it, and the rounds read the curve itself.  On a
+contraction the rounds read through the store, whose lookups give, for
+every threshold, the latest read at or above it and the earliest read
+below it, and these decide the side of every midpoint before or after
+them, so a round reads only the midpoints still open, together with one
+Illinois point per crossing that is not yet pinned to time_tol/4;
+wherever the computed curve is nonincreasing the brackets are those of
+plain bisection, bit for bit, and a crossing takes a handful of norms
+instead of one per halving.
 Trajectories that never settle below the threshold before the horizon cap
 are reported as +inf.
 """
@@ -215,8 +215,6 @@ def _bisect(store, thresholds, lo, hi, f_hi, rows, time_tol):
                 above[open_] = store.read(np.concatenate([mid[open_], probes]))[:n] >= thr[open_]
                 known.learn(probes.size)
         else:
-            # rows that share a bracket sit side by side, and once every
-            # midpoint of a round is distinct, brackets never meet again
             if shared:
                 first = np.concatenate([[True], mid[1:] != mid[:-1]])
                 shared = not first.all()
