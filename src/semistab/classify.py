@@ -359,8 +359,9 @@ def _overshoot_maxima(traj, t, nu_grid):
     def keep(new, logs, hi, head):
         # one (nu, point) pass over the new points and the open gaps
         m = new.size
-        score = (np.concatenate([above_floor(logs), head])
-                 + nus * np.concatenate([t[new], t[hi - 1]]))
+        # built in place: one (nu, point) array, the peak memory of a round
+        score = nus * np.concatenate([t[new], t[hi - 1]])
+        score += np.concatenate([above_floor(logs), head])
         i = score[:, :m].argmax(axis=1)
         value = score[np.arange(nus.size), i]
         better = (value > best) | ((value == best) & (new[i] < at))

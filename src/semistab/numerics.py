@@ -334,7 +334,8 @@ def _expm2_rotated(a, x, y, d, p, xy, disc):
 
 
 def _expm2_polynomial(a, x, y, d, p, xy, disc):
-    # theta >= 1e-150, where cos(theta) and sin(theta)/theta round to 1
+    # theta is at least 1e-150, which leaves a double eigenvalue's
+    # cos(theta) and sin(theta)/theta at exactly 1
     theta = np.sqrt(np.maximum(-disc, 1e-300))
     em = np.exp(0.5 * (a + d))
     c0, c1 = em * np.cos(theta), em * (np.sin(theta) / theta)

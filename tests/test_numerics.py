@@ -59,8 +59,8 @@ def _two_by_two(draw):
     Triangular, upper or lower, with equal, close, distinct or stiff
     diagonals; P J P^-1 for a Jordan block J whose diagonal is equal or
     nearly so (rotated, so not triangular); and complex pairs mu +- i theta,
-    normal (a rotated rotation generator) or not ([[mu + h, x], [y, mu - h]]
-    with x y = -(theta^2 + h^2)).
+    normal ([[mu, theta], [-theta, mu]], which every rotation leaves as it
+    is) or not ([[mu + h, x], [y, mu - h]] with x y = -(theta^2 + h^2)).
     """
     kind = draw(st.sampled_from(["equal", "close", "distinct", "stiff", "jordan", "normal",
                                  "non-normal"]))
@@ -80,9 +80,7 @@ def _two_by_two(draw):
         return p @ j @ np.linalg.inv(p)
     theta = draw(st.floats(1e-8, 20.0))
     if kind == "normal":
-        phi = draw(st.floats(0.0, 2.0 * math.pi))
-        q = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
-        return q @ np.array([[a, theta], [-theta, a]]) @ q.T
+        return np.array([[a, theta], [-theta, a]])
     h = draw(st.floats(-10.0, 10.0))
     x = draw(st.floats(0.1, 20.0)) * draw(st.sampled_from([-1.0, 1.0]))
     return np.array([[a + h, x], [-(theta * theta + h * h) / x, a - h]])
