@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InvalidArgument
 from .entrytime import STATUS_HORIZON, STATUS_WIDENED
-from .numerics import LOG_FLOOR, _eigenvalues, above_floor, growth_bounded_search
+from .numerics import _eigenvalues, growth_bounded_search
 
 VERDICT_UNSTABLE = "unstable"
 VERDICT_STABLE = "stable"
@@ -38,8 +38,6 @@ VERDICT_ORDER = {
     VERDICT_SUPERSTABLE: 2,
     VERDICT_EXTINCTION: 3,
 }
-
-_OMEGA_FLOOR = -1e6
 
 
 @dataclass(frozen=True)
@@ -215,13 +213,15 @@ def classify(table, th=None):
 class GrowthEstimate:
     """Three routes to the exponential growth rate of log||T(t)||/t.
 
-    ``omega_large_t``: the log-norm slope at the largest sampled time.
+    ``omega_large_t``: log||T(t)||/t at the largest sampled time t_end.
     ``omega_inf_grid``: the infimum of log||T(t)||/t over the grid.
     ``omega_entry``: -1/(tail mean of u_r), with -inf once the tail certifies
-    superstability and 0.0 for unstable tables.  Routes report -inf when the
-    trajectory value hit the decay floor (extinction reached) or the
-    surrogate fell below -1e6.  ``agreement_spread`` is the largest pairwise
-    gap among finite routes; it is flagged instead when any route is -inf.
+    superstability and 0.0 for unstable tables.  The grid routes are -inf
+    only where the model states a log of -inf on the grid (extinction).  On
+    a superexponential curve they are the slope at t_end, which falls as
+    t_end grows (-t_end/4 on the gaussian shift), and ``omega_entry = -inf``
+    flags it.  ``agreement_spread`` is the largest pairwise gap among the
+    routes; it is flagged instead when any route is -inf.
     """
 
     omega_large_t: float
@@ -234,17 +234,11 @@ class GrowthEstimate:
 def default_growth_grid(traj, table):
     """Sample grid for the growth routes: 513 equal steps up to t_end.
 
-    Extends past ``table.t_hi`` so the log-slope has settled;
-    for curves that decay beyond the floating-point floor the grid ends at
-    the first of 24 geometric horizon candidates where the log norm is at
-    LOG_FLOOR, which is what lets superexponential decay register as -inf.
-    The candidates are read in one ``log_evaluate_many`` call.
+    t_end = 4 max(t_hi, 1) + 100, t_hi = ``table.t_hi``, so the grid
+    extends past the table and the log-slope has settled.  No norm is read;
+    ``traj`` stays in the signature for its callers.
     """
-    t_hi = max(table.t_hi, 1.0)
-    cap = 4.0 * t_hi + 100.0
-    cands = np.geomspace(t_hi + 1.0, cap, 24)
-    below = np.flatnonzero(traj.log_evaluate_many(cands) <= LOG_FLOOR)
-    t_end = float(cands[below[0]]) if below.size else cap
+    t_end = 4.0 * max(table.t_hi, 1.0) + 100.0
     return np.linspace(t_end / 513, t_end, 513)
 
 
@@ -252,11 +246,11 @@ def growth_characteristic(traj, table, t_grid, *, th=None):
     """Compute the three growth-rate routes on the given grid.
 
     Every grid time must be positive and finite, and the grid must reach
-    ``table.t_hi``.  The last grid point is evaluated first.  When its log
-    norm is at LOG_FLOOR, log||T(t)||/t is -inf there, so both grid routes
-    are -inf whatever the other points hold, and no other point is
-    evaluated; default grids on curves that underflow end at such a point.
-    Otherwise the rest of the grid is read in one more call.
+    ``table.t_hi``.  The last grid point is evaluated first.  When the
+    model states its log norm there as -inf, an exact zero,
+    log||T(t)||/t is -inf there, so both grid routes are -inf whatever the
+    other points hold, and no other point is evaluated.  Otherwise the rest
+    of the grid is read in one more call.
     """
     th = th or ClassifyThresholds()
     t_grid = np.asarray(t_grid, dtype=float)
@@ -267,17 +261,12 @@ def growth_characteristic(traj, table, t_grid, *, th=None):
     if float(t_grid.max()) < table.t_hi:
         raise InvalidArgument("max grid point must reach table.t_hi, the last finite entry time")
     last = traj.log_evaluate_many(t_grid[-1:])
-    if last[0] <= LOG_FLOOR:
+    if last[0] == -math.inf:
         omega_large = omega_inf = -math.inf
     else:
-        logs = np.concatenate([traj.log_evaluate_many(t_grid[:-1]), last])
-        omega = above_floor(logs) / t_grid
+        omega = np.concatenate([traj.log_evaluate_many(t_grid[:-1]), last]) / t_grid
         omega_large = float(omega[-1])
         omega_inf = float(omega.min())
-    if omega_large <= _OMEGA_FLOOR:
-        omega_large = -math.inf
-    if omega_inf <= _OMEGA_FLOOR:
-        omega_inf = -math.inf
 
     tail = _read_tail(table, th)
     omega_entry = 0.0 if tail.unstable else -math.inf if tail.superstable else -tail.rate
@@ -342,15 +331,15 @@ class IndexEstimates:
 def _overshoot_maxima(traj, t, nu_grid):
     """First grid index and value of max log||T(t)|| + nu*t, for each nu.
 
-    The maxima run over the points of the grid ``t`` whose log norm
-    exceeds LOG_FLOOR; ties go to the first index, as :func:`numpy.argmax`
-    breaks them.  :func:`growth_bounded_search` keeps a gap with head h and
-    right end b while h >= LOG_FLOOR and, for some nu, h + nu*t_{b-1}
-    reaches the best value so far (equality counts, for the tie rule).  No
-    point of a rejected gap exceeds both the floor and a best value, and
-    the best values only rise, so the result is the dense grid's, bit for
-    bit.  Each round scores only its new points and the open gaps.  Raises
-    :class:`InvalidArgument` when no grid point exceeds the floor.
+    The maxima run over the points of the grid ``t`` whose log norm is
+    finite; ties go to the first index, as :func:`numpy.argmax` breaks
+    them.  :func:`growth_bounded_search` keeps a gap with head h and right
+    end b while h > -inf and, for some nu, h + nu*t_{b-1} reaches the best
+    value so far (equality counts, for the tie rule).  No finite point of a
+    rejected gap reaches a best value, and the best values only rise, so
+    the result is the dense grid's, bit for bit.  Each round scores only
+    its new points and the open gaps.  Raises :class:`InvalidArgument` when
+    every grid point reads -inf.
     """
     nus = np.asarray(nu_grid, dtype=float)[:, None]
     best = np.full(nus.size, -math.inf)   # for each nu, the best value so far
@@ -361,12 +350,12 @@ def _overshoot_maxima(traj, t, nu_grid):
         m = new.size
         # built in place: one (nu, point) array, the peak memory of a round
         score = nus * np.concatenate([t[new], t[hi - 1]])
-        score += np.concatenate([above_floor(logs), head])
+        score += np.concatenate([logs, head])
         i = score[:, :m].argmax(axis=1)
         value = score[np.arange(nus.size), i]
         better = (value > best) | ((value == best) & (new[i] < at))
         best[better], at[better] = value[better], new[i[better]]
-        return (score[:, m:] >= best[:, None]).any(axis=0) & (head >= LOG_FLOOR)
+        return (score[:, m:] >= best[:, None]).any(axis=0) & (head > -math.inf)
 
     growth_bounded_search(traj, t.size, t.__getitem__, bool((t[1:] >= t[:-1]).all()), keep)
     if at[0] < 0:

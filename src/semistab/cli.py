@@ -15,9 +15,11 @@ output.  The pipeline uses no random numbers and takes no seed, and a norm
 is a pure function of t: the fractional-integration Lanczos kernel starts
 from the all-ones vector every time, with no warm start.
 
-Which norm counts as an exact zero is not an option: every stage reads the
-one constant ``numerics.NORM_FLOOR`` (1e-300), and the report's ``config``
-block echoes it, as it echoes the fixed p grid of criterion (iv).
+Which norm counts as an exact zero is not an option: it is a log of -inf
+that the model states, and no stage reads a floor of its own.  Fractional
+integration reads norms at or below ``numerics.NORM_FLOOR`` (1e-300) as
+zero, and the report's ``config`` block echoes that constant, as it echoes
+the fixed p grid of criterion (iv).
 """
 
 from __future__ import annotations

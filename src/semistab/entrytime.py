@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument
-from .numerics import LOG_FLOOR, ReadStore, growth_bounded_search
+from .numerics import ReadStore, growth_bounded_search
 
 STATUS_EXACT = "exact"
 STATUS_BISECTED = "bisected"
@@ -74,8 +74,9 @@ class SearchConfig:
     as final; ``horizon_cap`` the absolute give-up point, which must be
     finite.  ``time_tol`` must be at least two ulps of ``horizon_cap``: no
     bracket passes the cap, so every bisection midpoint then lies strictly
-    inside its bracket.  The value treated as an exact zero is not a knob:
-    it is :data:`semistab.numerics.NORM_FLOOR`, log :data:`~.numerics.LOG_FLOOR`.
+    inside its bracket.  An exact zero is not a knob either: it is a log of
+    -inf that the model states, and no finite log, however small, reads as
+    one.
     """
 
     time_tol: float = 1e-8
@@ -127,8 +128,6 @@ def vector_entry_time(model, x, r, cfg=None):
 def _check_r(r):
     if not (0 <= r < math.inf and int(r) == r):
         raise InvalidArgument(f"r must be a nonnegative integer, got {r}")
-    if -float(r) <= LOG_FLOOR:
-        raise InvalidArgument(f"threshold exp(-{r}) is below the norm floor")
 
 
 def _entry_times(traj, rs, cfg):
@@ -138,8 +137,9 @@ def _entry_times(traj, rs, cfg):
     narrows all open brackets together; the scan reads through one
     :class:`~.numerics.ReadStore`, and so does the bisection of a
     contraction.  The thresholds are the log norms -r.  A
-    bracket whose upper end has dropped to the floor marks an extinction
-    plateau: every later threshold is entered at that same time, exactly.
+    bracket whose upper end reads -inf, an exact zero the model states,
+    marks an extinction plateau: every later threshold is entered at that
+    same time, exactly.
     """
     thresholds = -np.array(rs, dtype=float)
     store = ReadStore(traj)
@@ -151,7 +151,7 @@ def _entry_times(traj, rs, cfg):
     tols = {STATUS_EXACT: 0.0, STATUS_HORIZON: math.inf, STATUS_BISECTED: cfg.time_tol,
             STATUS_WIDENED: max(cfg.time_tol, cfg.grid_step)}
     entries = [EntryTime(float(t), s, tols[s]) for t, s in zip(0.5 * (lo + hi), status)]
-    extinct = rows[f_hi[rows] <= LOG_FLOOR]
+    extinct = rows[f_hi[rows] == -math.inf]
     if extinct.size:
         k = extinct[0]
         entries[k + 1:] = [EntryTime(entries[k].time, STATUS_EXACT, 0.0)] * (len(entries) - k - 1)
@@ -184,8 +184,8 @@ def _bisect(store, thresholds, lo, hi, f_hi, rows, time_tol):
     bit.  A curve computed with rounding (a nonzero eval_error_bound) may
     rise by a rounding error where it is flat to the last bits, as at a
     crossing that is itself a midpoint, so its reads decide only midpoints
-    at least time_tol/8 away.  f_hi then holds f(hi), or a read on the same
-    side of LOG_FLOOR, which is all the plateau test reads (see
+    at least time_tol/8 away.  f_hi then holds f(hi), or a read that is -inf
+    exactly when f(hi) is, which is all the plateau test reads (see
     :func:`_resolve`).
     """
     traj = store.traj
@@ -231,17 +231,18 @@ def _bisect(store, thresholds, lo, hi, f_hi, rows, time_tol):
 
 
 def _resolve(store, ends):
-    """f at ``ends``, or a read on the same side of LOG_FLOOR, on a nonincreasing curve.
+    """f at ``ends``, or a read that is -inf exactly when f is, on a nonincreasing curve.
 
     The first read at or after an end is f there if it is at the end, and
-    bounds f there from below otherwise; the last read before it bounds f
-    from above.  f at the ends that neither places is read in one call.
+    bounds f there from below otherwise, so a finite one proves f finite;
+    the last read before it bounds f from above, so a -inf one proves f
+    -inf.  f at the ends that neither places is read in one call.
     """
     t, f = store.t, store.log
     after = t.searchsorted(ends)
-    from_after = (t[after] == ends) | (f[after] > LOG_FLOOR)
+    from_after = (t[after] == ends) | (f[after] > -math.inf)
     out = np.where(from_after, f[after], f[after - 1])
-    missing = ~from_after & (f[after - 1] > LOG_FLOOR)
+    missing = ~from_after & (f[after - 1] > -math.inf)
     if np.count_nonzero(missing):
         out[missing] = store.read(ends[missing])
     return out

@@ -1,10 +1,10 @@
 """Self-contained numerical kernels.
 
 Matrix exponentials, spectral norms, adaptive quadrature on finite or
-semi-infinite intervals, the growth-bounded grid search, and the one norm
-value that counts as exact zero.  All operations are pure functions of
-their inputs.  Exponentials of 1x1 and 2x2 matrices take closed forms, and
-larger ones scaling and squaring (:func:`_expm`).  Stacks of matrices get
+semi-infinite intervals, the growth-bounded grid search and its read
+store.  All operations are pure functions of their inputs.  Exponentials
+of 1x1 and 2x2 matrices take closed forms, and larger ones scaling and
+squaring (:func:`_expm`).  Stacks of matrices get
 their spectral norms from stateless stacked kernels, largest singular values
 to a few ulps (:func:`operator_norms_batch`: a closed form at 2x2, the top
 Gram eigenvalue above) or Lanczos from a fixed start vector
@@ -23,23 +23,16 @@ import numpy as np
 
 from .errors import InvalidArgument, InvalidModel, NumericsFailure
 
-#: A norm at or below this is an exact zero: the curve is extinct there.
-#: Finite time extinction (norm identically zero from some time on) and
-#: superstability (faster than every exponential, yet positive) part here.
+#: Fractional integration reads a norm at or below this as an exact zero,
+#: and the matrix route proves an underflowed orbit norm is below it.  No
+#: stage compares logs with it: only a model's own log of -inf is a zero.
 NORM_FLOOR = 1e-300
-#: log(NORM_FLOOR): the stages read log norms and compare them with this.
-LOG_FLOOR = math.log(NORM_FLOOR)
 
 #: First-pass stride of :func:`growth_bounded_search`.
 SEARCH_STRIDE = 32
 #: Rise of log||T(t)|| beyond its stated growth bound that computed norms
 #: may show; bounds the numerical noise of the norm kernels with a wide margin.
 LOG_SLACK = 1e-9
-
-
-def above_floor(logs):
-    """log norms, -inf at or below LOG_FLOOR, where the curve counts as extinct."""
-    return np.where(logs > LOG_FLOOR, logs, -np.inf)
 
 
 def growth_bounded_search(traj, size, time_at, increasing, keep):
@@ -419,17 +412,20 @@ def operator_norms_batch(mats):
     eigenvalue of the Gram matrix (cM)^T (cM), c a power of two near
     1/max |M_ij|, so the product neither overflows nor underflows.  Each
     norm depends on its own matrix only.  A matrix with a non-finite entry,
-    such as an overflowed exponential, has norm +inf.
+    such as an overflowed exponential, has norm +inf.  A 2x2 form that
+    overflows on finite entries, as a + d does on diag(1e308, 1e308), is
+    taken again at half scale and doubled.
     """
     mats = np.asarray(mats, dtype=float)
     if mats.ndim != 3:
         raise InvalidArgument("expected a stack of matrices (B, n, n)")
     if mats.shape[1:] == (2, 2):
-        a, x, y, d = mats.reshape(-1, 4).T
-        with np.errstate(invalid="ignore", over="ignore"):
-            out = 0.5 * (np.hypot(a + d, y - x) + np.hypot(a - d, x + y))
-        # a non-finite entry reads inf or NaN here, and finite entries never NaN
-        out[np.isnan(out)] = math.inf
+        out = _norms2(mats)
+        bad = ~np.isfinite(out)
+        if bad.any():
+            # a non-finite entry reads inf or NaN at any scale, and NaN is inf
+            redo = 2.0 * _norms2(0.5 * mats[bad])
+            out[bad] = np.where(np.isnan(redo), math.inf, redo)
         return out
     out = np.full(mats.shape[0], math.inf)
     finite = np.isfinite(mats).all(axis=(1, 2))
@@ -443,6 +439,13 @@ def operator_norms_batch(mats):
             raise NumericsFailure(f"symmetric eigenvalue solve failed: {exc}") from None
         out[finite] = np.sqrt(np.maximum(top, 0.0)) / c
     return out
+
+
+def _norms2(mats):
+    """The closed-form 2x2 norms of a stack (B, 2, 2); inf or NaN where a term overflows."""
+    a, x, y, d = mats.reshape(-1, 4).T
+    with np.errstate(invalid="ignore", over="ignore"):
+        return 0.5 * (np.hypot(a + d, y - x) + np.hypot(a - d, x + y))
 
 
 def _inverse_scale(peak):

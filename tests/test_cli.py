@@ -237,6 +237,17 @@ class TestAnalyze:
                     "--out", str(tmp_path / "x")])
         assert code == 2
 
+    @pytest.mark.parametrize("spec", ["matrix [[-1,10],[0,-1]]", "scalar-decay nu=1"],
+                             ids=["j10", "scalar-decay"])
+    def test_rmax_1000_exits_0(self, spec, tmp_path):
+        # thresholds down to exp(-1001), far below any norm floor, are
+        # entered: no finite log stands for an exact zero
+        assert run(["analyze", "--model", spec, "--rmax", "1000", "--out", str(tmp_path / "r")]) == 0
+        last = (tmp_path / "r.entry.csv").read_text().splitlines()[-1].split(",")
+        assert last[0] == "1001" and last[3] == "bisected"
+        if spec.startswith("scalar"):
+            assert abs(float(last[1]) - 1001.0) <= semistab.SearchConfig().time_tol
+
     def test_horizon_limited_classification_exits_4(self, tmp_path, capsys):
         # a cap too tight to observe the quiet window leaves widened entries,
         # so the verdict is written but flagged inconclusive

@@ -89,10 +89,6 @@ class TestEntryTimeTable:
         with pytest.raises(InvalidArgument, match="r_max must be an integer"):
             ss.entry_time_table(ss.GaussianShift().trajectory(), r_max)
 
-    def test_rejects_threshold_below_floor(self):
-        with pytest.raises(InvalidArgument):
-            ss.entry_time_table(ss.GaussianShift().trajectory(), 800)
-
     def test_csv_round_trip(self, nilpotent):
         _, table = nilpotent
         text = table.to_csv()

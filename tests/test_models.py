@@ -352,8 +352,9 @@ class TestMatrixNorms:
         assert (err <= 4.0 * np.finfo(float).eps * (np.abs(at) + bend + 1.0)).all(), err
 
     def test_log_norm_deep_batch_is_one_exponential(self, monkeypatch):
-        # one stacked exponential and one SVD stack for the whole batch,
-        # however deep the times: no squaring ladder per level
+        # one stacked exponential and one stack of norms (the 2x2 closed
+        # form of operator_norms_batch) for the whole batch, however deep
+        # the times: no squaring ladder per level
         calls = []
         for name in ("_expm", "operator_norms_batch"):
             kernel = getattr(models, name)

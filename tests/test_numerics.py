@@ -282,16 +282,22 @@ class TestOperatorNorm:
         mats = np.array([[[np.inf, 0.0], [0.0, 1.0]], [[3.0, 0.0], [0.0, -1.0]]])
         np.testing.assert_array_equal(operator_norms_batch(mats), [math.inf, 3.0])
 
+    def test_batch_2x2_with_an_overflowing_sum_reads_its_norm(self):
+        # a + d overflows on diag(1e308, 1e308); the norm is 1e308, as SVD says
+        np.testing.assert_array_equal(operator_norms_batch(np.diag([1e308, 1e308])[None]), [1e308])
+
     @settings(max_examples=80, deadline=None)
     @given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
            exponents=st.lists(st.floats(-150.0, 150.0), min_size=1, max_size=6),
            bad=st.lists(st.sampled_from([math.inf, -math.inf, math.nan]), max_size=3))
+    @example(n=2, seed=0, exponents=[308.0, 308.0, 308.0, 307.5], bad=[])
     def test_batch_matches_svd_across_scales(self, n, seed, exponents, bad):
         # the 2x2 closed form and the scaled Gram eigenvalue both stay within
         # 8 n eps of LAPACK's largest singular value from 1e-150 to 1e150
         # (worst of 6,000 matrices per n: 3.2 eps at n = 2, 4.4 eps at n = 3),
         # on full, rank-one, triangular and zero matrices; a matrix with a
-        # non-finite entry reads +inf
+        # non-finite entry reads +inf.  At 1e308 the closed form's sums
+        # overflow on finite entries, and its half-scale retake still agrees
         rng = np.random.default_rng(seed)
         mats = rng.uniform(-1.0, 1.0, (len(exponents), n, n))
         mats[1::4] = rng.uniform(-1.0, 1.0, (len(mats[1::4]), n, 1)) * mats[1::4, :1, :]

@@ -14,7 +14,10 @@ route bit for bit, on the operator and on an orbit; the route agrees with
 a 40-digit mpmath exponential down to norms of about 1e-280, and with
 renormalized squaring deep in the tail, past the norm's underflow.  The
 spectral radius of exp(tA) from the spectral mapping theorem is the one
-read off the spectrum of the computed exponential.
+read off the spectrum of the computed exponential.  The growth routes on
+the default grid read a scalar decay's rate -nu however deep its norm
+sinks, and on a stable matrix they lie at or above the spectral abscissa,
+never -inf.
 Weighted shifts with a convex exponent phi have known truth: entry times
 phi^-1(r), cut off at L, and reciprocal-log criteria that converge exactly
 when the integral of phi^-p does.  The quadrature's settled tails are
@@ -719,6 +722,36 @@ def test_stated_growth_rate_bounds_the_norm(model, t, s):
     traj = model.trajectory()
     f_t, f_ts = traj.evaluate_many(np.array([t, t + s]))
     assert f_ts <= f_t * math.exp(traj.growth_rate * s) * (1.0 + 1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(nu=st.floats(0.5, 1e3))
+@example(nu=6.0)
+def test_scalar_decay_grid_routes_read_minus_nu(nu):
+    # log||T(t)||/t = -nu on every grid point, however far below 1e-300
+    # the norm has sunk
+    traj = ss.ScalarDecay(nu).trajectory()
+    table = ss.entry_time_table(traj, 20)
+    g = ss.growth_characteristic(traj, table, ss.default_growth_grid(traj, table))
+    assert g.omega_large_t == pytest.approx(-nu, rel=1e-12)
+    assert g.omega_inf_grid == pytest.approx(-nu, rel=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(a=stable_generators())
+@example(a=np.array([[-5.998, 13.86], [0.0, -5.998]]))
+def test_matrix_grid_routes_lie_above_the_abscissa(a):
+    # ||T(t)|| >= exp(s t), s the spectral abscissa, so log||T(t)||/t >= s
+    # on every grid point up to the log's error over t; the prefactor of a
+    # non-normal block keeps both routes above s, and neither is -inf
+    model = ss.MatrixSemigroup(a)
+    traj = model.trajectory()
+    table = ss.entry_time_table(traj, 20, COARSE_CFG)
+    grid = ss.default_growth_grid(traj, table)
+    g = ss.growth_characteristic(traj, table, grid)
+    slack = traj.eval_error_bound / grid[0]
+    assert model.abscissa - slack <= g.omega_inf_grid <= g.omega_large_t < 0.0
+    assert g.omega_inf_grid > -math.inf
 
 
 def _scan_cases(name, request):

@@ -91,31 +91,43 @@ def test_moved_rows_show_t_and_u():
 
 
 def test_moved_stderr_lines_are_named(tmp_path):
-    # the same tree with another wording of a spec error writes another
-    # stderr, for the analysis and for the sweep, and both lines are printed
-    other = tmp_path / "src"
-    shutil.copytree(os.path.join(ROOT, "src"), other,
-                    ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
-    module = other / "semistab" / "models.py"
-    text = module.read_text()
-    assert 'f"unknown model kind {kind!r}"' in text
-    module.write_text(text.replace('unknown model kind {kind!r}', 'no model kind {kind!r}', 1))
-    proc = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "tools", "report_diff.py"), os.path.join(ROOT, "src"),
-         str(other), "--specs", "bogus x=1"],
-        capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 1, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines() == [
-        "differs: bogus x=1: stderr",
-        "  stderr: error: unknown model kind 'bogus' (at position 0)"
-        " -> error: no model kind 'bogus' (at position 0)",
-        "differs: sweep: stderr",
-        "  stderr: bogus x=1: unknown model kind 'bogus' (at position 0)"
-        " -> bogus x=1: no model kind 'bogus' (at position 0)",
-        "1 specs, 1 differ; sweep differs; help identical",
-        "summary: 2 non-float moved; no float moved",
+    # the same tree with another wording of an error writes another stderr,
+    # for the analysis and for the sweep, and both lines are printed.  The
+    # second case shows that --rmax reaches analyze and the sweep: at 4
+    # both refuse it
+    cases = [
+        ("models.py", "unknown model kind {kind!r}", "no model kind {kind!r}", "bogus x=1", [],
+         ["error: unknown model kind 'bogus' (at position 0)"
+          " -> error: no model kind 'bogus' (at position 0)",
+          "bogus x=1: unknown model kind 'bogus' (at position 0)"
+          " -> bogus x=1: no model kind 'bogus' (at position 0)"]),
+        ("cli.py", "--rmax must be at least", "--rmax must reach", "scalar-decay nu=2",
+         ["--rmax", "4"],
+         ["error: --rmax must be at least 16 for classification"
+          " -> error: --rmax must reach 16 for classification"] * 2),
     ]
+    for k, (module_name, old, new, spec, options, moved) in enumerate(cases):
+        other = tmp_path / str(k) / "src"
+        shutil.copytree(os.path.join(ROOT, "src"), other,
+                        ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+        module = other / "semistab" / module_name
+        text = module.read_text()
+        assert text.count(old) == 1
+        module.write_text(text.replace(old, new))
+        proc = subprocess.run(
+            [sys.executable, os.path.join(ROOT, "tools", "report_diff.py"),
+             os.path.join(ROOT, "src"), str(other), "--specs", spec, *options],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert proc.stdout.splitlines() == [
+            f"differs: {spec}: stderr",
+            f"  stderr: {moved[0]}",
+            "differs: sweep: stderr",
+            f"  stderr: {moved[1]}",
+            "1 specs, 1 differ; sweep differs; help identical",
+            "summary: 2 non-float moved; no float moved",
+        ]
 
 
 def test_moved_lines_pair_the_nth_lines():

@@ -1,15 +1,16 @@
 """Compare the reports of two semistab source trees, spec by spec.
 
-    python tools/report_diff.py SRC_A SRC_B [--seeds 1 7 41] [--specs SPEC ...]
+    python tools/report_diff.py SRC_A SRC_B [--seeds 1 7 41] [--specs SPEC ...] [--rmax N]
 
 SRC_A and SRC_B are directories that hold a ``semistab`` package, such as
 ``src`` of two checkouts.  Each side runs in its own interpreter with its
 own directory on PYTHONPATH, under a temporary directory: one
 ``semistab analyze`` per spec, through ``cli.main``, then one ``sweep``
-over every spec, then ``analyze --help`` and ``sweep --help``.  For each
-analysis the JSON report, the entry CSV, stdout, stderr and the exit code
-are compared; for the sweep its CSV, stdout, stderr and exit code.  Every
-spec whose outputs differ is named, with up to five of its JSON leaves
+over every spec, both with ``--rmax N`` when it is given, then
+``analyze --help`` and ``sweep --help``.  For each analysis the JSON
+report, the entry CSV, stdout, stderr and the exit code are compared; for
+the sweep its CSV, stdout, stderr and exit code.  Every spec whose
+outputs differ is named, with up to five of its JSON leaves
 that moved, as ``pazy.criteria[1].value: 3270.0870796 -> 3270.08707929``,
 up to five of its entry-CSV rows that moved, as
 ``entry.csv r=36: 11.9999999963,0.165525063872 -> 12.0000000037,0.165525056422``
@@ -73,7 +74,8 @@ EXTRA_SPECS = (
 MAX_LEAVES = 5
 
 # Runs in the side's interpreter, in its output directory: argv[1] is a JSON
-# file of specs, and the outputs go to results.json there.
+# file of specs, argv[2:] options for analyze and sweep, and the outputs go
+# to results.json there.
 WORKER = r"""
 import contextlib, io, json, sys
 from semistab import cli
@@ -96,11 +98,12 @@ def call(argv, files):
             result[name.split(".", 1)[1]] = None
     return result
 
-specs = json.load(open(sys.argv[1]))
-results = {"analyze": [call(["analyze", "--model", spec, "--out", f"a{i}"],
+specs, options = json.load(open(sys.argv[1])), sys.argv[2:]
+results = {"analyze": [call(["analyze", "--model", spec, "--out", f"a{i}", *options],
                             [f"a{i}.json", f"a{i}.entry.csv"])
                        for i, spec in enumerate(specs)],
-           "sweep": call(["sweep", "--models", ";".join(specs), "--out", "s.csv"], ["s.csv"]),
+           "sweep": call(["sweep", "--models", ";".join(specs), "--out", "s.csv", *options],
+                         ["s.csv"]),
            "help": [call([command, "--help"], []) for command in ("analyze", "sweep")]}
 json.dump(results, open("results.json", "w"))
 """
@@ -116,10 +119,11 @@ def gallery_specs(seeds):
             for case in gallery.build(workload, seed)]
 
 
-def start(src, specs_path, out_dir):
+def start(src, specs_path, out_dir, options):
     os.makedirs(out_dir)
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src), COLUMNS="80")
-    return subprocess.Popen([sys.executable, "-c", WORKER, specs_path], cwd=out_dir, env=env)
+    return subprocess.Popen([sys.executable, "-c", WORKER, specs_path, *options], cwd=out_dir,
+                            env=env)
 
 
 def differing(a, b):
@@ -261,7 +265,10 @@ def main(argv=None):
                         help="gallery seeds (default: 1 7 41)")
     parser.add_argument("--specs", nargs="+",
                         help="compare these specs instead of the galleries and the fixed specs")
+    parser.add_argument("--rmax", type=int,
+                        help="pass --rmax RMAX to every analyze and to the sweep")
     args = parser.parse_args(argv)
+    options = [] if args.rmax is None else ["--rmax", str(args.rmax)]
     specs = args.specs or list(dict.fromkeys(gallery_specs(args.seeds) + list(EXTRA_SPECS)))
 
     with tempfile.TemporaryDirectory(prefix="report-diff-") as tmp:
@@ -269,7 +276,8 @@ def main(argv=None):
         with open(specs_path, "w") as fh:
             json.dump(specs, fh)
         sides = [os.path.join(tmp, side) for side in ("a", "b")]
-        procs = [start(src, specs_path, out) for src, out in zip((args.src_a, args.src_b), sides)]
+        procs = [start(src, specs_path, out, options)
+                 for src, out in zip((args.src_a, args.src_b), sides)]
         if any([proc.wait() for proc in procs]):
             print("a side failed to run; see its traceback above", file=sys.stderr)
             return 2
