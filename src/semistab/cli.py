@@ -26,12 +26,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
 import tempfile
 from dataclasses import asdict, fields
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -57,20 +57,36 @@ EXIT_INCONCLUSIVE = 4
 SWEEP_COLUMNS = "model,r,t_r,u_r,status,verdict,nu,k,omega_entry"
 
 
-def _round_tree(obj):
-    if isinstance(obj, dict):
-        return {k: _round_tree(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_tree(v) for v in obj]
+def _json_text(obj, indent=""):
+    """``obj`` as ``json.dumps(obj, indent=2)`` writes it, every float at 12 digits.
+
+    A finite float is written as the float of its CSV text, and inf, -inf
+    and nan as that text in quotes.  Numpy scalars read as the Python
+    numbers they hold, and tuples as lists; dict keys must be strings.
+    """
     if isinstance(obj, (float, np.floating)):
-        # the CSV's 12-digit text; inf, -inf and nan stay strings in JSON
         text = _csv_number(obj)
-        return float(text) if math.isfinite(obj) else text
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+        return repr(float(text)) if math.isfinite(obj) else f'"{text}"'
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [f"{inner}{encode_basestring_ascii(k)}: {_json_text(v, inner)}"
+                 for k, v in obj.items()]
+        return "{\n" + ",\n".join(items) + f"\n{indent}}}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        return "[\n" + ",\n".join(inner + _json_text(v, inner) for v in obj) + f"\n{indent}]"
+    raise TypeError(f"{type(obj).__name__} is not a report value")
 
 
 def _temp_beside(path):
@@ -242,7 +258,7 @@ def cmd_analyze(args):
     report, table, verdict, pazy = _pipeline(args)(model)
     report["entry"]["csv"] = os.path.basename(csv_path)
     _write_atomic(csv_path, table.to_csv())
-    _write_atomic(json_path, json.dumps(_round_tree(report), indent=2) + "\n")
+    _write_atomic(json_path, _json_text(report) + "\n")
     summary = f"verdict={verdict.verdict}"
     if verdict.nu is not None:
         summary += f" nu={verdict.nu:.6g}"

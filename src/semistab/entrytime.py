@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument
-from .numerics import ReadStore, growth_bounded_search
+from .numerics import LOG_SLACK, ReadStore, growth_bounded_search
 
 STATUS_EXACT = "exact"
 STATUS_BISECTED = "bisected"
@@ -343,9 +343,14 @@ class _EnvelopeScan:
     follows it; otherwise the horizon doubles.  Before a window is scanned
     the horizon point is checked alone: while the curve is still above the
     pending threshold there, nothing earlier can hold an anchor, so the
-    window is skipped.  A contraction, a curve with growth rate <= 0,
-    never rises, so its horizon points alone already form its envelope, and
-    one sample below a threshold proves every later time below it too.
+    window is skipped.  The window is skipped too when the growth bound from
+    the previous horizon h_prev, log||T(h_prev)|| + LOG_SLACK +
+    max(rate, 0) (h - h_prev), is below every pending threshold: no lattice
+    point there can be an anchor or fail the exact-from-zero test, so the
+    brackets stay those of the full lattice.  A contraction, a curve with
+    growth rate <= 0, never rises, so its horizon points alone already form
+    its envelope, and one sample below a threshold proves every later time
+    below it too.
 
     With a finite positive growth rate the lattice of a window is scanned
     coarse to fine, and only points that an anchor can depend on are
@@ -395,14 +400,19 @@ class _EnvelopeScan:
         return status, anchor, hi, float(store.log[i + 1])
 
     def _extend(self, threshold):
-        cfg = self.cfg
-        horizon = min(2.0 * self.horizon if self.horizon else cfg.horizon_start, cfg.horizon_cap)
-        at_horizon = float(self.store.read(np.array([horizon]))[0])
+        cfg, store, prev = self.cfg, self.store, self.horizon
+        horizon = min(2.0 * prev if prev else cfg.horizon_start, cfg.horizon_cap)
+        at_horizon = float(store.read(np.array([horizon]))[0])
         k1 = int(math.floor(horizon / cfg.grid_step))
         if self.on_lattice and at_horizon < threshold:
             # otherwise every pending anchor lies at or beyond this horizon
             pending = self.thresholds[self.thresholds <= threshold]
-            self._lattice(self.k_done + 1, k1, at_horizon, pending)
+            # the window's logs rise at most this far above the previous
+            # horizon's, which is already read
+            bound = (float(store.read(np.array([prev]))[0]) + LOG_SLACK
+                     + max(store.growth_rate, 0.0) * (horizon - prev))
+            if not (bound < pending).all():
+                self._lattice(self.k_done + 1, k1, at_horizon, pending)
         self.horizon, self.k_done = horizon, k1
 
     def _lattice(self, k0, k1, at_horizon, pending):

@@ -32,6 +32,7 @@ from .errors import InvalidArgument, InvalidModel, NumericsFailure, SpecError
 # kernels where models looks them up, by these names
 from .numerics import (  # noqa: F401
     NORM_FLOOR,
+    TaylorExponential,
     matrix_exponential,
     operator_norm,
     operator_norms_batch,
@@ -276,7 +277,10 @@ class MatrixSemigroup(SemigroupModel):
     of squarings (Higham, SIAM J. Matrix Anal. Appl. 26, 2005).  A 2x2
     generator takes closed forms for the exponential and the norm, with no
     squaring, and the shift leaves the slow mode of a stiff diag(-1e17, -1)
-    exactly 0, so it reads exactly exp(-t).  Each batch is one stacked
+    exactly 0, so it reads exactly exp(-t).  A larger generator's shifted
+    Taylor terms are computed once, here, and each batch evaluates its
+    polynomial at every time before the squarings
+    (:class:`~.numerics.TaylorExponential`).  Each batch is one stacked
     exponential and one stacked norm, and a single time a batch of one, so
     each value is a pure function of its own t, the same bits in any query
     order, and models and trajectories may be shared across threads.  The
@@ -301,6 +305,8 @@ class MatrixSemigroup(SemigroupModel):
         #: log of the spectral radius of exp(A).
         self.abscissa = float(_eigenvalues(self.a).real.max())
         self._shifted = self.a - self.abscissa * np.eye(len(self.a))
+        # from 3x3 up, the shifted generator's Taylor terms, computed once
+        self._taylor = TaylorExponential(self._shifted) if len(self.a) >= 3 else None
 
     def _shifted_logs(self, ts, reduce, may_vanish=False):
         """s*t + log reduce(exp(t*(A - s*I))) on an array of times, checked once.
@@ -322,7 +328,8 @@ class MatrixSemigroup(SemigroupModel):
         norms = np.empty(flat.size)
         for lo in range(0, flat.size, _CHUNK):
             chunk = flat[lo:lo + _CHUNK]
-            norms[lo:lo + _CHUNK] = reduce(_expm(self._shifted * chunk[:, None, None]))
+            norms[lo:lo + _CHUNK] = reduce(_expm(self._shifted * chunk[:, None, None])
+                                           if self._taylor is None else self._taylor(chunk))
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             out = self.abscissa * flat + np.log(norms)
             bound = self.growth_rate * flat + math.log1p(self.eval_error_bound)

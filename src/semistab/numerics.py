@@ -4,7 +4,9 @@ Matrix exponentials, spectral norms, adaptive quadrature on finite or
 semi-infinite intervals, the growth-bounded grid search and its read
 store.  All operations are pure functions of their inputs.  Exponentials
 of 1x1 and 2x2 matrices take closed forms, and larger ones scaling and
-squaring (:func:`_expm`).  Stacks of matrices get
+squaring (:func:`_expm`); exp(t*B) for one fixed B of order 3 or more at
+many times t takes the Taylor terms of B, computed once
+(:class:`TaylorExponential`).  Stacks of matrices get
 their spectral norms from stateless stacked kernels, largest singular values
 to a few ulps (:func:`operator_norms_batch`: a closed form at 2x2, the top
 Gram eigenvalue above) or Lanczos from a fixed start vector
@@ -141,6 +143,8 @@ DIVERGENCE_THRESHOLD = 1.0e12
 _SCALED_NORM_TARGET = 0.5  # squarings bring the scaled norm at or below this
 # row j holds 1/k! for k = 4j..4j+3: exp's Taylor coefficients in blocks of four
 _TAYLOR_BLOCKS = np.array([[1.0 / math.factorial(4 * j + i) for i in range(4)] for j in range(4)])
+_TAYLOR_DEGREE = 16  # remainder below 0.5^17/17! ~ 2e-20 at a scaled norm of 0.5
+_TAYLOR_POWERS = np.arange(_TAYLOR_DEGREE + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +201,10 @@ def _expm(b):
     sixteen; and the result is squared s times.  Every matrix runs its own
     operations, elementwise or per matrix, so it gets the same bits alone
     or inside any batch.  An exponential that overflows is not finite, and
-    callers read it as an infinite norm.
+    callers read it as an infinite norm.  This is the kernel of
+    :func:`matrix_exponential`; a model that exponentiates one generator of
+    order 3 or more at many times uses :class:`TaylorExponential`, which
+    takes the same squaring counts and the same degree.
     """
     b = np.asarray(b, dtype=float)
     if b.ndim == 2:
@@ -208,9 +215,7 @@ def _expm(b):
     if n <= 2:
         with np.errstate(over="ignore", invalid="ignore"):
             return np.exp(b) if n == 1 else _expm2(b)
-    # ceil(log2(norm / 0.5)), exactly: the mantissa is 0.5 only on a power of two
-    mant, expo = np.frexp(np.abs(b).sum(axis=2).max(axis=1) / _SCALED_NORM_TARGET)
-    squarings = np.maximum(expo - (mant == 0.5), 0)
+    squarings = _squarings(np.abs(b).sum(axis=2).max(axis=1))
     powers = np.empty((count, 3, n, n))  # B, B^2, B^3
     b = np.ldexp(b, -squarings[:, None, None], out=powers[:, 0])
     np.matmul(b, b, out=powers[:, 1])
@@ -224,6 +229,18 @@ def _expm(b):
     for j in (2, 1, 0):
         acc = acc @ b4
         acc += q[:, j]
+    return _square_back(acc, squarings)
+
+
+def _squarings(norms):
+    """The fewest halvings that bring each row-sum norm to at most 0.5."""
+    # ceil(log2(norm / 0.5)), exactly: the mantissa is 0.5 only on a power of two
+    mant, expo = np.frexp(norms / _SCALED_NORM_TARGET)
+    return np.maximum(expo - (mant == 0.5), 0)
+
+
+def _square_back(acc, squarings):
+    """Square each matrix of the stack ``acc`` its own number of times, in place of ``acc``."""
     out = acc
     fewest = int(squarings.min())
     with np.errstate(over="ignore", invalid="ignore"):
@@ -235,6 +252,43 @@ def _expm(b):
             if j >= fewest:
                 np.copyto(out, acc, where=(squarings == j)[:, None, None])
     return out
+
+
+class TaylorExponential:
+    """exp(t*B) for one fixed square B of order 3 or more, at arrays of times t >= 0.
+
+    The steps of :func:`_expm` that depend on B alone are taken once: the
+    row-sum norm ||B||, and the Taylor terms P_k = (B/rho)^k / k! for
+    k = 0..16, rho the power of two at or above ||B||, so that no power
+    overflows.  At a time t the squaring count s comes from t*||B|| as in
+    :func:`_expm`, and the degree-16 polynomial of X = t*B/2^s = c*(B/rho),
+    c = t*rho/2^s <= 1, is the sum of c^k P_k, one row of 17 powers times
+    the 17 terms per time.  That product runs per time over the batch axis,
+    never as one matrix product across times, whose blocking may depend on
+    the batch size, so each time gets the same bits alone or in any batch.
+    The result is squared s times.
+    """
+
+    def __init__(self, b):
+        n = b.shape[0]
+        self._norm = float(np.abs(b).sum(axis=1).max())
+        mant, expo = math.frexp(self._norm)
+        self._log2_rho = expo - (mant == 0.5)  # 0 for B = 0
+        q = np.ldexp(b, -self._log2_rho)
+        terms = np.empty((_TAYLOR_DEGREE + 1, n, n))
+        terms[0] = np.eye(n)
+        for k in range(1, _TAYLOR_DEGREE + 1):
+            np.divide(terms[k - 1] @ q, k, out=terms[k])
+        self._terms = terms.reshape(1, _TAYLOR_DEGREE + 1, n * n)
+        self._shape = (n, n)
+
+    def __call__(self, ts):
+        """The stack (T, n, n) of exp(t*B) at the 1-d array of times ``ts``."""
+        squarings = _squarings(ts * self._norm)
+        c = np.ldexp(ts, self._log2_rho - squarings)
+        # (T, 1, 17) @ (1, 17, n^2): a row of powers times the terms, per time
+        acc = (c[:, None, None] ** _TAYLOR_POWERS @ self._terms).reshape(ts.size, *self._shape)
+        return _square_back(acc, squarings)
 
 
 def _expm2(b):

@@ -1,18 +1,26 @@
 import csv
 import dataclasses
+import importlib.util
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import semistab
+from semistab import cli
 from semistab.cli import _config, build_parser, main
+from semistab.entrytime import _csv_number
 from semistab.models import FractionalIntegration
 from semistab.oracles import spectral_abscissa_triangular
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def run(args):
@@ -511,3 +519,62 @@ class TestNoPowerIteration:
         assert semistab.gelfand_spectral_radius(matrix, 1.0) > 0.0
         kernel = FractionalIntegration(16).kernel_matrix(1.0)
         assert semistab.spectral_radius_estimate(kernel) > 0.0
+
+
+def _round_tree(obj):
+    """The report with every float at its 12-digit CSV text, as the writer once built it."""
+    if isinstance(obj, dict):
+        return {k: _round_tree(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_round_tree(v) for v in obj]
+    if isinstance(obj, (float, np.floating)):
+        # inf, -inf and nan stay strings in JSON
+        text = _csv_number(obj)
+        return float(text) if math.isfinite(obj) else text
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, (np.bool_,)):
+        return bool(obj)
+    return obj
+
+
+def _reference_text(report):
+    return json.dumps(_round_tree(report), indent=2)
+
+
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e-300, 1e300, -1e-300]),
+    st.floats().map(np.float64), st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.text(), st.text(alphabet=st.sampled_from(['"', "\\", "\n", "\x00", "é", " ", "日"])),
+)
+
+
+class TestReportWriter:
+    """The report writer's one pass gives the bytes of json.dumps on the rounded tree."""
+
+    def test_gallery_reports_match_json_dumps(self, tmp_path, monkeypatch):
+        # every analysis of the three benchmark galleries at seed 1
+        spec = importlib.util.spec_from_file_location(
+            "_writer_gallery", os.path.join(ROOT, "perfbench", "gallery.py"))
+        gallery = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, gallery)  # its dataclass looks itself up
+        spec.loader.exec_module(gallery)
+        specs = dict.fromkeys(case.spec for workload in gallery.WORKLOADS
+                              for case in gallery.build(workload, 1))
+        reports = []
+        monkeypatch.setattr(cli, "_json_text", lambda obj, indent="", write=cli._json_text:
+                            (reports.append(obj) if not indent else None) or write(obj, indent))
+        for i, model in enumerate(specs):
+            out = tmp_path / str(i)
+            assert main(["analyze", "--model", model, "--out", str(out)]) in (0, 4), model
+            assert (tmp_path / f"{i}.json").read_text() == _reference_text(reports[-1]) + "\n"
+        assert len(reports) == len(specs) > 90
+
+    @settings(max_examples=200, deadline=None)
+    @given(tree=st.recursive(_SCALARS, lambda kids: st.one_of(
+        st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=6), kids, max_size=4)), max_leaves=30))
+    def test_any_tree_matches_json_dumps(self, tree):
+        assert cli._json_text(tree) == _reference_text(tree)

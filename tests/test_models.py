@@ -365,6 +365,14 @@ class TestMatrixNorms:
         assert np.isfinite(out).all()
         assert calls == ["_expm", "operator_norms_batch"]
 
+    def test_huge_generator_entry_leaves_the_taylor_terms_finite(self):
+        # B^16/16! ~ 1e336/2e13 would overflow; the terms are powers of
+        # B/rho, rho the power of two at or above ||B||, so the slow mode 0 of
+        # the shifted generator reads exactly 1 and log||T(t)|| = -t exactly
+        ts = np.array([0.0, 1e-3, 0.5, 1.0, 7.0, 100.0, 1e4])
+        traj = ss.MatrixSemigroup(np.diag([-1e21, -1.0, -2.0])).trajectory()
+        assert np.array_equal(traj.log_evaluate_many(ts), -ts)
+
     def test_log_norm_fails_where_the_shift_breaks_down(self):
         # P J P^-1 with J the 3x3 Jordan block at -2: its computed spectral
         # abscissa is off by about 1.6e-5, which t = 1e6 amplifies past the

@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from semistab import (
     InvalidArgument,
     InvalidModel,
+    MatrixSemigroup,
     NormTrajectory,
     QuadratureSpec,
     ScalarDecay,
@@ -18,6 +19,7 @@ from semistab import (
 from semistab.numerics import (
     SEARCH_STRIDE,
     ReadStore,
+    TaylorExponential,
     _expm,
     _graded_edges,
     growth_bounded_search,
@@ -122,7 +124,7 @@ class TestMatrixExponential:
                     gap, ns, nt = operator_norms_batch(np.stack([est - es @ et, es, et]))
                     assert gap <= 1e-8 * (1.0 + ns * nt)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_matches_mpmath_across_squaring_counts(self, n):
         # B = 2^(k-1) f M with ||M||_inf = 1 exactly: f just below 1, 1 and
         # just above put B's row-sum norm just below, at and just above
@@ -131,21 +133,29 @@ class TestMatrixExponential:
         # extra squaring).  Skew M (n = 1: -1) keeps exp(B) bounded up to 40
         # squarings; a general M runs up to 6.  Against a 40-digit mpmath
         # exponential the error is within 8 n eps max(1, ||B||), the
-        # conditioning of exp at B (worst seen: 2.2 n eps ||B||)
+        # conditioning of exp at B (worst seen: 2.2 n eps ||B||).  From 3x3
+        # up the model's route, M's Taylor terms taken once and evaluated at
+        # t = 2^(k-1) f, meets the same bound (worst seen: 0.9 n eps ||B||)
         mp = pytest.importorskip("mpmath")
         rng = np.random.default_rng(n)
         eps = np.finfo(float).eps
         for skew, ks in ((True, (0, 1, 2, 3, 5, 8, 13, 21, 30, 40)), (False, range(7))):
             m = _unit_generator(n, skew, rng)
+            routes = [lambda t, b: _expm(b)]
+            if n >= 3:
+                taylor = TaylorExponential(m)
+                routes.append(lambda t, b: taylor(np.array([t]))[0])
             for k in ks:
                 for f, side in ((1.0 - 2.0**-40, -1), (1.0, 0), (1.0 + 2.0**-40, 1)):
-                    b = m * (2.0 ** (k - 1) * f)
+                    t = 2.0 ** (k - 1) * f
+                    b = m * t
                     norm = np.abs(b).sum(axis=1).max()
                     assert np.sign(norm - 2.0 ** (k - 1)) == side
                     with mp.workdps(40):
                         ref = np.array(mp.expm(mp.matrix(b.tolist())).tolist(), dtype=float)
-                    err = np.abs(_expm(b) - ref).max()
-                    assert err <= 8 * n * eps * max(1.0, norm) * np.abs(ref).max(), (skew, k, side)
+                    for route in routes:
+                        err = np.abs(route(t, b) - ref).max()
+                        assert err <= 8 * n * eps * max(1.0, norm) * np.abs(ref).max(), (skew, k, side)
 
     def test_mixed_squaring_counts_give_each_matrix_its_own_bits(self):
         # norms 0.3 * 2^k for k = 0..30 in shuffled order need 0 to 30
@@ -163,6 +173,19 @@ class TestMatrixExponential:
             perm = rng.permutation(len(stack))
             assert np.array_equal(_expm(stack[perm]), out[perm])
             assert np.array_equal(_expm(stack[perm[:7]]), out[perm[:7]])
+            if n < 3:
+                continue
+            # the model's route, the Taylor terms of m taken once, at the
+            # same 31 times: each log alone, in the batch and permuted
+            logs = MatrixSemigroup(m).trajectory().log_evaluate_many
+            ts = 0.3 * 2.0 ** rng.permutation(31)
+            out = logs(ts)
+            assert np.isfinite(out).all()
+            for i in range(ts.size):
+                assert np.array_equal(logs(ts[i:i + 1]), out[i:i + 1])
+            perm = rng.permutation(ts.size)
+            assert np.array_equal(logs(ts[perm]), out[perm])
+            assert np.array_equal(logs(ts[perm[:7]]), out[perm[:7]])
 
     @settings(max_examples=60, deadline=None)
     @given(mats=st.lists(_two_by_two(), min_size=1, max_size=8), order=st.randoms())

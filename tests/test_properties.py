@@ -614,6 +614,8 @@ T_GRIDS = {
     "decreasing": np.linspace(9.0, 0.0, 1500),
     "repeated": np.repeat(np.linspace(0.0, 6.0, 700), 2),  # ties on every step
     "runs": np.repeat(np.linspace(0.0, 6.0, 60), 45),  # gaps of equal times across strides
+    # scalar20's log reads -800 at t = 40, finite and below log(1e-300)
+    "deep": np.linspace(0.0, 40.0, 2001),
 }
 
 
@@ -642,15 +644,21 @@ def spike_to_zero():
     return traj, ss.entry_time_table(traj, 20)
 
 
-def _dense_overshoot(traj, table, nu_grid, t_grid, floor=1e-300):
-    """(per_nu, k_hat_overshoot) from every grid point: the reference."""
+@pytest.fixture(scope="module")
+def scalar20():
+    traj = ss.ScalarDecay(20.0).trajectory()
+    return traj, ss.entry_time_table(traj, 40)
+
+
+def _dense_overshoot(traj, table, nu_grid, t_grid):
+    """(per_nu, k_hat_overshoot) from every grid point with a finite log: the reference."""
     nu_grid = sorted(float(v) for v in (nu_grid or [2.0**k for k in range(11)]))
     if t_grid is None:
         finite = [x for x in table.t if math.isfinite(x)]
         t_hi = max(finite) if finite else 32.0
         t_grid = np.linspace(0.0, max(2.0 * t_hi, t_hi + 1.0), 4097)
     logs = traj.log_evaluate_many(t_grid)
-    live = logs > math.log(floor)
+    live = logs > -math.inf
     log_vals = logs[live]
     live_ts = t_grid[live]
     per_nu, k = [], -math.inf
@@ -665,7 +673,7 @@ def _dense_overshoot(traj, table, nu_grid, t_grid, floor=1e-300):
 
 
 @pytest.mark.parametrize("name", [
-    "scalar2", "gaussian", "nilpotent", "damped", "fractional_16", "fractional_64",
+    "scalar2", "scalar20", "gaussian", "nilpotent", "damped", "fractional_16", "fractional_64",
     "matrix_j10", "matrix_nilpotent_gen", "spike_to_zero",
 ])
 def test_indices_search_matches_dense_grid(name, request):
@@ -775,6 +783,9 @@ def _scan_cases(name, request):
         yield request.getfixturevalue(name)[0], 20, ss.SearchConfig()
     elif name == "lumer_phillips_edge":
         yield ss.MatrixSemigroup([[-0.5, 1.01], [0.0, -0.5]]).trajectory(), 40, ss.SearchConfig()
+    elif name == "2x2_transient":
+        # its growth bound from t = 16 clears the window (16, 32] unread
+        yield ss.MatrixSemigroup([[-6.026, 14.86], [0.0, -6.026]]).trajectory(), 40, ss.SearchConfig()
     else:
         orbit = ss.MatrixSemigroup(J10).vector_trajectory(np.array([0.0, 1.0]))
         yield orbit, 40, ss.SearchConfig()
@@ -786,7 +797,7 @@ def _entries(table):
 
 @pytest.mark.parametrize("name", [
     "random_mixed_100", "random_stable_20", "matrix_j10", "lumer_phillips_edge", "j10_orbit",
-    "spike_to_zero",
+    "spike_to_zero", "2x2_transient",
 ])
 def test_entry_scan_matches_dense_lattice(name, request):
     # [[-0.5,1.01],[0,-0.5]]: A + A^T is just indefinite, so the norm rises
