@@ -36,7 +36,6 @@ from .models import (
     WeightedShift,
     build_model_from_spec,
     fractional_reference,
-    validate_submultiplicativity,
 )
 from .entrytime import (
     EntryTime,
@@ -44,7 +43,6 @@ from .entrytime import (
     SearchConfig,
     entry_time_table,
     final_entry_time,
-    vector_entry_time,
 )
 from .classify import (
     Classification,
@@ -92,5 +90,4 @@ __all__ = [
     "integrate_adaptive", "matrix_exponential", "operator_norm",
     "pazy_criteria", "pazy_integral", "spectral_radius_estimate",
     "stability_and_extinction_indices", "tail_statistics",
-    "validate_submultiplicativity", "vector_entry_time",
 ]

@@ -118,13 +118,6 @@ def final_entry_time(traj, r, cfg=None):
     return _entry_times(traj, [int(r)], cfg)[0]
 
 
-def vector_entry_time(model, x, r, cfg=None):
-    """Entry time of a single unit-vector orbit of a matrix semigroup."""
-    cfg = cfg or SearchConfig()
-    _check_r(r)
-    return _entry_times(model.vector_trajectory(x), [int(r)], cfg)[0]
-
-
 def _check_r(r):
     if not (0 <= r < math.inf and int(r) == r):
         raise InvalidArgument(f"r must be a nonnegative integer, got {r}")

@@ -20,7 +20,6 @@ from __future__ import annotations
 import ast
 import math
 import re
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -111,34 +110,6 @@ class NormTrajectory:
         if np.isnan(out).any():
             raise NumericsFailure("log norm evaluation returned NaN")
         return out
-
-
-@dataclass(frozen=True)
-class SubmultiplicativityReport:
-    """Worst violation of evaluate(s+t) <= evaluate(s)*evaluate(t)."""
-
-    max_violation: float
-    worst_pair: tuple[float, float] | None
-    slack: float
-    passed: bool
-
-
-def validate_submultiplicativity(traj, pairs):
-    """Check the semigroup law's norm consequence on a grid of (s, t) pairs.
-
-    The violation at (s, t) is evaluate(s+t) - evaluate(s)*evaluate(t),
-    normalized by the product; pass means every violation stays within
-    1e-8 + 2 * eval_error_bound.  All norms are read in one batch.
-    """
-    slack = 1e-8 + 2.0 * traj.eval_error_bound
-    s, t = np.asarray(pairs, dtype=float).reshape(-1, 2).T
-    vs, vt, vst = traj.evaluate_many(np.concatenate([s, t, s + t])).reshape(3, -1)
-    rel = (vst - vs * vt * (1.0 + slack)) / np.maximum(vs * vt, 1e-300)
-    worst, worst_pair = 0.0, None
-    if rel.size and rel.max() > 0.0:
-        i = int(rel.argmax())
-        worst, worst_pair = float(rel[i]), (float(s[i]), float(t[i]))
-    return SubmultiplicativityReport(worst, worst_pair, slack, worst <= 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,10 @@
 Matrix exponentials, spectral norms, adaptive quadrature on finite or
 semi-infinite intervals, the growth-bounded grid search and its read
 store.  All operations are pure functions of their inputs.  Exponentials
-of 1x1 and 2x2 matrices take closed forms, and larger ones scaling and
-squaring (:func:`_expm`); exp(t*B) for one fixed B of order 3 or more at
-many times t takes the Taylor terms of B, computed once
-(:class:`TaylorExponential`).  Stacks of matrices get
+of 1x1 and 2x2 matrices take closed forms (:func:`_expm`), and larger
+ones scaling and squaring on Taylor terms computed once per matrix
+(:class:`TaylorExponential`), for one B at many times t or for a stack of
+matrices at time 1.  Stacks of matrices get
 their spectral norms from stateless stacked kernels, largest singular values
 to a few ulps (:func:`operator_norms_batch`: a closed form at 2x2, the top
 Gram eigenvalue above) or Lanczos from a fixed start vector
@@ -141,8 +141,6 @@ DEFAULT_SEED = 1863
 DIVERGENCE_THRESHOLD = 1.0e12
 
 _SCALED_NORM_TARGET = 0.5  # squarings bring the scaled norm at or below this
-# row j holds 1/k! for k = 4j..4j+3: exp's Taylor coefficients in blocks of four
-_TAYLOR_BLOCKS = np.array([[1.0 / math.factorial(4 * j + i) for i in range(4)] for j in range(4)])
 _TAYLOR_DEGREE = 16  # remainder below 0.5^17/17! ~ 2e-20 at a scaled norm of 0.5
 _TAYLOR_POWERS = np.arange(_TAYLOR_DEGREE + 1)
 
@@ -174,10 +172,8 @@ def _eigenvalues(m):
 def matrix_exponential(a, t):
     """Evaluate exp(t*a): a closed form up to 2x2, scaling and squaring above.
 
-    A larger matrix is halved until its row-sum norm is at or below 0.5, a
-    degree-16 Taylor polynomial is evaluated in Paterson-Stockmeyer form,
-    and the result is squared back up (see ``_expm``).  ``t`` must be
-    finite and nonnegative.
+    A larger matrix goes through :class:`TaylorExponential` at time 1 (see
+    ``_expm``).  ``t`` must be finite and nonnegative.
     """
     m = _as_square_matrix(a)
     t = float(t)
@@ -192,19 +188,12 @@ def _expm(b):
     """exp(b) for one matrix (n, n) or a stack (B, n, n).
 
     Orders 1 and 2 take closed forms: exp of the entry, and for 2x2 the
-    forms of :func:`_expm2`.  Larger matrices take scaling and squaring
-    (Moler and Van Loan, SIAM Rev. 45, 2003): each matrix B is halved s
-    times, the fewest that bring its row-sum norm to at most 0.5; its
-    degree-16 Taylor polynomial (remainder below 0.5^17/17! ~ 2e-20) is
-    evaluated in Paterson-Stockmeyer form (SIAM J. Comput. 2, 1973), B^2,
-    B^3, B^4 and Horner in B^4 over cubics in B, six products in place of
-    sixteen; and the result is squared s times.  Every matrix runs its own
+    forms of :func:`_expm2`.  Larger matrices take the Taylor terms of each
+    matrix of the stack at time 1 (:class:`TaylorExponential`), so every
+    order from 3 up has one exponential.  Every matrix runs its own
     operations, elementwise or per matrix, so it gets the same bits alone
     or inside any batch.  An exponential that overflows is not finite, and
-    callers read it as an infinite norm.  This is the kernel of
-    :func:`matrix_exponential`; a model that exponentiates one generator of
-    order 3 or more at many times uses :class:`TaylorExponential`, which
-    takes the same squaring counts and the same degree.
+    callers read it as an infinite norm.
     """
     b = np.asarray(b, dtype=float)
     if b.ndim == 2:
@@ -215,21 +204,7 @@ def _expm(b):
     if n <= 2:
         with np.errstate(over="ignore", invalid="ignore"):
             return np.exp(b) if n == 1 else _expm2(b)
-    squarings = _squarings(np.abs(b).sum(axis=2).max(axis=1))
-    powers = np.empty((count, 3, n, n))  # B, B^2, B^3
-    b = np.ldexp(b, -squarings[:, None, None], out=powers[:, 0])
-    np.matmul(b, b, out=powers[:, 1])
-    np.matmul(powers[:, 1], b, out=powers[:, 2])
-    b4 = powers[:, 1] @ powers[:, 1]
-    # q[:, j] = sum of B^k/k! over k = 4j..4j+3, its I term added on the diagonal
-    q = (_TAYLOR_BLOCKS[:, 1:] @ powers.reshape(count, 3, n * n)).reshape(count, 4, n, n)
-    del powers, b  # freed before Horner's products: a smaller peak
-    q.reshape(count, 4, n * n)[:, :, ::n + 1] += _TAYLOR_BLOCKS[:, :1]
-    acc = q[:, 3] + b4 / math.factorial(16)
-    for j in (2, 1, 0):
-        acc = acc @ b4
-        acc += q[:, j]
-    return _square_back(acc, squarings)
+    return TaylorExponential(b)(np.ones(count))
 
 
 def _squarings(norms):
@@ -255,38 +230,44 @@ def _square_back(acc, squarings):
 
 
 class TaylorExponential:
-    """exp(t*B) for one fixed square B of order 3 or more, at arrays of times t >= 0.
+    """exp(t*B) at arrays of times t >= 0, for one square B of order 3 or more or a stack of them.
 
-    The steps of :func:`_expm` that depend on B alone are taken once: the
-    row-sum norm ||B||, and the Taylor terms P_k = (B/rho)^k / k! for
-    k = 0..16, rho the power of two at or above ||B||, so that no power
-    overflows.  At a time t the squaring count s comes from t*||B|| as in
-    :func:`_expm`, and the degree-16 polynomial of X = t*B/2^s = c*(B/rho),
-    c = t*rho/2^s <= 1, is the sum of c^k P_k, one row of 17 powers times
-    the 17 terms per time.  That product runs per time over the batch axis,
-    never as one matrix product across times, whose blocking may depend on
-    the batch size, so each time gets the same bits alone or in any batch.
-    The result is squared s times.
+    Scaling and squaring (Moler and Van Loan, SIAM Rev. 45, 2003) with a
+    degree-16 Taylor polynomial, whose remainder is below 0.5^17/17! ~ 2e-20
+    at a scaled norm of 0.5.  The steps that depend on B alone are taken
+    once: the row-sum norm ||B||, and the Taylor terms P_k = (B/rho)^k / k!
+    for k = 0..16, rho the power of two at or above ||B||, so that no power
+    overflows.  At a time t the squaring count s is the fewest halvings
+    that bring t*||B|| to at most 0.5, and the polynomial of
+    X = t*B/2^s = c*(B/rho), c = t*rho/2^s <= 1, is the sum of c^k P_k, one
+    row of 17 powers times the 17 terms per time.  That product runs per
+    time over the batch axis, never as one matrix product across times,
+    whose blocking may depend on the batch size, so each time gets the same
+    bits alone or in any batch.  The result is squared s times.  One B is
+    read at every time of ``ts``; a stack (K, n, n) takes one time per
+    matrix, so ``ts`` has K entries.
     """
 
     def __init__(self, b):
-        n = b.shape[0]
-        self._norm = float(np.abs(b).sum(axis=1).max())
-        mant, expo = math.frexp(self._norm)
+        b = np.asarray(b, dtype=float)
+        b = b if b.ndim == 3 else b[None]
+        count, n = b.shape[:2]
+        self._norm = np.abs(b).sum(axis=2).max(axis=1)
+        mant, expo = np.frexp(self._norm)
         self._log2_rho = expo - (mant == 0.5)  # 0 for B = 0
-        q = np.ldexp(b, -self._log2_rho)
-        terms = np.empty((_TAYLOR_DEGREE + 1, n, n))
-        terms[0] = np.eye(n)
+        q = np.ldexp(b, -self._log2_rho[:, None, None])
+        terms = np.empty((count, _TAYLOR_DEGREE + 1, n, n))
+        terms[:, 0] = np.eye(n)
         for k in range(1, _TAYLOR_DEGREE + 1):
-            np.divide(terms[k - 1] @ q, k, out=terms[k])
-        self._terms = terms.reshape(1, _TAYLOR_DEGREE + 1, n * n)
+            np.divide(terms[:, k - 1] @ q, k, out=terms[:, k])
+        self._terms = terms.reshape(count, _TAYLOR_DEGREE + 1, n * n)
         self._shape = (n, n)
 
     def __call__(self, ts):
         """The stack (T, n, n) of exp(t*B) at the 1-d array of times ``ts``."""
         squarings = _squarings(ts * self._norm)
         c = np.ldexp(ts, self._log2_rho - squarings)
-        # (T, 1, 17) @ (1, 17, n^2): a row of powers times the terms, per time
+        # (T, 1, 17) @ (K, 17, n^2), K = 1 or T: a row of powers times the terms, per time
         acc = (c[:, None, None] ** _TAYLOR_POWERS @ self._terms).reshape(ts.size, *self._shape)
         return _square_back(acc, squarings)
 

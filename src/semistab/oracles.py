@@ -1,31 +1,18 @@
-"""Independent brute-force reference computations for tests.
+"""Independent reference computations for tests and demos.
 
 Nothing here shares code paths with the bisection/scan machinery: entry
-times come from closed forms or literal grid scans, and growth rates come
-from reading the diagonal of a triangular generator.
+times come from closed forms, and growth rates come from reading the
+diagonal of a triangular generator.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidArgument
 from .entrytime import EntryTime, EntryTimeTable, STATUS_EXACT
-
-CLOSED_FORM = "closed-form"
-DENSE_GRID = "dense-grid"
-EIGEN_TRIANGULAR = "eigen-triangular"
-
-
-@dataclass(frozen=True)
-class OracleResult:
-    quantity: str
-    value: float
-    method: str
-    resolution: float | None = None
 
 
 def closed_form_entry_times(model, r_max):
@@ -48,25 +35,6 @@ def closed_form_entry_times(model, r_max):
     statuses = tuple(EntryTime(x, STATUS_EXACT, 0.0) for x in t)
     return EntryTimeTable(r_max=r_max, t=tuple(t), u=tuple(u), statuses=statuses,
                           time_tol=0.0, label=f"closed-form {kind}")
-
-
-def dense_grid_entry_time(traj, r, step, horizon=64.0):
-    """Literal entry-time definition on a grid.
-
-    The smallest grid point from which every later sample up to the horizon
-    stays at or below exp(-r); +inf when even the horizon sample is above.
-    """
-    if step <= 0:
-        raise InvalidArgument("step must be positive")
-    threshold = math.exp(-float(r))
-    ts = np.arange(0.0, horizon + step, step)
-    vals = traj.evaluate_many(ts)
-    above = vals > threshold
-    if above[-1]:
-        return OracleResult(f"t_{r}", math.inf, DENSE_GRID, step)
-    idx = np.nonzero(above)[0]
-    value = 0.0 if idx.size == 0 else float(ts[idx[-1] + 1])
-    return OracleResult(f"t_{r}", value, DENSE_GRID, step)
 
 
 def spectral_abscissa_triangular(a):

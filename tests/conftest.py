@@ -49,6 +49,48 @@ def assert_matches_fresh_integral(traj, a, entry, *, value=True):
         (entry, res)
 
 
+@dataclass(frozen=True)
+class SubmultiplicativityReport:
+    """Worst violation of evaluate(s+t) <= evaluate(s)*evaluate(t)."""
+
+    max_violation: float
+    worst_pair: tuple[float, float] | None
+    slack: float
+    passed: bool
+
+
+def validate_submultiplicativity(traj, pairs):
+    """Check the semigroup law's norm consequence on a grid of (s, t) pairs.
+
+    The violation at (s, t) is evaluate(s+t) - evaluate(s)*evaluate(t),
+    normalized by the product; pass means every violation stays within
+    1e-8 + 2 * eval_error_bound.  All norms are read in one batch.
+    """
+    slack = 1e-8 + 2.0 * traj.eval_error_bound
+    s, t = np.asarray(pairs, dtype=float).reshape(-1, 2).T
+    vs, vt, vst = traj.evaluate_many(np.concatenate([s, t, s + t])).reshape(3, -1)
+    rel = (vst - vs * vt * (1.0 + slack)) / np.maximum(vs * vt, 1e-300)
+    worst, worst_pair = 0.0, None
+    if rel.size and rel.max() > 0.0:
+        i = int(rel.argmax())
+        worst, worst_pair = float(rel[i]), (float(s[i]), float(t[i]))
+    return SubmultiplicativityReport(worst, worst_pair, slack, worst <= 0.0)
+
+
+def dense_grid_entry_time(traj, r, step, horizon=64.0):
+    """Literal entry-time definition on a grid, shared with no search code.
+
+    The smallest grid point from which every later sample up to the horizon
+    stays at or below exp(-r); +inf when even the horizon sample is above.
+    """
+    ts = np.arange(0.0, horizon + step, step)
+    above = traj.evaluate_many(ts) > math.exp(-float(r))
+    if above[-1]:
+        return math.inf
+    idx = np.nonzero(above)[0]
+    return 0.0 if idx.size == 0 else float(ts[idx[-1] + 1])
+
+
 def counting(traj, growth_rate=None):
     """The same curve, counting its calls.
 

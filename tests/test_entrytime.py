@@ -52,7 +52,7 @@ class TestFinalEntryTime:
         with pytest.raises(InvalidArgument, match="nonnegative integer"):
             ss.final_entry_time(model.trajectory(), r)
         with pytest.raises(InvalidArgument, match="nonnegative integer"):
-            ss.vector_entry_time(model, np.array([1.0, 0.0]), r)
+            ss.final_entry_time(model.vector_trajectory(np.array([1.0, 0.0])), r)
 
 
 class TestEntryTimeTable:
@@ -177,7 +177,7 @@ class TestEnvelopeScan:
 class TestVectorEntryTime:
     def test_fast_mode(self):
         m = ss.MatrixSemigroup(np.diag([-1.0, -2.0]))
-        et = ss.vector_entry_time(m, np.array([0.0, 1.0]), 1)
+        et = ss.final_entry_time(m.vector_trajectory(np.array([0.0, 1.0])), 1)
         assert et.time == pytest.approx(0.5, abs=CFG.time_tol)
 
     def test_fast_mode_past_its_underflow(self):
@@ -185,23 +185,23 @@ class TestVectorEntryTime:
         # where its norm is below the floor: the search reads it as 0
         m = ss.MatrixSemigroup(np.diag([-1.0, -1000.0]))
         for r in (1, 40):
-            et = ss.vector_entry_time(m, np.array([0.0, 1.0]), r)
+            et = ss.final_entry_time(m.vector_trajectory(np.array([0.0, 1.0])), r)
             assert et.time == pytest.approx(r / 1000.0, abs=CFG.time_tol)
 
     def test_slow_mode(self):
         m = ss.MatrixSemigroup(np.diag([-1.0, -2.0]))
-        et = ss.vector_entry_time(m, np.array([1.0, 0.0]), 1)
+        et = ss.final_entry_time(m.vector_trajectory(np.array([1.0, 0.0])), 1)
         assert et.time == pytest.approx(1.0, abs=CFG.time_tol)
 
     def test_slow_mode_attains_operator_norm(self):
         m = ss.MatrixSemigroup(np.diag([-1.0, -2.0]))
-        et = ss.vector_entry_time(m, np.array([1.0, 0.0]), 3)
+        et = ss.final_entry_time(m.vector_trajectory(np.array([1.0, 0.0])), 3)
         assert et.time == pytest.approx(3.0, abs=CFG.time_tol)
 
     def test_rejects_non_unit(self):
         m = ss.MatrixSemigroup(np.diag([-1.0, -2.0]))
         with pytest.raises(InvalidArgument):
-            ss.vector_entry_time(m, np.array([1.0, 1.0]), 1)
+            ss.final_entry_time(m.vector_trajectory(np.array([1.0, 1.0])), 1)
 
     def test_dominated_by_operator_entry_time(self):
         m = ss.MatrixSemigroup(np.diag([-0.5, -1.0, -1.5, -2.0]))
@@ -210,7 +210,7 @@ class TestVectorEntryTime:
         for _ in range(50):
             x = rng.standard_normal(4)
             x /= np.linalg.norm(x)
-            vt = ss.vector_entry_time(m, x, 2)
+            vt = ss.final_entry_time(m.vector_trajectory(x), 2)
             assert vt.time <= op.time + CFG.time_tol
 
 

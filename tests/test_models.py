@@ -6,6 +6,8 @@ import pytest
 import semistab as ss
 from semistab import InvalidArgument, InvalidModel, NumericsFailure, SpecError, models
 
+from conftest import validate_submultiplicativity
+
 
 ANALYTIC_MODELS = [
     ss.ScalarDecay(1.0),
@@ -420,17 +422,17 @@ class TestSubmultiplicativity:
     GRID = [(s, t) for s in (0.3, 0.7, 1.1, 2.0) for t in (0.3, 0.7, 1.1, 2.0)]
 
     def test_scalar_decay_equality(self):
-        rep = ss.validate_submultiplicativity(ss.ScalarDecay(2.0).trajectory(), self.GRID)
+        rep = validate_submultiplicativity(ss.ScalarDecay(2.0).trajectory(), self.GRID)
         assert rep.passed and rep.max_violation == 0.0
 
     def test_gaussian(self):
-        rep = ss.validate_submultiplicativity(ss.GaussianShift().trajectory(), self.GRID)
+        rep = validate_submultiplicativity(ss.GaussianShift().trajectory(), self.GRID)
         assert rep.passed
 
     def test_random_matrix(self):
         rng = np.random.default_rng(3)
         traj = ss.MatrixSemigroup(rng.uniform(-1, 1, (3, 3))).trajectory()
-        rep = ss.validate_submultiplicativity(traj, self.GRID)
+        rep = validate_submultiplicativity(traj, self.GRID)
         assert rep.passed
 
     def test_matrix_bound_sees_small_violations(self):
@@ -444,8 +446,8 @@ class TestSubmultiplicativity:
                 np.isin(ts, sums), math.log1p(1e-7), 0.0),
             growth_rate=0.0, eval_error_bound=exact.eval_error_bound,
         )
-        assert ss.validate_submultiplicativity(exact, self.GRID).passed
-        assert not ss.validate_submultiplicativity(bumped, self.GRID).passed
+        assert validate_submultiplicativity(exact, self.GRID).passed
+        assert not validate_submultiplicativity(bumped, self.GRID).passed
         # the batched check reports what a pair-by-pair loop reports
         worst, worst_pair = 0.0, None
         slack = 1e-8 + 2.0 * bumped.eval_error_bound
@@ -454,7 +456,7 @@ class TestSubmultiplicativity:
             rel = (vst - vs * vt * (1.0 + slack)) / max(vs * vt, 1e-300)
             if rel > worst:
                 worst, worst_pair = rel, (s, t)
-        rep = ss.validate_submultiplicativity(bumped, self.GRID)
+        rep = validate_submultiplicativity(bumped, self.GRID)
         assert (rep.max_violation, rep.worst_pair) == (worst, worst_pair)
 
 
@@ -485,7 +487,7 @@ class TestFractionalIntegration:
     def test_submultiplicative_within_bound(self, fractional_400):
         traj = fractional_400[1]
         grid = [(s, t) for s in (0.5, 1.0, 2.0, 4.0) for t in (0.5, 1.0, 2.0, 4.0)]
-        rep = ss.validate_submultiplicativity(traj, grid)
+        rep = validate_submultiplicativity(traj, grid)
         assert rep.passed
 
     @pytest.mark.parametrize("n", [16, 64])

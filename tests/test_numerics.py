@@ -124,7 +124,7 @@ class TestMatrixExponential:
                     gap, ns, nt = operator_norms_batch(np.stack([est - es @ et, es, et]))
                     assert gap <= 1e-8 * (1.0 + ns * nt)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 8])
     def test_matches_mpmath_across_squaring_counts(self, n):
         # B = 2^(k-1) f M with ||M||_inf = 1 exactly: f just below 1, 1 and
         # just above put B's row-sum norm just below, at and just above
@@ -133,9 +133,10 @@ class TestMatrixExponential:
         # extra squaring).  Skew M (n = 1: -1) keeps exp(B) bounded up to 40
         # squarings; a general M runs up to 6.  Against a 40-digit mpmath
         # exponential the error is within 8 n eps max(1, ||B||), the
-        # conditioning of exp at B (worst seen: 2.2 n eps ||B||).  From 3x3
-        # up the model's route, M's Taylor terms taken once and evaluated at
-        # t = 2^(k-1) f, meets the same bound (worst seen: 0.9 n eps ||B||)
+        # conditioning of exp at B.  From 3x3 up both routes meet it: the
+        # stack kernel, B's Taylor terms at t = 1, and the model's route,
+        # M's Taylor terms taken once and evaluated at t = 2^(k-1) f (worst
+        # seen on either: 0.9 n eps ||B||)
         mp = pytest.importorskip("mpmath")
         rng = np.random.default_rng(n)
         eps = np.finfo(float).eps

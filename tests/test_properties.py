@@ -41,7 +41,8 @@ from hypothesis import example, given, settings, strategies as st
 import semistab as ss
 
 from conftest import (COARSE_CFG, assert_matches_fresh_integral, convex_exponents, counting,
-                      log_exponent, piecewise_exponent, power_exponent)
+                      log_exponent, piecewise_exponent, power_exponent,
+                      validate_submultiplicativity)
 
 GRID_STEP = ss.SearchConfig().grid_step
 J10 = np.array([[-1.0, 10.0], [0.0, -1.0]])
@@ -458,7 +459,7 @@ def test_weighted_shift_entry_times_invert_the_exponent(m):
     for r in range(41):
         assert abs(table.t[r] - min(m.inverse(r), m.L)) <= table.time_tol, (m.label, r, table.t[r])
     grid = np.linspace(0.0, table.t[40], 9)
-    assert ss.validate_submultiplicativity(traj, list(itertools.product(grid, grid))).passed, m.label
+    assert validate_submultiplicativity(traj, list(itertools.product(grid, grid))).passed, m.label
     assert traj.extinction_time == (m.L if m.L < math.inf else None)
     if m.L < math.inf:
         ts = np.array([m.L, np.nextafter(m.L, math.inf), m.L + 1.0, 2.0 * m.L + 5.0])
@@ -590,6 +591,22 @@ def test_lockstep_entries_match_one_weight_integrals(case):
     rep = ss.pazy_criteria(traj)
     for e in rep.entries:
         assert_matches_fresh_integral(traj, rep.a, e, value=smooth and e.kind == ss.VALUE)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: from t_0 + 1e-6 both meshes spend all "
+                   "500 first-segment splits at the spike, and (ii) at p = 1.5 lands on either "
+                   "side of the 8 tol line; integrating from t_1 removes the spike")
+def test_lockstep_kinds_match_one_weight_integrals_beside_a_spike():
+    # a case the property above falsifies in about one run in five: (ii)
+    # at p = 1.5 sums errors of 1.8724e-4 in lockstep and 1.7314e-4 alone,
+    # against 8 tol = 1.8703e-4, so it reads inconclusive in lockstep and
+    # value 23378.596 alone.  From t_1 = 34.84 both read value 10.2458
+    a = np.array([[-1.0, 1.0, 0.0, 0.0], [0.0, -2.0, 7.25, 9.0], [0.0, 0.0, -0.375, 9.0],
+                  [0.0, 0.0, 0.0, -0.1953125]])
+    traj = ss.MatrixSemigroup(a).trajectory()
+    rep = ss.pazy_criteria(traj)
+    for e in rep.entries:
+        assert_matches_fresh_integral(traj, rep.a, e, value=False)
 
 
 @settings(max_examples=20, deadline=None)
