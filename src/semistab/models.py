@@ -39,6 +39,7 @@ from .numerics import (  # noqa: F401
     _as_square_matrix,
     _eigenvalues,
     _expm,
+    _inverse_scale,
     _power_iteration,
 )
 
@@ -359,12 +360,17 @@ class FractionalIntegration(SemigroupModel):
     depends only on the lag i - j, so the matrix is lower-triangular
     Toeplitz, built from one length-n column ((m+1/2)/n)^t and its first
     differences.  Norms come from stacked Lanczos on the kernels of a chunk
-    of times, with no warm start (:func:`operator_norms_lanczos`): each is
-    the operator norm of exactly the matrix :meth:`kernel_matrix` returns,
-    to about 1e-14 relative, and a pure function of t, the same bits on the
-    batch and the point path in any query order.  A single time is a batch
-    of one.  The log of a norm at or below NORM_FLOOR reads -inf.  The
-    reference curve 1/(t*Gamma(t)) is available as
+    of times, with no warm start (:func:`operator_norms_lanczos`).  Each
+    kernel is handed over times a power of two that puts its largest entry
+    in [1/2, 1): the norm decays like 1/Gamma(t+1), so from t ~ 70-100
+    (n = 400-16) the unscaled kernels hold subnormal entries, on which BLAS
+    runs several times slower.  The scaling is exact and the norm is divided
+    by the same power of two, so each norm has the bits of Lanczos on
+    exactly the matrix :meth:`kernel_matrix` returns, within about 1e-14
+    relative of its operator norm.  It is a pure function of t: the same
+    bits on the batch and the point path in any query order.  A single time
+    is a batch of one.  The log of a norm at or below NORM_FLOOR reads
+    -inf.  The reference curve 1/(t*Gamma(t)) is available as
     :func:`fractional_reference`.
     """
 
@@ -385,8 +391,11 @@ class FractionalIntegration(SemigroupModel):
         return math.gamma(t + 1.0) if t + 1.0 <= 171.0 else math.inf
 
     def _kernels(self, ts, denom):
-        """C-contiguous stack of the operators at the times ts, with denominators Gamma(t+1).
+        """Unit-peak operators at the times ts, with denominators Gamma(t+1), and their scales.
 
+        Returns a C-contiguous stack and one power of two c per time: the
+        operator times c, whose largest entry lies in [1/2, 1) (c = 1 for a
+        zero operator), so the operator is exactly the stack entry over c.
         t = 0 gives exactly the identity and an infinite denominator exactly 0.
         """
         n = self.n
@@ -398,14 +407,19 @@ class FractionalIntegration(SemigroupModel):
         p[:, n - 1] = col[:, 0]
         np.subtract(col[:, :0:-1], col[:, -2::-1], out=p[:, :n - 1])
         p[:, :n] /= denom[:, None]
+        # every g[m] is an entry of the matrix, so p's peak is the matrix's;
+        # scaling it to [1/2, 1) on this row costs O(n) and is exact
+        scale = _inverse_scale(p[:, :n].max(axis=1))
+        p[:, :n] *= scale[:, None]
         step, item = p.strides
         rows = np.lib.stride_tricks.as_strided(p[:, n - 1:], (ts.size, n, n), (step, -item, item))
-        return rows.copy()
+        return rows.copy(), scale
 
     def kernel_matrix(self, t):
         """The discretized operator at order t (lower triangular, n x n)."""
         t = _check_time(t)
-        return self._kernels(np.array([t]), np.array([self._gamma(t)]))[0]
+        k, scale = self._kernels(np.array([t]), np.array([self._gamma(t)]))
+        return k[0] / scale[0]
 
     def _log_norms(self, ts):
         ts = np.asarray(ts, dtype=float)
@@ -416,7 +430,12 @@ class FractionalIntegration(SemigroupModel):
         chunk = max(1, _STACK_BYTES // (8 * self.n * self.n))
         for lo in range(0, live.size, chunk):
             idx = live[lo:lo + chunk]
-            norms[idx] = operator_norms_lanczos(self._kernels(flat[idx], denom[idx]))
+            k, scale = self._kernels(flat[idx], denom[idx])
+            norms[idx] = operator_norms_lanczos(k) / scale
+            # only one stack may be live at a time: one built while the last
+            # is still held lands on fresh pages, which made norms below
+            # t = 90 some 10-20 % slower at n = 80
+            del k
         with np.errstate(divide="ignore"):
             return np.log(np.where(norms > NORM_FLOOR, norms, 0.0)).reshape(ts.shape)
 

@@ -518,17 +518,22 @@ def operator_norms_lanczos(mats):
     out[np.isinf(peak)] = math.inf
     live = np.flatnonzero((peak > 0.0) & np.isfinite(peak))
     if live.size:
-        # Lanczos runs on (cK)^T (cK) with c a normal power of two near
-        # 1/peak: exact, and clear of under- and overflow whatever the size
-        # of K.  c scales the vectors, which is cheaper than a pass over K.
+        # Lanczos runs on cK, c a normal power of two near 1/peak, so that
+        # nothing over- or underflows whatever the size of K.  While cK stays
+        # in the normal range, a power of two commutes with every rounding:
+        # the norm of 2^e K is 2^e times the norm of K, bit for bit.  A
+        # caller that hands over unit-peak stacks (peak in [1/2, 1), so
+        # c = 1) skips this pass over K.
         c = _inverse_scale(peak[live])
         k = mats if live.size == mats.shape[0] else mats[live]
-        out[live] = np.sqrt(_lanczos_top_eigenvalues(k, c[:, None, None])) / c
+        if (c != 1.0).any():
+            k = k * c[:, None, None]
+        out[live] = np.sqrt(_lanczos_top_eigenvalues(k)) / c
     return out
 
 
-def _lanczos_top_eigenvalues(k, c):
-    """Largest eigenvalue of (cK)^T (cK) for each matrix K of the stack k."""
+def _lanczos_top_eigenvalues(k):
+    """Largest eigenvalue of K^T K for each matrix K of the stack k."""
     b, n, _ = k.shape
     # the Lanczos vectors as rows; most matrices converge within 16 steps,
     # so the basis starts small and doubles when full, which for large n is
@@ -544,7 +549,7 @@ def _lanczos_top_eigenvalues(k, c):
         if j + 2 > basis.shape[1]:
             basis = np.concatenate([basis, np.empty_like(basis)], axis=1)
         # w and h are row vectors (b, 1, .); q holds the Lanczos vectors so far
-        w = ((k @ (basis[:, j, :, None] * c)).transpose(0, 2, 1) * c) @ k
+        w = (k @ basis[:, j, :, None]).transpose(0, 2, 1) @ k
         q = basis[:, :j + 1]
         qt = q.transpose(0, 2, 1)
         h = w @ qt

@@ -509,8 +509,32 @@ class TestFractionalIntegration:
     @pytest.mark.parametrize("t", [0.5, 1.0, 20.0, 169.5])
     def test_kernel_denominator_is_gamma(self, t):
         model = ss.FractionalIntegration(16)
-        undivided = model._kernels(np.array([t]), np.array([1.0]))[0]
+        k, scale = model._kernels(np.array([t]), np.array([1.0]))
+        undivided = k[0] / scale[0]
         np.testing.assert_array_equal(model.kernel_matrix(t), undivided / math.gamma(t + 1.0))
+
+    @pytest.mark.parametrize("n", [64, 80, 96])
+    def test_lanczos_stacks_are_unit_peak_and_normal(self, n, monkeypatch):
+        """Every stack the norm path hands to Lanczos has its largest entry in
+        [1/2, 1) and no subnormal entry, so no product meets a subnormal
+        operand, which BLAS computes several times slower.  Unscaled kernels
+        fail this: at n = 80 the kernel at t = 100 holds subnormal entries.
+        """
+        stacks = []
+
+        def spy(mats):
+            nonzero = mats[mats != 0.0]
+            stacks.append((mats.max(axis=(1, 2)), np.abs(nonzero).min()))
+            return lanczos(mats)
+
+        lanczos = models.operator_norms_lanczos
+        monkeypatch.setattr(models, "operator_norms_lanczos", spy)
+        ts = np.concatenate([np.linspace(0.05, 60.0, 40), np.linspace(60.0, 170.0, 881)])
+        ss.FractionalIntegration(n)._log_norms(ts)
+        assert sum(peaks.size for peaks, _ in stacks) == ts.size
+        for peaks, smallest in stacks:
+            assert smallest >= np.finfo(float).tiny
+            assert np.all((peaks >= 0.5) & (peaks < 1.0))
 
     def test_gamma_overflow_is_extinction(self):
         assert ss.fractional_reference(175.0) == 0.0

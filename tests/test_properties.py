@@ -39,6 +39,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import semistab as ss
+from semistab.numerics import NORM_FLOOR, operator_norms_lanczos
 
 from conftest import (COARSE_CFG, assert_matches_fresh_integral, convex_exponents, counting,
                       log_exponent, piecewise_exponent, power_exponent,
@@ -273,6 +274,50 @@ def test_fractional_norm_matches_svd(n):
     for t in (1e-7, 1e-4, 1e-2, 0.5, 1.0, 5.0, 40.0, 150.0):
         ref = np.linalg.svd(model.kernel_matrix(t), compute_uv=False)[0]
         assert abs(model.norm_at(t) - ref) <= 1e-12 * ref, t
+
+
+@pytest.mark.parametrize("n", (16, 64, 80, 96))
+def test_fractional_norm_is_the_norm_of_its_kernel_matrix_bitwise(n):
+    # the model runs Lanczos on unit-peak kernels and divides by the power
+    # of two; kernel_matrix returns the unscaled operator.  Logs are
+    # compared because exp(log(x)) need not round-trip to x.
+    model = ss.FractionalIntegration(n)
+    ts = np.concatenate([np.geomspace(1e-6, 1.0, 12), np.linspace(1.0, 170.99, 120)])
+    logs = model._log_norms(ts)
+    norms = operator_norms_lanczos(np.stack([model.kernel_matrix(t) for t in ts]))
+    live = norms > NORM_FLOOR
+    assert live.sum() > 100
+    assert np.array_equal(logs[live], np.log(norms[live]))
+    assert np.all(logs[~live] == -math.inf)
+
+
+@st.composite
+def nonnegative_stacks(draw):
+    """Fractional kernels from their subnormal band, or uniform stacks near the underflow."""
+    if draw(st.booleans()):
+        model = ss.FractionalIntegration(draw(st.sampled_from([16, 64, 80])))
+        ts = draw(st.lists(st.floats(100.0, 170.0), min_size=1, max_size=4))
+        return np.stack([model.kernel_matrix(t) for t in ts])
+    shape = (draw(st.integers(1, 4)), *[draw(st.integers(1, 12))] * 2)
+    return np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(0.0, 1.0, shape) * 1e-305
+
+
+@settings(max_examples=40, deadline=None)
+@given(mats=nonnegative_stacks(), data=st.data())
+def test_lanczos_norm_commutes_with_powers_of_two(mats, data):
+    # the invariant behind the fractional model's unit-peak kernels: any e
+    # up to where the norm, at most n times the largest entry, overflows,
+    # and down while the smallest nonzero entry stays normal, so that 2^e K
+    # holds K's bits
+    exps = np.frexp(mats[mats > 0.0])[1]
+    top = 1023 - int(exps.max()) - mats.shape[1].bit_length()
+    e = data.draw(st.integers(min(0, -1021 - int(exps.min())), top))
+    scaled = np.ldexp(mats, e)
+    assert np.array_equal(np.ldexp(scaled, -e), mats)
+    # a subnormal norm of K (n = 16 near t = 170) loses bits to ldexp itself
+    ref = operator_norms_lanczos(mats)
+    normal = ref >= np.finfo(float).tiny
+    assert np.array_equal(operator_norms_lanczos(scaled)[normal], np.ldexp(ref[normal], e))
 
 
 def test_concurrent_readers_get_single_thread_values():
